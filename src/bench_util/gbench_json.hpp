@@ -103,7 +103,18 @@ inline int run_micro_bench(const std::string& bench_name, int argc, char** argv)
             result.items_per_second = median_of(std::move(items));
             suite.results.push_back(std::move(result));
         }
-        write_bench_json_file(json_path, suite);
+        try {
+            write_bench_json_file(json_path, suite);
+        } catch (const Error& e) {
+            std::cerr << "error: " << e.what() << "\n";
+            if (suite.results.empty()) {
+                // The medians come from the per-iteration runs, which this
+                // flag keeps from the reporter.
+                std::cerr << "hint: drop --benchmark_report_aggregates_only\n";
+            }
+            benchmark::Shutdown();
+            return 1;
+        }
         std::cerr << "bench JSON (" << suite.results.size() << " benchmarks) -> "
                   << json_path << "\n";
     }

@@ -153,6 +153,8 @@ void write_bench_json(std::ostream& os, const BenchSuite& suite) {
 }
 
 void write_bench_json_file(const std::string& path, const BenchSuite& suite) {
+    GESMC_CHECK(!suite.results.empty(),
+                "bench suite \"" + suite.bench + "\" has no results; refusing to write " + path);
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     GESMC_CHECK(os.good(), "cannot open bench JSON file: " + path);
     write_bench_json(os, suite);

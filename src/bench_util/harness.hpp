@@ -93,6 +93,10 @@ struct BenchSuite {
 
 /// Serializes the suite as the gesmc-bench-v1 JSON document.
 void write_bench_json(std::ostream& os, const BenchSuite& suite);
+
+/// Writes the document to `path`.  Throws Error, writing nothing, when the
+/// suite has no results: an empty document would pass the regression gate
+/// without comparing anything.
 void write_bench_json_file(const std::string& path, const BenchSuite& suite);
 
 } // namespace gesmc

@@ -20,7 +20,7 @@ std::uint32_t MinIndexMap::insert_if_min(std::uint32_t edge_index, std::uint32_t
         if (seen == kNone) {
             if (cell.compare_exchange_weak(seen, switch_index, std::memory_order_acq_rel,
                                            std::memory_order_acquire)) {
-                touched_[tid].push_back(edge_index);
+                touched_[tid].value.push_back(edge_index);
                 return kNone;
             }
             continue; // seen updated; re-evaluate
@@ -37,10 +37,10 @@ void MinIndexMap::reset(ThreadPool& pool) {
     pool.for_chunks_dynamic(0, touched_.size(), 1,
                             [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                                 for (std::uint64_t t = lo; t < hi; ++t) {
-                                    for (const std::uint32_t cell : touched_[t]) {
+                                    for (const std::uint32_t cell : touched_[t].value) {
                                         min_[cell].store(kNone, std::memory_order_relaxed);
                                     }
-                                    touched_[t].clear();
+                                    touched_[t].value.clear();
                                 }
                             });
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -55,7 +55,7 @@ ParES::ParES(const EdgeList& initial, const ChainConfig& config)
       runner_(initial.num_edges(), config.prefetch) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
-    for (const edge_key_t k : edges_.keys()) set_.insert_unique(k);
+    set_.refill(edges_.keys(), *pool_);
 }
 
 ParES::ParES(const ChainState& state, const ChainConfig& config)
@@ -161,7 +161,9 @@ void ParES::run_switch_range(std::uint64_t end) {
         stats_.later_rounds_seconds += result.later_rounds_seconds;
         ++windows_executed_;
 
-        set_.maybe_rebuild();
+        // Between windows the edge list holds exactly the live keys, so the
+        // set rebuilds from it on the pool.
+        if (set_.needs_rebuild()) set_.refill(edges_.keys(), *pool_);
         next_switch_ = t;
     }
 }

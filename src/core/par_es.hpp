@@ -21,6 +21,7 @@
 #include "hashing/concurrent_edge_set.hpp"
 #include "parallel/pool_ref.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/cache_padded.hpp"
 
 #include <atomic>
 #include <memory>
@@ -46,7 +47,7 @@ public:
 
 private:
     std::vector<std::atomic<std::uint32_t>> min_;
-    std::vector<std::vector<std::uint32_t>> touched_;
+    std::vector<CachePadded<std::vector<std::uint32_t>>> touched_; ///< per thread
 };
 
 class ParES final : public Chain {

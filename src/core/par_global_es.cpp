@@ -15,7 +15,7 @@ ParGlobalES::ParGlobalES(const EdgeList& initial, const ChainConfig& config)
       runner_(initial.num_edges() / 2, config.prefetch) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
-    for (const edge_key_t k : edges_.keys()) set_.insert_unique(k);
+    set_.refill(edges_.keys(), *pool_);
 }
 
 ParGlobalES::ParGlobalES(const ChainState& state, const ChainConfig& config)
@@ -64,7 +64,9 @@ void ParGlobalES::run_supersteps(std::uint64_t count, RunObserver* observer,
             stats_.later_rounds_seconds += result.later_rounds_seconds;
         }
         ++stats_.supersteps;
-        set_.maybe_rebuild();
+        // Between supersteps the edge list holds exactly the live keys, so
+        // the set rebuilds from it on the pool.
+        if (set_.needs_rebuild()) set_.refill(edges_.keys(), *pool_);
         if (observer != nullptr) observer->on_superstep(replicate, *this);
     }
 }

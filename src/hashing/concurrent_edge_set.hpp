@@ -36,24 +36,30 @@
 ///  * try_lock / try_insert_and_lock / erase_locked / unlock implement the
 ///    ticket semantics of NaiveParES (§5.1).  Bucket handles are
 ///    invalidated by rebuild(), so no ticket may be held across one;
-///  * rebuild() only at quiescent points.  On the lock-free backend,
-///    readers that may overlap a rebuild hold a ReadGuard.
+///  * rebuild() and refill() only at quiescent points.  On the lock-free
+///    backend, readers that may overlap a rebuild hold a ReadGuard;
+///  * size() and needs_rebuild() sum per-thread count cells, so they are
+///    exact only at quiescent points.
 ///
 /// Tombstones accumulate under erase; when their share crosses a threshold
 /// (or, lock-free only, a placement overflows the PSL bound), callers
-/// rebuild at a quiescent point via maybe_rebuild().
+/// rebuild at a quiescent point: maybe_rebuild(), or — when they hold the
+/// exact live key list, as the chains do between supersteps — refill()
+/// with that list on their pool.
 #pragma once
 
 #include "hashing/edge_set_backend.hpp"
 #include "hashing/epoch.hpp"
 #include "hashing/locked_edge_set.hpp"
 #include "hashing/lockfree_edge_set.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "util/check.hpp"
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 namespace gesmc {
 
@@ -166,6 +172,13 @@ public:
         if (needs_rebuild()) rebuild();
     }
 
+    /// Empties the set and inserts `keys` on the pool's threads.  Contract:
+    /// the keys are distinct and in the key domain, and the caller is
+    /// quiescent (no other operation overlaps).  Which bucket a key lands
+    /// in depends on thread timing; no output may depend on the layout.
+    /// The lock-free backend serves this serially with its own rebuild.
+    void refill(std::span<const std::uint64_t> keys, ThreadPool& pool);
+
     /// Largest placement distance from home the backend has observed (the
     /// lock-free backend keeps this <= kMaxPsl between rebuilds; the locked
     /// backend only tracks it while measuring).
@@ -217,7 +230,6 @@ public:
     /// mixture stays exactly uniform.
     template <typename Urbg>
     [[nodiscard]] std::uint64_t sample_uniform(Urbg& gen) const {
-        GESMC_CHECK(size() > 0, "cannot sample from an empty set");
         const std::uint64_t buckets = bucket_count();
         for (unsigned draw = 0; draw < kMaxSampleDraws; ++draw) {
             const std::uint64_t key = key_at_bucket(uniform_below(gen, buckets));
@@ -227,7 +239,7 @@ public:
         for (std::uint64_t i = 0; i < buckets; ++i) {
             if (key_at_bucket(i) != kEmpty) ++live;
         }
-        GESMC_CHECK(live > 0, "sample_uniform found no live key despite size() > 0");
+        GESMC_CHECK(live > 0, "cannot sample from an empty set");
         std::uint64_t r = uniform_below(gen, live);
         for (std::uint64_t i = 0; i < buckets; ++i) {
             const std::uint64_t key = key_at_bucket(i);

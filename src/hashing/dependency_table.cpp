@@ -25,14 +25,14 @@ void DependencyTable::begin_superstep(std::uint64_t num_switches, ThreadPool& po
     pool.for_chunks_dynamic(0, touched_.size(), 1,
                             [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                                 for (std::uint64_t t = lo; t < hi; ++t) {
-                                    for (const std::uint64_t s : touched_[t]) {
+                                    for (const std::uint64_t s : touched_[t].value) {
                                         slots_[s].key.store(kEmptyKey, std::memory_order_relaxed);
                                         slots_[s].erase_idx.store(kNone,
                                                                   std::memory_order_relaxed);
                                         slots_[s].insert_head.store(kNone,
                                                                     std::memory_order_relaxed);
                                     }
-                                    touched_[t].clear();
+                                    touched_[t].value.clear();
                                 }
                             });
     if (touched_.size() != pool.num_threads()) touched_.resize(pool.num_threads());
@@ -46,7 +46,7 @@ std::uint64_t DependencyTable::find_or_claim(std::uint64_t key, unsigned tid) {
         if (k == key) return idx;
         if (k == kEmptyKey) {
             if (slots_[idx].key.compare_exchange_strong(k, key, std::memory_order_acq_rel)) {
-                touched_[tid].push_back(idx);
+                touched_[tid].value.push_back(idx);
                 return idx;
             }
             if (k == key) return idx; // lost the race to the same key

@@ -32,6 +32,7 @@
 #include "hashing/hash.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/bits.hpp"
+#include "util/cache_padded.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
 
@@ -133,7 +134,9 @@ private:
 
     mutable std::vector<Slot> slots_;
     std::vector<std::atomic<std::uint32_t>> arena_next_; // node 2k+b -> next node
-    std::vector<std::vector<std::uint64_t>> touched_;    // per-thread claimed slots
+    /// Per-thread claimed slots, one cache line per thread: every claim
+    /// appends to its thread's list.
+    std::vector<CachePadded<std::vector<std::uint64_t>>> touched_;
     std::uint64_t mask_ = 0;
     unsigned shift_ = 64;
 };

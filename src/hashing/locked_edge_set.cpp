@@ -154,8 +154,7 @@ retry:
                 std::uint64_t expected = kTomb;
                 if (table_[first_tomb].compare_exchange_strong(expected, value,
                                                                std::memory_order_acq_rel)) {
-                    tombs_.fetch_sub(1, std::memory_order_relaxed);
-                    size_.fetch_add(1, std::memory_order_relaxed);
+                    counts_.add(+1, -1);
                     if (measure) {
                         LockedMetrics& m = locked_metrics();
                         m.inserts.add(1);
@@ -177,7 +176,7 @@ retry:
             std::uint64_t expected = kEmpty;
             if (table_[idx].compare_exchange_strong(expected, value,
                                                     std::memory_order_acq_rel)) {
-                size_.fetch_add(1, std::memory_order_relaxed);
+                counts_.add(+1, 0);
                 if (measure) {
                     LockedMetrics& m = locked_metrics();
                     m.inserts.add(1);
@@ -234,11 +233,14 @@ bool LockedEdgeSet::erase_unique(std::uint64_t key) {
             // never erases a key another thread still has locked, but the
             // general API tolerates brief lock windows).
             for (;;) {
+                // Checked before every CAS: a ticket holder may have erased
+                // the key while we spun, and a CAS on the tombstone (or on
+                // another key recycling it) would erase it a second time.
+                if (key_of(bucket) != key) return false; // vanished concurrently
                 if (owner_of(bucket) == 0 &&
                     table_[idx].compare_exchange_weak(bucket, kTomb,
                                                       std::memory_order_acq_rel)) {
-                    size_.fetch_sub(1, std::memory_order_relaxed);
-                    tombs_.fetch_add(1, std::memory_order_relaxed);
+                    counts_.add(-1, +1);
                     if (measuring()) {
                         if (EdgeSetOpStats* ls = edge_set_thread_stats()) {
                             ls->erases += 1;
@@ -247,7 +249,6 @@ bool LockedEdgeSet::erase_unique(std::uint64_t key) {
                     }
                     return true;
                 }
-                if (key_of(bucket) != key) return false; // vanished concurrently
                 if (measuring()) {
                     locked_metrics().cas_retries.add(1);
                     if (EdgeSetOpStats* ls = edge_set_thread_stats()) ls->cas_retries += 1;
@@ -302,19 +303,52 @@ void LockedEdgeSet::unlock(std::uint64_t slot) noexcept {
 
 void LockedEdgeSet::erase_locked(std::uint64_t slot) noexcept {
     table_[slot].store(kTomb, std::memory_order_release);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    tombs_.fetch_add(1, std::memory_order_relaxed);
+    counts_.add(-1, +1);
 }
 
 void LockedEdgeSet::rebuild() {
     std::vector<std::uint64_t> live;
     live.reserve(size());
     for_each([&](std::uint64_t key) { live.push_back(key); });
-    for (auto& b : table_) b.store(kEmpty, std::memory_order_relaxed);
-    size_.store(0, std::memory_order_relaxed);
-    tombs_.store(0, std::memory_order_relaxed);
+    ThreadPool caller_only(1);
+    refill(live, caller_only);
+}
+
+std::uint64_t LockedEdgeSet::place(std::uint64_t key) noexcept {
+    std::uint64_t idx = home(key);
+    std::uint64_t distance = 0;
+    for (;;) {
+        std::uint64_t expected = kEmpty;
+        if (table_[idx].load(std::memory_order_relaxed) == kEmpty &&
+            table_[idx].compare_exchange_strong(expected, key, std::memory_order_acq_rel)) {
+            return distance;
+        }
+        idx = (idx + 1) & mask_; // taken, possibly just now by another placer
+        ++distance;
+    }
+}
+
+void LockedEdgeSet::refill(std::span<const std::uint64_t> keys, ThreadPool& pool) {
+    // Placing at most 1/2 load always finds an empty bucket, so place()
+    // needs no bound and never throws on a worker.
+    GESMC_CHECK(keys.size() <= table_.size() / 2, "refill exceeds the table's sizing");
+    pool.for_chunks(0, table_.size(), [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+        for (std::uint64_t i = lo; i < hi; ++i) table_[i].store(kEmpty, std::memory_order_relaxed);
+    });
+    counts_.reset(keys.size());
     psl_max_.store(0, std::memory_order_relaxed);
-    for (const std::uint64_t key : live) insert_unique(key);
+    constexpr std::uint64_t kAhead = 16; // bucket prefetch distance, in keys
+    pool.for_chunks(0, keys.size(), [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+        std::uint64_t psl = 0;
+        for (std::uint64_t k = lo; k < hi; ++k) {
+            if (k + kAhead < hi) prefetch_write(&table_[home(keys[k + kAhead])]);
+            psl = std::max(psl, place(keys[k]));
+        }
+        if (measuring()) {
+            locked_metrics().inserts.add(hi - lo);
+            note_psl(psl);
+        }
+    });
     std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 

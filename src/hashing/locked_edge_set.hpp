@@ -5,8 +5,9 @@
 /// ConcurrentEdgeSet facade (see edge_set_backend.hpp, docs/hashing.md).
 /// Open addressing over flat 64-bit buckets: 56 key bits, 8 owner bits.
 /// Same-key insert/erase races are serialized by 4096 striped byte
-/// spinlocks; tombstones are recycled in place, so probe chains stay short
-/// without rebuilds under balanced churn.
+/// spinlocks; tombstones are recycled in place when an insert's probe
+/// chain passes one.  Live and tombstone counts are per-thread cells
+/// (count_cells.hpp), exact at quiescent points.
 ///
 /// Thread-safety contract (shared by both backends):
 ///  * contains is lock-free and may run concurrently with everything else;
@@ -14,11 +15,13 @@
 ///  * insert_unique / erase_unique require no concurrent same-key ops;
 ///  * try_lock / try_insert_and_lock / erase_locked / unlock implement the
 ///    NaiveParES ticket semantics (§5.1);
-///  * rebuild() only at quiescent points.
+///  * rebuild() and refill() only at quiescent points.
 #pragma once
 
+#include "hashing/count_cells.hpp"
 #include "hashing/edge_set_backend.hpp"
 #include "hashing/hash.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
@@ -26,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace gesmc {
@@ -44,9 +48,7 @@ public:
     LockedEdgeSet(const LockedEdgeSet&) = delete;
     LockedEdgeSet& operator=(const LockedEdgeSet&) = delete;
 
-    [[nodiscard]] std::uint64_t size() const noexcept {
-        return size_.load(std::memory_order_relaxed);
-    }
+    [[nodiscard]] std::uint64_t size() const noexcept { return counts_.live(); }
     [[nodiscard]] std::uint64_t bucket_count() const noexcept { return table_.size(); }
 
     [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
@@ -66,10 +68,14 @@ public:
     void erase_locked(std::uint64_t slot) noexcept;
 
     [[nodiscard]] bool needs_rebuild() const noexcept {
-        return tombs_.load(std::memory_order_relaxed) > table_.size() / 4;
+        return counts_.tombs() > table_.size() / 4;
     }
 
     void rebuild();
+
+    /// Empties the table and places `keys` (distinct, in the key domain)
+    /// with the pool's threads.
+    void refill(std::span<const std::uint64_t> keys, ThreadPool& pool);
 
     void maybe_rebuild() {
         if (needs_rebuild()) rebuild();
@@ -111,14 +117,17 @@ private:
     bool insert_impl(std::uint64_t key, std::uint64_t locked_state, std::uint64_t* slot_out,
                      bool* exists_locked_out);
 
+    /// Claims the first empty bucket of a key known to be absent from a
+    /// tombstone-free table; returns its distance from home.
+    std::uint64_t place(std::uint64_t key) noexcept;
+
     static constexpr std::uint64_t kStripes = 4096;
 
     std::vector<std::atomic<std::uint64_t>> table_;
     std::vector<std::atomic<std::uint8_t>> stripes_;
     std::uint64_t mask_ = 0;
     unsigned shift_ = 64;
-    std::atomic<std::uint64_t> size_{0};
-    std::atomic<std::uint64_t> tombs_{0};
+    CountCells counts_;
     std::atomic<std::uint64_t> psl_max_{0};
 };
 

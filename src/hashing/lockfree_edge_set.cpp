@@ -115,7 +115,7 @@ bool LockFreeEdgeSet::psl_overflowed() const noexcept {
 
 bool LockFreeEdgeSet::needs_rebuild() const noexcept {
     const Table* t = table();
-    return tombs_.load(std::memory_order_relaxed) > t->capacity() / 4 ||
+    return counts_.tombs() > t->capacity() / 4 ||
            t->overflowed.load(std::memory_order_relaxed);
 }
 
@@ -216,7 +216,7 @@ bool LockFreeEdgeSet::insert_impl(std::uint64_t key, std::uint64_t locked_state,
             std::uint64_t expected = kEmpty;
             if (t->slot(idx).compare_exchange_strong(expected, value,
                                                      std::memory_order_acq_rel)) {
-                size_.fetch_add(1, std::memory_order_relaxed);
+                counts_.add(+1, 0);
                 note_psl(dist);
                 if (measure) {
                     LockFreeMetrics& m = lockfree_metrics();
@@ -257,11 +257,14 @@ bool LockFreeEdgeSet::erase(std::uint64_t key) {
         if (k == key) {
             std::uint64_t retries = 0;
             for (;;) {
+                // Checked before every CAS: a ticket holder may have erased
+                // the key while we spun, and a CAS on its tombstone would
+                // erase it a second time.
+                if (key_of(bucket) != key) return false; // vanished concurrently
                 if (owner_of(bucket) == 0 &&
                     t->slot(idx).compare_exchange_weak(bucket, kTomb,
                                                        std::memory_order_acq_rel)) {
-                    size_.fetch_sub(1, std::memory_order_relaxed);
-                    tombs_.fetch_add(1, std::memory_order_relaxed);
+                    counts_.add(-1, +1);
                     if (measure) {
                         if (retries > 0) lockfree_metrics().cas_retries.add(retries);
                         if (EdgeSetOpStats* ls = edge_set_thread_stats()) {
@@ -272,7 +275,6 @@ bool LockFreeEdgeSet::erase(std::uint64_t key) {
                     }
                     return true;
                 }
-                if (key_of(bucket) != key) return false; // vanished concurrently
                 ++retries; // transient ticket owner: spin it out
                 bucket = t->slot(idx).load(std::memory_order_acquire);
             }
@@ -324,15 +326,18 @@ void LockFreeEdgeSet::unlock(std::uint64_t slot) noexcept {
 void LockFreeEdgeSet::erase_locked(std::uint64_t slot) noexcept {
     Table* t = table();
     t->slot(slot).store(kTomb, std::memory_order_release);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    tombs_.fetch_add(1, std::memory_order_relaxed);
+    counts_.add(-1, +1);
 }
 
 void LockFreeEdgeSet::rebuild() {
-    Table* old = table_.load(std::memory_order_acquire);
     std::vector<std::uint64_t> live;
     live.reserve(size());
     for_each([&](std::uint64_t key) { live.push_back(key); });
+    refill(live);
+}
+
+void LockFreeEdgeSet::refill(std::span<const std::uint64_t> live) {
+    Table* old = table_.load(std::memory_order_acquire);
 
     // Re-place into a fresh table, doubling until every placement honours
     // the PSL bound (one doubling is essentially always enough: the bound
@@ -367,8 +372,7 @@ void LockFreeEdgeSet::rebuild() {
     }
 
     table_.store(fresh, std::memory_order_release);
-    size_.store(live.size(), std::memory_order_relaxed);
-    tombs_.store(0, std::memory_order_relaxed);
+    counts_.reset(live.size());
     psl_max_.store(max_psl, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
 

@@ -33,6 +33,7 @@
 /// as the locked backend.  Full layout walk-through: docs/hashing.md.
 #pragma once
 
+#include "hashing/count_cells.hpp"
 #include "hashing/edge_set_backend.hpp"
 #include "hashing/epoch.hpp"
 #include "hashing/hash.hpp"
@@ -43,6 +44,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace gesmc {
@@ -69,9 +71,7 @@ public:
     LockFreeEdgeSet(const LockFreeEdgeSet&) = delete;
     LockFreeEdgeSet& operator=(const LockFreeEdgeSet&) = delete;
 
-    [[nodiscard]] std::uint64_t size() const noexcept {
-        return size_.load(std::memory_order_relaxed);
-    }
+    [[nodiscard]] std::uint64_t size() const noexcept { return counts_.live(); }
     [[nodiscard]] std::uint64_t bucket_count() const noexcept;
 
     [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
@@ -101,6 +101,10 @@ public:
     /// writers — call at a quiescent point.  Readers holding a guard are
     /// fine.
     void rebuild();
+
+    /// rebuild() that re-places `live` (distinct keys in the key domain)
+    /// instead of the keys the table holds.  Serial.
+    void refill(std::span<const std::uint64_t> live);
 
     void maybe_rebuild() {
         if (needs_rebuild()) rebuild();
@@ -147,8 +151,7 @@ private:
 
     std::atomic<Table*> table_{nullptr};
     mutable EpochDomain epochs_;
-    std::atomic<std::uint64_t> size_{0};
-    std::atomic<std::uint64_t> tombs_{0};
+    CountCells counts_;
     std::atomic<std::uint64_t> psl_max_{0};
 };
 

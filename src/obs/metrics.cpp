@@ -2,6 +2,7 @@
 
 #include "check/checked_mutex.hpp"
 #include "pipeline/report.hpp"
+#include "util/thread_ordinal.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -14,13 +15,7 @@ namespace detail {
 
 std::atomic<bool> g_metrics_enabled{false};
 
-unsigned shard_index() noexcept {
-    static std::atomic<unsigned> next_ordinal{0};
-    // One fetch_add per thread lifetime; afterwards a plain TLS read.
-    static thread_local const unsigned shard =
-        next_ordinal.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-    return shard;
-}
+unsigned shard_index() noexcept { return thread_ordinal() % kMetricShards; }
 
 } // namespace detail
 

@@ -14,13 +14,16 @@
 #include "core/switch_stream.hpp"
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
+#include "obs/trace.hpp"
 #include "rng/mt19937_64.hpp"
 #include "rng/shuffle.hpp"
+#include "service/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -292,48 +295,73 @@ TEST(ChainInvariants, AttemptedCountMatchesSuperstepAccounting) {
 
 // --------------------------------------------------------- exactness: par == seq
 
+/// Runs `fn` under a trace session and counts the edge-set refills it
+/// made (one "edgeset.refill" span each).
+std::size_t count_refills(const std::function<void()>& fn) {
+    obs::TraceSession::start();
+    fn();
+    const JsonValue doc = parse_json(obs::TraceSession::stop_to_string());
+    std::size_t count = 0;
+    for (const JsonValue& event : doc.find("traceEvents")->array_items) {
+        if (event.string_member("name") == "edgeset.refill") ++count;
+    }
+    return count;
+}
+
+// The exactness runs are long enough that every run refills its edge set
+// at least twice after the constructor's fill: the refill's bucket layout
+// depends on thread timing, and must never show in the trajectory.
+
 TEST(Exactness, ParESEqualsSeqESAcrossThreadCounts) {
+    constexpr std::uint64_t kSupersteps = 12;
     const auto corpus = corpus_test();
     for (std::uint64_t seed : {1ULL, 99ULL}) {
         for (const auto& entry : corpus) {
             ChainConfig seq_config;
             seq_config.seed = seed;
             SeqES seq(entry.graph, seq_config);
-            seq.run_supersteps(2);
+            seq.run_supersteps(kSupersteps);
             for (unsigned threads : {1u, 2u, 4u}) {
                 ChainConfig par_config;
                 par_config.seed = seed;
                 par_config.threads = threads;
                 ParES par(entry.graph, par_config);
-                par.run_supersteps(2);
+                const std::size_t refills =
+                    count_refills([&] { par.run_supersteps(kSupersteps); });
+                EXPECT_GE(refills, 2u) << entry.name << " seed=" << seed;
                 ASSERT_TRUE(par.graph().same_graph(seq.graph()))
                     << entry.name << " seed=" << seed << " threads=" << threads;
                 EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
                 EXPECT_EQ(par.stats().rejected_loop, seq.stats().rejected_loop);
                 EXPECT_EQ(par.stats().rejected_edge, seq.stats().rejected_edge);
+                for (const edge_key_t k : par.graph().keys()) ASSERT_TRUE(par.has_edge(k));
             }
         }
     }
 }
 
 TEST(Exactness, ParGlobalESEqualsSeqGlobalESAcrossThreadCounts) {
+    constexpr std::uint64_t kSupersteps = 12;
     const auto corpus = corpus_test();
     for (std::uint64_t seed : {2ULL, 77ULL}) {
         for (const auto& entry : corpus) {
             ChainConfig seq_config;
             seq_config.seed = seed;
             SeqGlobalES seq(entry.graph, seq_config);
-            seq.run_supersteps(3);
+            seq.run_supersteps(kSupersteps);
             for (unsigned threads : {1u, 2u, 4u}) {
                 ChainConfig par_config;
                 par_config.seed = seed;
                 par_config.threads = threads;
                 ParGlobalES par(entry.graph, par_config);
-                par.run_supersteps(3);
+                const std::size_t refills =
+                    count_refills([&] { par.run_supersteps(kSupersteps); });
+                EXPECT_GE(refills, 2u) << entry.name << " seed=" << seed;
                 ASSERT_TRUE(par.graph().same_graph(seq.graph()))
                     << entry.name << " seed=" << seed << " threads=" << threads;
                 EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
                 EXPECT_EQ(par.stats().attempted, seq.stats().attempted);
+                for (const edge_key_t k : par.graph().keys()) ASSERT_TRUE(par.has_edge(k));
             }
         }
     }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -361,6 +362,25 @@ TEST_P(ConcurrentEdgeSetBackends, InsertAndLockSemantics) {
     EXPECT_EQ(set.try_insert_and_lock(9, 1, other), ConcurrentEdgeSet::InsertLock::kExists);
 }
 
+TEST_P(ConcurrentEdgeSetBackends, EraseWaitingOnATicketLosesToItsHoldersErase) {
+    // An erase that finds its key locked spins until the ticket is gone.
+    // When the holder erases the key meanwhile, the spinning erase must
+    // report "absent": it once CASed the holder's tombstone and counted a
+    // second erase (the MultiWriterHammer flake).
+    auto set = make_set(64);
+    ASSERT_TRUE(set.insert(100));
+    const auto slot = set.try_lock(100, /*tid=*/0);
+    ASSERT_TRUE(slot.has_value());
+    std::atomic<bool> erased{true};
+    std::thread eraser([&] { erased = set.erase(100); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20)); // let it spin
+    set.erase_locked(*slot);
+    eraser.join();
+    EXPECT_FALSE(erased.load());
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_FALSE(set.contains(100));
+}
+
 TEST_P(ConcurrentEdgeSetBackends, ConcurrentTicketContention) {
     // p threads repeatedly try to grab the ticket for one key, mutate a
     // guarded counter, and release. The counter must never tear.
@@ -469,6 +489,99 @@ TEST_P(ConcurrentEdgeSetBackends, MultiWriterHammer) {
         ASSERT_EQ(set.size(), static_cast<std::uint64_t>(net.load()))
             << "round " << round;
         set.maybe_rebuild();
+    }
+}
+
+TEST_P(ConcurrentEdgeSetBackends, CountCellsMatchSerialReplay) {
+    // Counting hammer: size() and needs_rebuild() sum per-thread count
+    // cells.  Each wave starts fresh threads at staggered times (so over
+    // the waves the threads' cells wrap around and are shared), which
+    // churn disjoint key ranges with the unique API: insert a batch, then,
+    // after a barrier, erase all but a few of it.  No insert overlaps an
+    // erase, so no tombstone is recycled and both counts are the same on
+    // every interleaving: each wave must match a serial replay on the same
+    // backend.  The erases land just past the rebuild threshold, so a few
+    // lost counts flip needs_rebuild().
+    constexpr unsigned p = 4;
+    constexpr std::uint64_t max_live = 8192; // 32768 buckets: rebuild above 8192 tombstones
+    constexpr std::uint64_t base = 4200;     // live throughout; keeps rebuilds from shrinking
+    constexpr std::uint64_t batch = 2074;    // inserted per thread and wave
+    constexpr std::uint64_t keep = 10;       // survivors per thread and wave
+    constexpr int waves = 20;
+    static_assert(p * (batch - keep) == max_live + 64);
+    auto set = make_set(max_live);
+    auto replay = make_set(max_live);
+    const auto key_of = [](int wave, unsigned tid, std::uint64_t i) {
+        return base + 1 + (static_cast<std::uint64_t>(wave) * p + tid) * batch + i;
+    };
+    for (std::uint64_t k = 1; k <= base; ++k) {
+        ASSERT_TRUE(set.insert_unique(k));
+        ASSERT_TRUE(replay.insert_unique(k));
+    }
+    for (int wave = 0; wave < waves; ++wave) {
+        SpinBarrier between(p);
+        std::vector<std::thread> threads;
+        for (unsigned tid = 0; tid < p; ++tid) {
+            threads.emplace_back([&, tid] {
+                std::this_thread::sleep_for(std::chrono::microseconds(300 * tid));
+                for (std::uint64_t i = 0; i < batch; ++i) {
+                    EXPECT_TRUE(set.insert_unique(key_of(wave, tid, i)));
+                }
+                between.arrive_and_wait();
+                for (std::uint64_t i = keep; i < batch; ++i) {
+                    EXPECT_TRUE(set.erase_unique(key_of(wave, tid, i)));
+                }
+            });
+        }
+        for (auto& t : threads) t.join();
+
+        for (unsigned tid = 0; tid < p; ++tid) {
+            for (std::uint64_t i = 0; i < batch; ++i) replay.insert_unique(key_of(wave, tid, i));
+        }
+        for (unsigned tid = 0; tid < p; ++tid) {
+            for (std::uint64_t i = keep; i < batch; ++i) replay.erase_unique(key_of(wave, tid, i));
+        }
+        ASSERT_EQ(replay.size(), base + (wave + 1) * p * keep) << "wave " << wave;
+        ASSERT_EQ(set.size(), replay.size()) << "wave " << wave;
+        ASSERT_TRUE(replay.needs_rebuild()) << "wave " << wave;
+        ASSERT_EQ(set.needs_rebuild(), replay.needs_rebuild()) << "wave " << wave;
+        set.rebuild();
+        replay.rebuild();
+        ASSERT_EQ(set.size(), replay.size()) << "wave " << wave;
+        ASSERT_FALSE(set.needs_rebuild()) << "wave " << wave;
+    }
+}
+
+TEST_P(ConcurrentEdgeSetBackends, RefillHoldsExactlyTheGivenKeys) {
+    for (const unsigned p : {1u, 2u, 4u}) {
+        ThreadPool pool(p);
+        constexpr std::uint64_t max_live = 4096;
+        auto set = make_set(max_live);
+        // A tombstone-heavy table, rebuild deliberately deferred: 4096
+        // keys in, 3500 out.
+        for (std::uint64_t k = 1; k <= max_live; ++k) ASSERT_TRUE(set.insert(k));
+        for (std::uint64_t k = 1; k <= 3500; ++k) ASSERT_TRUE(set.erase(k));
+        ASSERT_EQ(set.size(), max_live - 3500);
+
+        // Half of the refill keys were live, half are new.
+        std::vector<std::uint64_t> keys;
+        for (std::uint64_t k = 3801; k <= max_live + 2000; ++k) keys.push_back(k);
+        set.refill(keys, pool);
+
+        EXPECT_EQ(set.size(), keys.size()) << "p=" << p;
+        EXPECT_FALSE(set.needs_rebuild()) << "p=" << p;
+        std::vector<std::uint64_t> seen;
+        set.for_each([&](std::uint64_t k) { seen.push_back(k); });
+        std::sort(seen.begin(), seen.end());
+        EXPECT_EQ(seen, keys) << "p=" << p;
+        for (const std::uint64_t k : keys) ASSERT_TRUE(set.contains(k)) << "p=" << p;
+        for (std::uint64_t k = 3501; k <= 3800; ++k) ASSERT_FALSE(set.contains(k)) << "p=" << p;
+
+        // The refilled set keeps working as a set.
+        EXPECT_FALSE(set.insert_unique(keys.front()));
+        EXPECT_TRUE(set.erase_unique(keys.front()));
+        EXPECT_TRUE(set.insert_unique(1));
+        EXPECT_EQ(set.size(), keys.size());
     }
 }
 

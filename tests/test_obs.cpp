@@ -5,6 +5,8 @@
 // wraparound, counter-delta rate math, Prometheus exposition, a concurrent
 // sample-vs-record hammer), the structured event log, and the headline
 // guarantee that instrumentation never changes sampled bytes.
+#include "core/chain.hpp"
+#include "gen/gnp.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -280,6 +282,55 @@ TEST(Trace, ConcurrentSpansDuringStartStopAreRaceFree) {
     obs::TraceSession::start();
     EXPECT_EQ(obs::TraceSession::event_count(), 0u);
     obs::TraceSession::stop();
+}
+
+TEST(Trace, SuperstepPhasesNestInsideSupersteps) {
+    // A traced ParGlobalES run shows where a superstep's time goes: its
+    // registration, decision-round and apply phases, and the edge-set
+    // refills that tombstones call for, are spans nested in the superstep
+    // span that ran them.  Names and nesting only; never timings.
+    ObsFlagsGuard guard;
+    const EdgeList g = generate_gnp(2000, gnp_probability_for_edges(2000, 10000), 5);
+    ChainConfig config;
+    config.seed = 3;
+    config.threads = 2;
+    const auto chain = make_chain(ChainAlgorithm::kParGlobalES, g, config);
+    constexpr std::uint64_t kSupersteps = 8;
+    obs::TraceSession::start();
+    run_checkpointed(*chain, kSupersteps, 0, nullptr, 0, [] {});
+    const JsonValue doc = parse_json(obs::TraceSession::stop_to_string());
+
+    struct Span {
+        std::string name;
+        double begin = 0, end = 0; // microseconds
+        std::uint64_t tid = 0;
+    };
+    std::vector<Span> spans;
+    for (const JsonValue& event : doc.find("traceEvents")->array_items) {
+        const double ts = event.find("ts")->number_value;
+        spans.push_back({event.string_member("name"), ts, ts + event.find("dur")->number_value,
+                         event.uint_member("tid")});
+    }
+    const auto count = [&](const std::string& name, bool nested_only) {
+        std::size_t n = 0;
+        for (const Span& inner : spans) {
+            if (inner.name != name) continue;
+            bool nested = false;
+            for (const Span& outer : spans) {
+                // Timestamps are whole nanoseconds; allow one for rounding.
+                nested |= outer.name == "superstep" && outer.tid == inner.tid &&
+                          outer.begin <= inner.begin + 1e-3 && inner.end <= outer.end + 1e-3;
+            }
+            if (nested || !nested_only) ++n;
+        }
+        return n;
+    };
+    EXPECT_EQ(count("superstep", false), kSupersteps);
+    for (const char* phase : {"superstep.register", "superstep.rounds", "superstep.apply"}) {
+        EXPECT_EQ(count(phase, true), kSupersteps) << phase;
+        EXPECT_EQ(count(phase, false), kSupersteps) << phase;
+    }
+    EXPECT_GE(count("edgeset.refill", true), 1u);
 }
 
 // ---------------------------------------------------------------- telemetry
