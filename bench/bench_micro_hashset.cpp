@@ -6,21 +6,9 @@
 ///
 /// `--bench-json=FILE` additionally writes the gesmc-bench-v1 aggregate
 /// the CI regression gate diffs against bench/baselines/BENCH_hashset.json.
-///
-/// Beyond the single-threaded Google benchmarks, the binary embeds the
-/// pinned-thread backend comparison: `--pinned-json=FILE` runs the
-/// locked vs lock-free ConcurrentEdgeSet backends under lookup-heavy,
-/// churn (erase+insert) and mixed chain-shaped workloads at each thread
-/// count in `--pinned-threads=1,2,4,8` (`--pinned-ops=N` per-thread ops),
-/// on pinned threads released through a barrier, and writes a second
-/// gesmc-bench-v1 document (suite "hashset_lockfree") whose per-result
-/// "counters" objects carry probe steps / CAS retries / max PSL per op —
-/// the numbers that explain *why* one backend wins a cell.
 #include "bench_util/gbench_json.hpp"
-#include "bench_util/pinned_rig.hpp"
 #include "graph/edge.hpp"
 #include "hashing/concurrent_edge_set.hpp"
-#include "hashing/edge_set_backend.hpp"
 #include "hashing/hash.hpp"
 #include "hashing/robin_set.hpp"
 #include "rng/bounded.hpp"
@@ -28,12 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <iostream>
-#include <string>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -89,9 +72,9 @@ void BM_RobinSetSwitchMix(benchmark::State& state) {
 }
 BENCHMARK(BM_RobinSetSwitchMix);
 
-void concurrent_switch_mix(benchmark::State& state, EdgeSetBackend backend) {
+void BM_ConcurrentSetSwitchMix(benchmark::State& state) {
     const auto keys = make_keys(1 << 16, 2);
-    ConcurrentEdgeSet set(keys.size(), backend);
+    ConcurrentEdgeSet set(keys.size());
     for (const auto k : keys) set.insert_unique(k);
     std::uint64_t cursor = 0;
     for (auto _ : state) {
@@ -99,16 +82,7 @@ void concurrent_switch_mix(benchmark::State& state, EdgeSetBackend backend) {
         if (set.needs_rebuild()) set.rebuild();
     }
 }
-
-void BM_ConcurrentSetSwitchMix(benchmark::State& state) {
-    concurrent_switch_mix(state, EdgeSetBackend::kLocked);
-}
 BENCHMARK(BM_ConcurrentSetSwitchMix);
-
-void BM_LockFreeSetSwitchMix(benchmark::State& state) {
-    concurrent_switch_mix(state, EdgeSetBackend::kLockFree);
-}
-BENCHMARK(BM_LockFreeSetSwitchMix);
 
 void BM_StdUnorderedSetSwitchMix(benchmark::State& state) {
     const auto keys = make_keys(1 << 16, 3);
@@ -180,221 +154,8 @@ void BM_SampleEdgeTombstoneFlood(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleEdgeTombstoneFlood);
 
-// --------------------------------------------------------------------------
-// Pinned-thread backend comparison (--pinned-json).
-
-/// Sense-reversing spin barrier for the round structure inside a pinned
-/// workload (bench_util's run_pinned barrier only covers the start).
-class SpinBarrier {
-public:
-    explicit SpinBarrier(unsigned n) : n_(n) {}
-    void arrive_and_wait() {
-        const std::uint64_t phase = phase_.load(std::memory_order_acquire);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-            arrived_.store(0, std::memory_order_relaxed);
-            phase_.fetch_add(1, std::memory_order_acq_rel);
-        } else {
-            while (phase_.load(std::memory_order_acquire) == phase) {
-            }
-        }
-    }
-
-private:
-    const unsigned n_;
-    std::atomic<unsigned> arrived_{0};
-    std::atomic<std::uint64_t> phase_{1};
-};
-
-enum class PinnedWorkload { kLookup, kChurn, kMixed };
-
-const char* workload_name(PinnedWorkload w) {
-    switch (w) {
-    case PinnedWorkload::kLookup: return "lookup";
-    case PinnedWorkload::kChurn: return "churn";
-    case PinnedWorkload::kMixed: return "mixed";
-    }
-    return "?";
-}
-
-/// Table ops one workload op performs (for the per-op counter scaling).
-std::uint64_t table_ops_per_op(PinnedWorkload w) {
-    switch (w) {
-    case PinnedWorkload::kLookup: return 1;
-    case PinnedWorkload::kChurn: return 2;  // erase + insert
-    case PinnedWorkload::kMixed: return 6;  // 2 contains + 2 erase + 2 insert
-    }
-    return 1;
-}
-
-/// One measured cell: `threads` pinned workers, `ops` workload ops each.
-/// Work proceeds in rounds mirroring chain supersteps: every thread runs a
-/// slice, all meet at a barrier, thread 0 rebuilds if the backend asks for
-/// it (tombstone share / PSL overflow), and the next round starts.  Writers
-/// churn disjoint key partitions (chain threads rarely contend on one
-/// edge); lookups roam the whole key set.
-PinnedRunResult run_pinned_cell(EdgeSetBackend backend, PinnedWorkload workload,
-                                unsigned threads, std::uint64_t ops) {
-    const auto keys = make_keys(1 << 16, 42);
-    ConcurrentEdgeSet set(keys.size(), backend);
-    for (const auto k : keys) set.insert_unique(k);
-
-    // Round slices keep tombstones bounded between rebuild points: 2048
-    // erase+insert pairs per writer per round stays well under the
-    // capacity/4 rebuild threshold even at 8 writers.
-    constexpr std::uint64_t kRoundOps = 2048;
-    const std::uint64_t part = keys.size() / threads;
-    SpinBarrier round_barrier(threads);
-
-    return run_pinned(threads, [&](unsigned tid) {
-        Mt19937_64 gen(1000 + tid);
-        const std::uint64_t lo = tid * part;
-        std::uint64_t done = 0;
-        while (done < ops) {
-            const std::uint64_t slice = std::min(kRoundOps, ops - done);
-            for (std::uint64_t i = 0; i < slice; ++i) {
-                switch (workload) {
-                case PinnedWorkload::kLookup: {
-                    const auto k = keys[uniform_below(gen, keys.size())];
-                    benchmark::DoNotOptimize(set.contains(k));
-                    break;
-                }
-                case PinnedWorkload::kChurn: {
-                    const auto k = keys[lo + uniform_below(gen, part)];
-                    set.erase(k);
-                    set.insert(k);
-                    break;
-                }
-                case PinnedWorkload::kMixed: {
-                    const auto a = keys[lo + uniform_below(gen, part)];
-                    const auto b = keys[lo + uniform_below(gen, part)];
-                    benchmark::DoNotOptimize(set.contains(a + 1));
-                    benchmark::DoNotOptimize(set.contains(b + 1));
-                    set.erase(a);
-                    set.erase(b);
-                    set.insert(a);
-                    set.insert(b);
-                    break;
-                }
-                }
-            }
-            done += slice;
-            if (workload != PinnedWorkload::kLookup) {
-                round_barrier.arrive_and_wait();
-                if (tid == 0) set.maybe_rebuild();
-                round_barrier.arrive_and_wait();
-            }
-        }
-    });
-}
-
-struct PinnedOptions {
-    std::string json_path;
-    std::uint64_t ops = 100000;              ///< per thread, per repetition
-    std::vector<unsigned> threads = {1, 2, 4, 8};
-    unsigned repetitions = 3;
-};
-
-/// Runs the full matrix (workload x backend x thread count) and writes the
-/// "hashset_lockfree" gesmc-bench-v1 document.
-void run_pinned_comparison(const PinnedOptions& opts) {
-    BenchSuite suite;
-    suite.bench = "hashset_lockfree";
-    suite.host = bench_host_info();
-
-    const PinnedWorkload workloads[] = {PinnedWorkload::kLookup,
-                                        PinnedWorkload::kChurn,
-                                        PinnedWorkload::kMixed};
-    const EdgeSetBackend backends[] = {EdgeSetBackend::kLocked,
-                                       EdgeSetBackend::kLockFree};
-    for (const auto workload : workloads) {
-        for (const auto backend : backends) {
-            for (const unsigned threads : opts.threads) {
-                std::vector<std::pair<double, PinnedRunResult>> reps;
-                for (unsigned rep = 0; rep < opts.repetitions; ++rep) {
-                    auto run = run_pinned_cell(backend, workload, threads, opts.ops);
-                    reps.emplace_back(run.seconds, std::move(run));
-                }
-                std::sort(reps.begin(), reps.end(),
-                          [](const auto& a, const auto& b) { return a.first < b.first; });
-                const PinnedRunResult& med = reps[reps.size() / 2].second;
-
-                const double total_ops =
-                    static_cast<double>(opts.ops) * threads;
-                const double table_ops =
-                    total_ops * static_cast<double>(table_ops_per_op(workload));
-                BenchResult r;
-                r.name = std::string("pinned/") + workload_name(workload) + "/" +
-                         to_string(backend) + "/t" + std::to_string(threads);
-                r.median_seconds = med.seconds;
-                r.items_per_second = med.seconds > 0 ? total_ops / med.seconds : 0;
-                r.repetitions = opts.repetitions;
-                r.counters = {
-                    {"threads", static_cast<double>(threads)},
-                    {"pinned", med.all_pinned ? 1.0 : 0.0},
-                    {"probe_steps_per_op",
-                     table_ops > 0 ? static_cast<double>(med.ops.probe_steps) / table_ops : 0},
-                    {"cas_retries_per_op",
-                     table_ops > 0 ? static_cast<double>(med.ops.cas_retries) / table_ops : 0},
-                    {"psl_max", static_cast<double>(med.ops.psl_max)},
-                };
-                std::cout << r.name << ": " << r.median_seconds << " s, "
-                          << static_cast<std::uint64_t>(r.items_per_second)
-                          << " ops/s, probe/op "
-                          << r.counters[2].second << ", cas-retry/op "
-                          << r.counters[3].second << ", psl_max "
-                          << med.ops.psl_max
-                          << (med.all_pinned ? "" : " [unpinned]") << "\n";
-                suite.results.push_back(std::move(r));
-            }
-        }
-    }
-    write_bench_json_file(opts.json_path, suite);
-    std::cerr << "pinned bench JSON (" << suite.results.size()
-              << " cells) -> " << opts.json_path << "\n";
-}
-
-/// Strips the --pinned-* flags (ours, not Google Benchmark's).  Returns
-/// the options; `argc`/`argv` are compacted in place.
-PinnedOptions strip_pinned_flags(int& argc, char** argv) {
-    PinnedOptions opts;
-    int out = 0;
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        constexpr std::string_view kJson = "--pinned-json=";
-        constexpr std::string_view kOps = "--pinned-ops=";
-        constexpr std::string_view kThreads = "--pinned-threads=";
-        if (arg.substr(0, kJson.size()) == kJson) {
-            opts.json_path = std::string(arg.substr(kJson.size()));
-        } else if (arg.substr(0, kOps.size()) == kOps) {
-            opts.ops = std::stoull(std::string(arg.substr(kOps.size())));
-        } else if (arg.substr(0, kThreads.size()) == kThreads) {
-            opts.threads.clear();
-            std::string list(arg.substr(kThreads.size()));
-            std::size_t pos = 0;
-            while (pos < list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok =
-                    list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                                : comma - pos);
-                if (!tok.empty()) opts.threads.push_back(
-                    static_cast<unsigned>(std::stoul(tok)));
-                if (comma == std::string::npos) break;
-                pos = comma + 1;
-            }
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    return opts;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
-    const PinnedOptions pinned = strip_pinned_flags(argc, argv);
-    const int rc = gesmc::run_micro_bench("hashset", argc, argv);
-    if (rc != 0) return rc;
-    if (!pinned.json_path.empty()) run_pinned_comparison(pinned);
-    return 0;
+    return gesmc::run_micro_bench("hashset", argc, argv);
 }

@@ -60,9 +60,9 @@ struct BenchResult {
     std::uint64_t repetitions = 0;
 
     /// Optional named counters emitted as a "counters" object (insertion
-    /// order preserved) — e.g. the pinned hashset comparison's per-op probe
-    /// steps, CAS retries and max PSL.  The regression gate ignores them;
-    /// they exist so a reader can explain a timing delta from the JSON.
+    /// order preserved) — e.g. bench_adaptive's realized supersteps.  The
+    /// regression gate ignores them; they exist so a reader can explain a
+    /// timing delta from the JSON.
     std::vector<std::pair<std::string, double>> counters;
 };
 

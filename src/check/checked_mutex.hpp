@@ -38,7 +38,6 @@ enum class LockRank : int {
     kEventLogSink = 5,       ///< obs/log.cpp event-log sink (emits from any layer)
     kTelemetryRing = 8,      ///< obs/timeseries.cpp sampler ring buffer
     kTraceSession = 10,      ///< obs/trace.cpp event buffer
-    kEpochLimbo = 15,        ///< hashing/epoch.cpp retired-pointer limbo list
     kThreadPool = 20,        ///< parallel/thread_pool.cpp fork-join state
     kThreadBudget = 30,      ///< parallel/pool_lease.cpp admission gate
     kSocketObserver = 40,    ///< service/server.cpp per-job frame stream

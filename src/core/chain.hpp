@@ -65,10 +65,7 @@ struct ChainConfig {
     /// (sequential execution is what the superstep reproduces).
     std::uint64_t small_graph_cutoff = 0;
 
-    /// Which ConcurrentEdgeSet implementation the parallel chains probe
-    /// (sequential chains ignore it).  A pure runtime/perf knob: exact
-    /// chains are byte-identical on either backend, so it is not part of
-    /// ChainState and may change across a resume.
+    /// Unread stub (hashing/edge_set_backend.hpp).
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;
 };
 

@@ -9,7 +9,7 @@ namespace gesmc {
 NaiveParES::NaiveParES(const EdgeList& initial, const ChainConfig& config)
     : edges_(initial.num_edges()),
       num_nodes_(initial.num_nodes()),
-      set_(initial.num_edges(), config.edge_set_backend),
+      set_(initial.num_edges()),
       seed_(config.seed),
       pool_(make_pool_ref(config.shared_pool, config.threads)) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");

@@ -48,7 +48,7 @@ void MinIndexMap::reset(ThreadPool& pool) {
 
 ParES::ParES(const EdgeList& initial, const ChainConfig& config)
     : edges_(initial),
-      set_(initial.num_edges(), config.edge_set_backend),
+      set_(initial.num_edges()),
       stream_(config.seed, initial.num_edges()),
       pool_(make_pool_ref(config.shared_pool, config.threads)),
       index_map_(initial.num_edges(), pool_->num_threads()),

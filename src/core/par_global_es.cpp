@@ -7,7 +7,7 @@ namespace gesmc {
 
 ParGlobalES::ParGlobalES(const EdgeList& initial, const ChainConfig& config)
     : edges_(initial),
-      set_(initial.num_edges(), config.edge_set_backend),
+      set_(initial.num_edges()),
       seed_(config.seed),
       pl_(config.pl),
       small_graph_cutoff_(config.small_graph_cutoff),

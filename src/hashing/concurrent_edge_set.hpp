@@ -1,5 +1,5 @@
 /// \file concurrent_edge_set.hpp
-/// \brief Concurrent edge hash set facade over two backends (§5.2).
+/// \brief Concurrent edge hash set (paper §5.2).
 ///
 /// The paper stores each edge in a 64-bit-wide bucket: 56 bits hold the
 /// (canonical) edge key, 8 bits are reserved for locking.  A processing
@@ -10,56 +10,48 @@
 /// handle for unlock/erase.  This supports graphs with up to 2^28 nodes and
 /// up to 254 threads — the same restriction as the paper.
 ///
-/// Two interchangeable backends implement that contract (selection via
-/// EdgeSetBackend, full comparison in docs/hashing.md):
+/// Same-key insert/erase races of the general API are serialized by 4096
+/// striped byte spinlocks; tombstones are recycled in place when an
+/// insert's probe chain passes one.  Live and tombstone counts are
+/// per-thread cells (count_cells.hpp).  docs/hashing.md has the design.
 ///
-///   * EdgeSetBackend::kLocked   — LockedEdgeSet: per-bucket CAS plus 4096
-///     striped byte locks serializing same-key insert/erase, tombstones
-///     recycled in place;
-///   * EdgeSetBackend::kLockFree — LockFreeEdgeSet: CAS-only linear probing
-///     over cache-line-aligned buckets, bounded probe-sequence length, and
-///     epoch-reclaimed rebuilds so readers never block.
-///
-/// The backend is a runtime knob threaded through ChainConfig; exact chains
-/// produce byte-identical trajectories on either (asserted by the
-/// backend-matrix suite in test_pipeline), so it never enters ChainState.
-///
-/// Thread-safety contract (both backends):
+/// Thread-safety contract:
 ///  * contains is lock-free and may run concurrently with everything else;
 ///  * insert / erase are safe under arbitrary concurrency;
 ///  * insert_unique / erase_unique are variants whose callers guarantee
 ///    that no two threads operate on the *same key* concurrently — exactly
 ///    the situation in the batch update phase of ParallelSuperstep (at most
-///    one legal inserter / eraser per edge).  On the locked backend they
-///    skip the stripe lock; on the lock-free backend they are the same code
-///    as insert / erase;
+///    one legal inserter / eraser per edge, Observation 2).  They skip the
+///    stripe lock;
 ///  * try_lock / try_insert_and_lock / erase_locked / unlock implement the
 ///    ticket semantics of NaiveParES (§5.1).  Bucket handles are
 ///    invalidated by rebuild(), so no ticket may be held across one;
-///  * rebuild() and refill() only at quiescent points.  On the lock-free
-///    backend, readers that may overlap a rebuild hold a ReadGuard;
+///  * rebuild() and refill() only at quiescent points;
 ///  * size() and needs_rebuild() sum per-thread count cells, so they are
 ///    exact only at quiescent points.
 ///
-/// Tombstones accumulate under erase; when their share crosses a threshold
-/// (or, lock-free only, a placement overflows the PSL bound), callers
-/// rebuild at a quiescent point: maybe_rebuild(), or — when they hold the
-/// exact live key list, as the chains do between supersteps — refill()
-/// with that list on their pool.
+/// Keys live in (kEmpty, kTomb).  The inserts reject any other key; the
+/// lookups and erases report it absent and leave the table untouched.
+///
+/// Tombstones accumulate under erase; when their share crosses a threshold,
+/// callers rebuild at a quiescent point: maybe_rebuild(), or — when they
+/// hold the exact live key list, as the chains do between supersteps —
+/// refill() with that list on their pool.
 #pragma once
 
+#include "hashing/count_cells.hpp"
 #include "hashing/edge_set_backend.hpp"
-#include "hashing/epoch.hpp"
-#include "hashing/locked_edge_set.hpp"
-#include "hashing/lockfree_edge_set.hpp"
+#include "hashing/hash.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "util/check.hpp"
+#include "util/prefetch.hpp"
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 namespace gesmc {
 
@@ -72,7 +64,7 @@ public:
                                                      // impossible loop (2^28-1, 2^28-1)
 
     /// Result of try_insert_and_lock.
-    using InsertLock = EdgeSetInsertLock;
+    enum class InsertLock { kInserted, kExists, kExistsLocked };
 
     /// Bounds on sample_uniform's random probing before it falls back to a
     /// count-and-index scan: at the sizing headroom's >= 1/4 live load a
@@ -82,90 +74,64 @@ public:
     static constexpr unsigned kMaxSampleDraws = 64;
 
     /// Creates a set sized for `max_live_keys` simultaneously live keys.
+    /// The second parameter is a stub (edge_set_backend.hpp).
     explicit ConcurrentEdgeSet(std::uint64_t max_live_keys,
-                               EdgeSetBackend backend = EdgeSetBackend::kLocked);
+                               EdgeSetBackend = EdgeSetBackend::kLocked);
 
     ConcurrentEdgeSet(const ConcurrentEdgeSet&) = delete;
     ConcurrentEdgeSet& operator=(const ConcurrentEdgeSet&) = delete;
 
-    [[nodiscard]] EdgeSetBackend backend() const noexcept { return backend_; }
+    [[nodiscard]] std::uint64_t size() const noexcept { return counts_.live(); }
+    [[nodiscard]] std::uint64_t bucket_count() const noexcept { return table_.size(); }
 
-    [[nodiscard]] std::uint64_t size() const noexcept {
-        return locked_ ? locked_->size() : lockfree_->size();
-    }
-    [[nodiscard]] std::uint64_t bucket_count() const noexcept {
-        return locked_ ? locked_->bucket_count() : lockfree_->bucket_count();
-    }
-
-    /// Lock-free existence query (ignores lock bits). key in (0, 2^56-1).
-    [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-        return locked_ ? locked_->contains(key) : lockfree_->contains(key);
-    }
+    /// Lock-free existence query (ignores lock bits).
+    [[nodiscard]] bool contains(std::uint64_t key) const noexcept;
 
     /// Issues a prefetch for the probe window of key (paper §5.4).
     void prefetch(std::uint64_t key) const noexcept {
-        locked_ ? locked_->prefetch(key) : lockfree_->prefetch(key);
+        prefetch_read_2lines(&table_[home(key)]);
     }
 
     /// General-purpose insert; returns false if the key was present.
-    bool insert(std::uint64_t key) {
-        return locked_ ? locked_->insert(key) : lockfree_->insert(key);
-    }
+    bool insert(std::uint64_t key);
 
     /// General-purpose erase; returns false if the key was absent.
-    bool erase(std::uint64_t key) {
-        return locked_ ? locked_->erase(key) : lockfree_->erase(key);
-    }
+    bool erase(std::uint64_t key);
 
     /// Insert under the no-concurrent-same-key contract. Returns false if
     /// present.
-    bool insert_unique(std::uint64_t key) {
-        return locked_ ? locked_->insert_unique(key) : lockfree_->insert_unique(key);
-    }
+    bool insert_unique(std::uint64_t key);
 
     /// Erase under the no-concurrent-same-key contract. Returns false if
     /// absent.
-    bool erase_unique(std::uint64_t key) {
-        return locked_ ? locked_->erase_unique(key) : lockfree_->erase_unique(key);
-    }
+    bool erase_unique(std::uint64_t key);
 
     // ------------------------------------------------------------- tickets
 
     /// Attempts to lock an existing unlocked key. Returns the bucket index
     /// on success. tid must be in [0, 254); the stored owner is tid+1.
-    std::optional<std::uint64_t> try_lock(std::uint64_t key, unsigned tid) noexcept {
-        return locked_ ? locked_->try_lock(key, tid) : lockfree_->try_lock(key, tid);
-    }
+    std::optional<std::uint64_t> try_lock(std::uint64_t key, unsigned tid) noexcept;
 
     /// Attempts to insert key in locked state. On kInserted the bucket index
     /// is stored in slot_out and the caller owns the lock.
-    InsertLock try_insert_and_lock(std::uint64_t key, unsigned tid, std::uint64_t& slot_out) {
-        return locked_ ? locked_->try_insert_and_lock(key, tid, slot_out)
-                       : lockfree_->try_insert_and_lock(key, tid, slot_out);
-    }
+    InsertLock try_insert_and_lock(std::uint64_t key, unsigned tid, std::uint64_t& slot_out);
 
     /// Releases a lock acquired by try_lock / try_insert_and_lock.
-    void unlock(std::uint64_t slot) noexcept {
-        locked_ ? locked_->unlock(slot) : lockfree_->unlock(slot);
-    }
+    void unlock(std::uint64_t slot) noexcept;
 
     /// Erases the key in a bucket currently locked by the caller.
-    void erase_locked(std::uint64_t slot) noexcept {
-        locked_ ? locked_->erase_locked(slot) : lockfree_->erase_locked(slot);
-    }
+    void erase_locked(std::uint64_t slot) noexcept;
 
     // ------------------------------------------------------------- service
 
-    /// True when tombstones crossed the rebuild threshold (lock-free: or a
-    /// placement overflowed the PSL bound).
+    /// True when tombstones crossed the rebuild threshold.
     [[nodiscard]] bool needs_rebuild() const noexcept {
-        return locked_ ? locked_->needs_rebuild() : lockfree_->needs_rebuild();
+        return counts_.tombs() > table_.size() / 4;
     }
 
-    /// Compacts tombstones away. NOT safe against concurrent writers: call
-    /// at a quiescent point.  Lock-free backend: concurrent readers are
-    /// fine if they hold a ReadGuard (the old table is epoch-retired).
-    void rebuild() { locked_ ? locked_->rebuild() : lockfree_->rebuild(); }
+    /// Compacts tombstones away. NOT safe against concurrent operations:
+    /// call at a quiescent point.
+    void rebuild();
 
     /// rebuild() iff needs_rebuild().
     void maybe_rebuild() {
@@ -176,46 +142,20 @@ public:
     /// the keys are distinct and in the key domain, and the caller is
     /// quiescent (no other operation overlaps).  Which bucket a key lands
     /// in depends on thread timing; no output may depend on the layout.
-    /// The lock-free backend serves this serially with its own rebuild.
     void refill(std::span<const std::uint64_t> keys, ThreadPool& pool);
-
-    /// Largest placement distance from home the backend has observed (the
-    /// lock-free backend keeps this <= kMaxPsl between rebuilds; the locked
-    /// backend only tracks it while measuring).
-    [[nodiscard]] std::uint64_t max_psl() const noexcept {
-        return locked_ ? locked_->max_psl() : lockfree_->max_psl();
-    }
 
     /// The key in bucket `idx`, or 0 when the bucket is empty/tombstone.
     [[nodiscard]] std::uint64_t key_at_bucket(std::uint64_t idx) const noexcept {
-        return locked_ ? locked_->key_at_bucket(idx) : lockfree_->key_at_bucket(idx);
+        const std::uint64_t key = table_[idx].load(std::memory_order_relaxed) & kKeyMask;
+        return (key == kTomb) ? 0 : key;
     }
-
-    /// Direct access to the lock-free backend (nullptr on kLocked) for
-    /// backend-specific tests: PSL overflow state, epoch limbo depth.
-    [[nodiscard]] LockFreeEdgeSet* lockfree_backend() noexcept { return lockfree_.get(); }
-
-    /// Pins the epoch for readers that may overlap a rebuild() on the
-    /// lock-free backend; a no-op on the locked backend (whose rebuild
-    /// mutates in place and tolerates no concurrent readers at all — the
-    /// guard cannot help there, see docs/hashing.md).
-    class ReadGuard {
-    public:
-        explicit ReadGuard(const ConcurrentEdgeSet& set) {
-            if (set.lockfree_) guard_.emplace(set.lockfree_->epochs());
-        }
-
-    private:
-        std::optional<EpochDomain::Guard> guard_;
-    };
 
     /// Calls fn(key) for every live key. NOT thread-safe against writers.
     template <typename F>
     void for_each(F&& fn) const {
-        if (locked_) {
-            locked_->for_each(std::forward<F>(fn));
-        } else {
-            lockfree_->for_each(std::forward<F>(fn));
+        for (const auto& bucket : table_) {
+            const std::uint64_t key = bucket.load(std::memory_order_relaxed) & kKeyMask;
+            if (key != kEmpty && key != kTomb) fn(key);
         }
     }
 
@@ -250,11 +190,33 @@ public:
     }
 
 private:
-    EdgeSetBackend backend_;
-    // Exactly one is non-null; dispatch tests `locked_` (a never-changing,
-    // perfectly predicted branch) so both paths stay inline-able.
-    std::unique_ptr<LockedEdgeSet> locked_;
-    std::unique_ptr<LockFreeEdgeSet> lockfree_;
+    [[nodiscard]] std::uint64_t home(std::uint64_t key) const noexcept {
+        return edge_hash(key) >> shift_;
+    }
+
+    [[nodiscard]] std::atomic<std::uint8_t>& stripe(std::uint64_t key) noexcept {
+        return stripes_[(edge_hash(key) >> 8) & (kStripes - 1)];
+    }
+
+    void lock_stripe(std::atomic<std::uint8_t>& s) noexcept;
+    void unlock_stripe(std::atomic<std::uint8_t>& s) noexcept;
+    void note_psl(std::uint64_t distance) noexcept;
+
+    bool insert_impl(std::uint64_t key, std::uint64_t locked_state, std::uint64_t* slot_out,
+                     bool* exists_locked_out);
+
+    /// Claims the first empty bucket of a key known to be absent from a
+    /// tombstone-free table; returns its distance from home.
+    std::uint64_t place(std::uint64_t key) noexcept;
+
+    static constexpr std::uint64_t kStripes = 4096;
+
+    std::vector<std::atomic<std::uint64_t>> table_;
+    std::vector<std::atomic<std::uint8_t>> stripes_;
+    std::uint64_t mask_ = 0;
+    unsigned shift_ = 64;
+    CountCells counts_;
+    std::atomic<std::uint64_t> psl_max_{0}; // feeds the hashset.psl_max gauge
 };
 
 } // namespace gesmc

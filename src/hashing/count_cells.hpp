@@ -1,5 +1,5 @@
 /// \file count_cells.hpp
-/// \brief Per-thread live/tombstone counts of an edge-set backend.
+/// \brief Per-thread live/tombstone counts of the concurrent edge set.
 ///
 /// Every insert and erase changes a set's live and tombstone counts.  With
 /// one shared atomic pair, each op of the chains' parallel apply passes was

@@ -1,41 +1,15 @@
 /// \file edge_set_backend.hpp
-/// \brief Selection enum shared by the two ConcurrentEdgeSet backends.
+/// \brief One-value stub of the removed edge-set backend knob.
 ///
-/// `ConcurrentEdgeSet` is a facade over two interchangeable tables with the
-/// same 56-bit key / 8-bit owner bucket layout (docs/hashing.md):
-///
-///   * kLocked   — per-bucket CAS + striped same-key locks (the seed
-///                 implementation, LockedEdgeSet);
-///   * kLockFree — linear probing over cache-line-aligned buckets with a
-///                 bounded probe-sequence length and epoch-reclaimed
-///                 rebuilds (LockFreeEdgeSet).
-///
-/// The backend is a pure runtime knob: exact chains produce byte-identical
-/// trajectories on either table, so it never enters ChainState.
+/// ConcurrentEdgeSet is the only edge table.  This enum, the
+/// `edge_set_backend` fields of PipelineConfig and ChainConfig (which no
+/// chain reads) and the unnamed ConcurrentEdgeSet constructor parameter are
+/// kept only because the end-to-end benchmark's sources
+/// (e2ebench/src/replay.cpp) still name them.
 #pragma once
-
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace gesmc {
 
-enum class EdgeSetBackend {
-    kLocked,
-    kLockFree,
-};
-
-/// Result of try_insert_and_lock on either backend.
-enum class EdgeSetInsertLock { kInserted, kExists, kExistsLocked };
-
-[[nodiscard]] std::string to_string(EdgeSetBackend backend);
-
-/// Parses "locked" / "lockfree"; nullopt for anything else.
-[[nodiscard]] std::optional<EdgeSetBackend>
-edge_set_backend_from_string(std::string_view name);
-
-/// All valid config spellings, in enum order (for error messages / docs).
-[[nodiscard]] const std::vector<std::string>& edge_set_backend_names();
+enum class EdgeSetBackend { kLocked };
 
 } // namespace gesmc

@@ -36,14 +36,14 @@ public:
         return static_cast<double>(size_) / static_cast<double>(table_.size());
     }
 
-    /// True iff key is present. key must be non-zero.
+    /// True iff key is present; false for the reserved key 0.
     [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
         std::uint64_t idx = home(key);
         std::uint64_t dist = 0;
         for (;;) {
             const std::uint64_t k = table_[idx];
-            if (k == key) return true;
             if (k == kEmpty) return false;
+            if (k == key) return true;
             // Robin-hood invariant: if the resident key is closer to its
             // home than we are to ours, the key cannot be further along.
             if (probe_distance(k, idx) < dist) return false;
@@ -150,8 +150,8 @@ public:
         std::uint64_t dist = 0;
         for (;;) {
             const std::uint64_t k = table_[idx];
-            if (k == p.key) return true;
             if (k == kEmpty) return false;
+            if (k == p.key) return true;
             if (probe_distance(k, idx) < dist) return false;
             idx = (idx + 1) & mask_;
             ++dist;

@@ -159,12 +159,11 @@ void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
     } else if (key == "prefetch") {
         config.prefetch = parse_bool(key, value);
     } else if (key == "edge-set-backend") {
-        const auto backend = edge_set_backend_from_string(value);
-        if (!backend) {
-            throw Error("config key \"edge-set-backend\": expected locked|lockfree, got \"" +
-                        value + "\"");
+        // Accepted for one release: "locked" names the only edge table.
+        if (value != "locked") {
+            throw Error("config key \"edge-set-backend\": the lock-free backend was removed; "
+                        "only \"locked\" is accepted, got \"" + value + "\"");
         }
-        config.edge_set_backend = *backend;
     } else if (key == "small-cutoff") {
         config.small_graph_cutoff = parse_u64(key, value);
     } else if (key == "replicates") {
@@ -315,9 +314,6 @@ std::string pipeline_config_to_string(const PipelineConfig& config) {
     }
     if (config.pl != defaults.pl) put_double("pl", config.pl);
     if (config.prefetch != defaults.prefetch) put_bool("prefetch", config.prefetch);
-    if (config.edge_set_backend != defaults.edge_set_backend) {
-        put("edge-set-backend", to_string(config.edge_set_backend));
-    }
     if (config.small_graph_cutoff != defaults.small_graph_cutoff) {
         put_u64("small-cutoff", config.small_graph_cutoff);
     }

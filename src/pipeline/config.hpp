@@ -132,9 +132,8 @@ struct PipelineConfig {
     bool prefetch = true;                    ///< key: prefetch (true|false)
     std::uint64_t small_graph_cutoff = 0;    ///< key: small-cutoff
 
-    /// ConcurrentEdgeSet implementation for the parallel chains; sequential
-    /// chains ignore it.  Exact chains are byte-identical across backends
-    /// (docs/hashing.md).           key: edge-set-backend (locked|lockfree)
+    /// Unread stub (hashing/edge_set_backend.hpp).  The config key
+    /// edge-set-backend accepts only "locked" and leaves it untouched.
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;
 
     // ------------------------------------------------------------- batch

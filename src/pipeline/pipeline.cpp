@@ -294,7 +294,6 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
     report.resolved_policy = schedule.policy;
     report.chain_threads = schedule.chain_threads;
     report.max_concurrent = schedule.max_concurrent;
-    report.resolved_edge_set_backend = config.edge_set_backend;
 
     if (log != nullptr && algo == ChainAlgorithm::kNaiveParES) {
         *log << "pipeline: warning: naive-par-es outputs depend on the schedule's "
@@ -411,7 +410,6 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
             chain_config.pl = config.pl;
             chain_config.prefetch = config.prefetch;
             chain_config.small_graph_cutoff = config.small_graph_cutoff;
-            chain_config.edge_set_backend = config.edge_set_backend;
 
             // Resume: seed the replicate from the previous run's checkpoint
             // when one exists.  A finished replicate is not re-run — its

@@ -269,7 +269,6 @@ void write_json_report(std::ostream& os, const RunReport& report) {
     // replicates at once, T = resolved_chain_threads threads each.
     w.kv("resolved_chain_threads", static_cast<std::uint64_t>(report.chain_threads));
     w.kv("resolved_max_concurrent", static_cast<std::uint64_t>(report.max_concurrent));
-    w.kv("resolved_edge_set_backend", to_string(report.resolved_edge_set_backend));
 
     w.key("input_graph");
     w.begin_object();

@@ -102,10 +102,6 @@ struct RunReport {
     unsigned chain_threads = 1; ///< resolved T: threads leased per chain
     unsigned max_concurrent = 1;///< resolved K: replicates computing at once
 
-    /// ConcurrentEdgeSet backend the chains actually ran on (sequential
-    /// chains accept but ignore it; still reported for provenance).
-    EdgeSetBackend resolved_edge_set_backend = EdgeSetBackend::kLocked;
-
     std::uint64_t input_nodes = 0;
     std::uint64_t input_edges = 0;
     std::uint32_t input_max_degree = 0;

@@ -177,7 +177,6 @@ JobInfo JobManager::info_locked(const Job& job) const {
     info.id = job.id;
     info.status = job.status;
     info.algorithm = job.config.algorithm;
-    info.edge_set_backend = to_string(job.config.edge_set_backend);
     info.replicates = job.config.replicates;
     info.replicates_done = job.replicates_done.load(std::memory_order_relaxed);
     info.output_dir = job.config.output_dir;

@@ -64,7 +64,6 @@ struct JobInfo {
     std::uint64_t id = 0;
     JobStatus status = JobStatus::kQueued;
     std::string algorithm;
-    std::string edge_set_backend; ///< resolved ConcurrentEdgeSet backend
     std::uint64_t replicates = 0;
     std::uint64_t replicates_done = 0;  ///< on_replicate_done count (any outcome)
     std::string output_dir;

@@ -106,7 +106,6 @@ std::string metrics_event_body(const ServiceStats& stats) {
         w.kv("job", info.id);
         w.kv("status", to_string(info.status));
         w.kv("algorithm", info.algorithm);
-        w.kv("edge_set_backend", info.edge_set_backend);
         w.kv("replicates", info.replicates);
         w.kv("replicates_done", info.replicates_done);
         w.kv("seconds", info.seconds);

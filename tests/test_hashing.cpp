@@ -2,10 +2,9 @@
 // set, concurrent edge set (incl. ticket semantics), dependency table.
 #include "hashing/concurrent_edge_set.hpp"
 #include "hashing/dependency_table.hpp"
-#include "hashing/edge_set_backend.hpp"
 #include "hashing/hash.hpp"
-#include "hashing/lockfree_edge_set.hpp"
 #include "hashing/robin_set.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "rng/mt19937_64.hpp"
@@ -17,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
-#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -79,7 +77,17 @@ TEST(RobinSet, BasicInsertContainsErase) {
     EXPECT_EQ(set.size(), 0u);
 }
 
-TEST(RobinSet, RejectsReservedKey) { EXPECT_THROW(RobinSet{}.insert(0), Error); }
+TEST(RobinSet, RejectsReservedKey) {
+    // Key 0 marks empty buckets: insert rejects it, and lookups report it
+    // absent (contains(0) once matched the first empty bucket).
+    RobinSet set;
+    for (std::uint64_t k = 1; k <= 4; ++k) ASSERT_TRUE(set.insert(k));
+    EXPECT_THROW(set.insert(0), Error);
+    EXPECT_FALSE(set.contains(0));
+    EXPECT_FALSE(set.contains_prepared(set.prepare(0)));
+    EXPECT_FALSE(set.erase(0));
+    EXPECT_EQ(set.size(), 4u);
+}
 
 TEST(RobinSet, GrowsBeyondInitialCapacity) {
     RobinSet set(4);
@@ -162,30 +170,9 @@ TEST(RobinSet, ClearEmptiesTheSet) {
 }
 
 // --------------------------------------------------- concurrent edge set
-//
-// Every behavioral test runs against BOTH backends (locked striped-CAS and
-// lock-free bounded-PSL): the backend is a pure performance knob, so any
-// observable divergence is a bug.  Backend-specific mechanics (PSL bound,
-// epoch reclamation) have their own tests below the fixture.
 
-class ConcurrentEdgeSetBackends
-    : public ::testing::TestWithParam<EdgeSetBackend> {
-protected:
-    [[nodiscard]] ConcurrentEdgeSet make_set(std::uint64_t max_live) const {
-        return ConcurrentEdgeSet(max_live, GetParam());
-    }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ConcurrentEdgeSetBackends,
-    ::testing::Values(EdgeSetBackend::kLocked, EdgeSetBackend::kLockFree),
-    [](const ::testing::TestParamInfo<EdgeSetBackend>& info) {
-        return to_string(info.param);
-    });
-
-TEST_P(ConcurrentEdgeSetBackends, SequentialSemantics) {
-    auto set = make_set(1024);
-    EXPECT_EQ(set.backend(), GetParam());
+TEST(ConcurrentEdgeSet, SequentialSemantics) {
+    ConcurrentEdgeSet set(1024);
     EXPECT_TRUE(set.insert(5));
     EXPECT_FALSE(set.insert(5));
     EXPECT_TRUE(set.contains(5));
@@ -195,15 +182,58 @@ TEST_P(ConcurrentEdgeSetBackends, SequentialSemantics) {
     EXPECT_EQ(set.size(), 0u);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, RejectsOutOfDomainKeys) {
-    auto set = make_set(16);
+TEST(ConcurrentEdgeSet, RejectsOutOfDomainKeys) {
+    // Inserts throw on keys outside (0, kTomb).  Lookups, erases and
+    // tickets report 0 and kTomb absent and leave the table alone: the
+    // probe loops once matched key 0 on the first empty bucket, so each
+    // erase of 0 tombstoned an empty bucket and dropped size(), and
+    // try_lock(0) left owner bits there on which later inserts spun.
+    ConcurrentEdgeSet set(16);
+    ASSERT_EQ(set.bucket_count(), 64u);
     EXPECT_THROW(set.insert(0), Error);
     EXPECT_THROW(set.insert(ConcurrentEdgeSet::kTomb), Error);
     EXPECT_THROW(set.insert(1ULL << 60), Error);
+    EXPECT_THROW(set.insert_unique(0), Error);
+    std::uint64_t slot = 0;
+    EXPECT_THROW(set.try_insert_and_lock(0, 0, slot), Error);
+
+    // Keys 1-4, plus a tombstone on kTomb's probe chain: a key with the
+    // same home bucket (the top 6 hash bits of a 64-bucket table),
+    // inserted and erased.
+    for (std::uint64_t k = 1; k <= 4; ++k) ASSERT_TRUE(set.insert(k));
+    std::uint64_t twin = 5;
+    while ((edge_hash(twin) >> 58) != (edge_hash(ConcurrentEdgeSet::kTomb) >> 58)) ++twin;
+    ASSERT_TRUE(set.insert(twin));
+    ASSERT_TRUE(set.erase(twin));
+
+    const auto live = [&] {
+        std::uint64_t n = 0;
+        set.for_each([&](std::uint64_t) { ++n; });
+        return n;
+    };
+    for (const std::uint64_t bad : {ConcurrentEdgeSet::kEmpty, ConcurrentEdgeSet::kTomb}) {
+        ASSERT_FALSE(set.contains(bad)) << bad;
+        ASSERT_FALSE(set.erase(bad)) << bad;
+        ASSERT_FALSE(set.erase_unique(bad)) << bad;
+        ASSERT_FALSE(set.try_lock(bad, 0).has_value()) << bad;
+        ASSERT_EQ(set.size(), 4u) << bad;
+        ASSERT_EQ(live(), 4u) << bad;
+    }
+    // The instrumented lookup path agrees.
+    obs::set_metrics_enabled(true);
+    EXPECT_FALSE(set.contains(ConcurrentEdgeSet::kEmpty));
+    EXPECT_FALSE(set.contains(ConcurrentEdgeSet::kTomb));
+    EXPECT_TRUE(set.contains(1));
+    obs::set_metrics_enabled(false);
+
+    // No bucket kept owner bits: the table fills up to its sizing.
+    for (std::uint64_t k = 100; k < 112; ++k) ASSERT_TRUE(set.insert(k));
+    EXPECT_EQ(set.size(), 16u);
+    EXPECT_EQ(live(), 16u);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, TombstoneChurnKeepsProbesBounded) {
-    auto set = make_set(256);
+TEST(ConcurrentEdgeSet, TombstoneChurnKeepsProbesBounded) {
+    ConcurrentEdgeSet set(256);
     Mt19937_64 gen(9);
     std::unordered_set<std::uint64_t> ref;
     // Long insert/erase churn at constant live size; without tombstone
@@ -223,8 +253,8 @@ TEST_P(ConcurrentEdgeSetBackends, TombstoneChurnKeepsProbesBounded) {
     for (const auto key : ref) EXPECT_TRUE(set.contains(key));
 }
 
-TEST_P(ConcurrentEdgeSetBackends, ForEachEnumeratesExactlyLiveKeys) {
-    auto set = make_set(64);
+TEST(ConcurrentEdgeSet, ForEachEnumeratesExactlyLiveKeys) {
+    ConcurrentEdgeSet set(64);
     std::set<std::uint64_t> expect;
     for (std::uint64_t k = 10; k < 50; ++k) {
         set.insert(k);
@@ -239,8 +269,8 @@ TEST_P(ConcurrentEdgeSetBackends, ForEachEnumeratesExactlyLiveKeys) {
     EXPECT_EQ(got, expect);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, SampleUniformChiSquare) {
-    auto set = make_set(64);
+TEST(ConcurrentEdgeSet, SampleUniformChiSquare) {
+    ConcurrentEdgeSet set(64);
     for (std::uint64_t k = 1; k <= 10; ++k) set.insert(k);
     Mt19937_64 gen(10);
     std::vector<int> counts(11, 0);
@@ -267,13 +297,13 @@ struct CountingGen {
     }
 };
 
-TEST_P(ConcurrentEdgeSetBackends, SampleUniformBoundedWorkUnderTombstoneFlood) {
+TEST(ConcurrentEdgeSet, SampleUniformBoundedWorkUnderTombstoneFlood) {
     // 255 of 256 keys erased with rebuild deliberately deferred: random
     // bucket draws hit the one live key with p = 1/1024.  The unbounded
     // rejection sampler needed ~2000 RNG calls per draw here; the capped
     // sampler must stay under kMaxSampleDraws + the fallback's one index
     // draw (with a small rejection-sampling allowance).
-    auto set = make_set(256);
+    ConcurrentEdgeSet set(256);
     for (std::uint64_t k = 1; k <= 256; ++k) ASSERT_TRUE(set.insert(k));
     for (std::uint64_t k = 1; k <= 255; ++k) ASSERT_TRUE(set.erase(k));
     ASSERT_EQ(set.size(), 1u);
@@ -285,10 +315,10 @@ TEST_P(ConcurrentEdgeSetBackends, SampleUniformBoundedWorkUnderTombstoneFlood) {
     EXPECT_LT(gen.calls, kSamples * 200u);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, ConcurrentDistinctKeyInsertsAllLand) {
+TEST(ConcurrentEdgeSet, ConcurrentDistinctKeyInsertsAllLand) {
     constexpr unsigned p = 4;
     constexpr std::uint64_t per_thread = 20000;
-    auto set = make_set(p * per_thread);
+    ConcurrentEdgeSet set(p * per_thread);
     ThreadPool pool(p);
     pool.run([&](unsigned tid) {
         for (std::uint64_t i = 0; i < per_thread; ++i) {
@@ -299,11 +329,11 @@ TEST_P(ConcurrentEdgeSetBackends, ConcurrentDistinctKeyInsertsAllLand) {
     for (std::uint64_t k = 1; k <= p * per_thread; ++k) ASSERT_TRUE(set.contains(k));
 }
 
-TEST_P(ConcurrentEdgeSetBackends, ConcurrentSameKeyInsertsNeverDuplicate) {
+TEST(ConcurrentEdgeSet, ConcurrentSameKeyInsertsNeverDuplicate) {
     // All threads hammer the same small key set with contended inserts;
     // exactly one insert per key must win per round.
     constexpr unsigned p = 4;
-    auto set = make_set(512);
+    ConcurrentEdgeSet set(512);
     ThreadPool pool(p);
     for (int round = 0; round < 200; ++round) {
         std::atomic<int> winners{0};
@@ -326,8 +356,8 @@ TEST_P(ConcurrentEdgeSetBackends, ConcurrentSameKeyInsertsNeverDuplicate) {
     }
 }
 
-TEST_P(ConcurrentEdgeSetBackends, TicketLockingProtocol) {
-    auto set = make_set(64);
+TEST(ConcurrentEdgeSet, TicketLockingProtocol) {
+    ConcurrentEdgeSet set(64);
     set.insert(100);
     auto slot = set.try_lock(100, /*tid=*/0);
     ASSERT_TRUE(slot.has_value());
@@ -343,13 +373,13 @@ TEST_P(ConcurrentEdgeSetBackends, TicketLockingProtocol) {
     EXPECT_EQ(set.size(), 0u);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, TryLockAbsentKeyFails) {
-    auto set = make_set(64);
+TEST(ConcurrentEdgeSet, TryLockAbsentKeyFails) {
+    ConcurrentEdgeSet set(64);
     EXPECT_FALSE(set.try_lock(7, 0).has_value());
 }
 
-TEST_P(ConcurrentEdgeSetBackends, InsertAndLockSemantics) {
-    auto set = make_set(64);
+TEST(ConcurrentEdgeSet, InsertAndLockSemantics) {
+    ConcurrentEdgeSet set(64);
     std::uint64_t slot = 0;
     EXPECT_EQ(set.try_insert_and_lock(9, 0, slot), ConcurrentEdgeSet::InsertLock::kInserted);
     // Inserted-and-locked: visible, but not lockable by others.
@@ -362,12 +392,12 @@ TEST_P(ConcurrentEdgeSetBackends, InsertAndLockSemantics) {
     EXPECT_EQ(set.try_insert_and_lock(9, 1, other), ConcurrentEdgeSet::InsertLock::kExists);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, EraseWaitingOnATicketLosesToItsHoldersErase) {
+TEST(ConcurrentEdgeSet, EraseWaitingOnATicketLosesToItsHoldersErase) {
     // An erase that finds its key locked spins until the ticket is gone.
     // When the holder erases the key meanwhile, the spinning erase must
     // report "absent": it once CASed the holder's tombstone and counted a
     // second erase (the MultiWriterHammer flake).
-    auto set = make_set(64);
+    ConcurrentEdgeSet set(64);
     ASSERT_TRUE(set.insert(100));
     const auto slot = set.try_lock(100, /*tid=*/0);
     ASSERT_TRUE(slot.has_value());
@@ -381,11 +411,11 @@ TEST_P(ConcurrentEdgeSetBackends, EraseWaitingOnATicketLosesToItsHoldersErase) {
     EXPECT_FALSE(set.contains(100));
 }
 
-TEST_P(ConcurrentEdgeSetBackends, ConcurrentTicketContention) {
+TEST(ConcurrentEdgeSet, ConcurrentTicketContention) {
     // p threads repeatedly try to grab the ticket for one key, mutate a
     // guarded counter, and release. The counter must never tear.
     constexpr unsigned p = 4;
-    auto set = make_set(64);
+    ConcurrentEdgeSet set(64);
     set.insert(5);
     ThreadPool pool(p);
     std::uint64_t guarded = 0; // protected by the key-5 ticket
@@ -407,14 +437,13 @@ TEST_P(ConcurrentEdgeSetBackends, ConcurrentTicketContention) {
     EXPECT_EQ(guarded, 4 * 20000u);
 }
 
-TEST_P(ConcurrentEdgeSetBackends, ParallelInsertEraseChurnDistinctRanges) {
+TEST(ConcurrentEdgeSet, ParallelInsertEraseChurnDistinctRanges) {
     // Each thread owns a disjoint key range and churns inserts/erases with
     // the unique API; sizes must reconcile at the end.  Rounds mirror chain
-    // supersteps: the lock-free backend reclaims tombstones only through a
-    // quiescent rebuild, so unbounded churn without maybe_rebuild() is
-    // outside both backends' contract.
+    // supersteps: tombstones are compacted by maybe_rebuild() at the
+    // quiescent point between rounds, where the chains compact them.
     constexpr unsigned p = 4;
-    auto set = make_set(4 * 4096);
+    ConcurrentEdgeSet set(4 * 4096);
     ThreadPool pool(p);
     std::vector<std::vector<bool>> present(p, std::vector<bool>(4096, false));
     std::vector<Mt19937_64> gens;
@@ -445,14 +474,14 @@ TEST_P(ConcurrentEdgeSetBackends, ParallelInsertEraseChurnDistinctRanges) {
     }
 }
 
-TEST_P(ConcurrentEdgeSetBackends, MultiWriterHammer) {
+TEST(ConcurrentEdgeSet, MultiWriterHammer) {
     // TSan workhorse: p threads mix contended inserts, erases, lookups and
     // ticket ops over one small key universe.  The only invariant a racy
     // history must preserve: size() equals successful inserts minus
     // successful erases.  Rounds are separated by pool.run barriers so the
     // main thread can rebuild at quiescent points, like a chain superstep.
     constexpr unsigned p = 4;
-    auto set = make_set(512);
+    ConcurrentEdgeSet set(512);
     ThreadPool pool(p);
     std::atomic<std::int64_t> net{0};
     for (int round = 0; round < 40; ++round) {
@@ -492,16 +521,16 @@ TEST_P(ConcurrentEdgeSetBackends, MultiWriterHammer) {
     }
 }
 
-TEST_P(ConcurrentEdgeSetBackends, CountCellsMatchSerialReplay) {
+TEST(ConcurrentEdgeSet, CountCellsMatchSerialReplay) {
     // Counting hammer: size() and needs_rebuild() sum per-thread count
     // cells.  Each wave starts fresh threads at staggered times (so over
     // the waves the threads' cells wrap around and are shared), which
     // churn disjoint key ranges with the unique API: insert a batch, then,
     // after a barrier, erase all but a few of it.  No insert overlaps an
     // erase, so no tombstone is recycled and both counts are the same on
-    // every interleaving: each wave must match a serial replay on the same
-    // backend.  The erases land just past the rebuild threshold, so a few
-    // lost counts flip needs_rebuild().
+    // every interleaving: each wave must match a serial replay on a second
+    // set.  The erases land just past the rebuild threshold, so a few lost
+    // counts flip needs_rebuild().
     constexpr unsigned p = 4;
     constexpr std::uint64_t max_live = 8192; // 32768 buckets: rebuild above 8192 tombstones
     constexpr std::uint64_t base = 4200;     // live throughout; keeps rebuilds from shrinking
@@ -509,8 +538,8 @@ TEST_P(ConcurrentEdgeSetBackends, CountCellsMatchSerialReplay) {
     constexpr std::uint64_t keep = 10;       // survivors per thread and wave
     constexpr int waves = 20;
     static_assert(p * (batch - keep) == max_live + 64);
-    auto set = make_set(max_live);
-    auto replay = make_set(max_live);
+    ConcurrentEdgeSet set(max_live);
+    ConcurrentEdgeSet replay(max_live);
     const auto key_of = [](int wave, unsigned tid, std::uint64_t i) {
         return base + 1 + (static_cast<std::uint64_t>(wave) * p + tid) * batch + i;
     };
@@ -552,11 +581,11 @@ TEST_P(ConcurrentEdgeSetBackends, CountCellsMatchSerialReplay) {
     }
 }
 
-TEST_P(ConcurrentEdgeSetBackends, RefillHoldsExactlyTheGivenKeys) {
+TEST(ConcurrentEdgeSet, RefillHoldsExactlyTheGivenKeys) {
     for (const unsigned p : {1u, 2u, 4u}) {
         ThreadPool pool(p);
         constexpr std::uint64_t max_live = 4096;
-        auto set = make_set(max_live);
+        ConcurrentEdgeSet set(max_live);
         // A tombstone-heavy table, rebuild deliberately deferred: 4096
         // keys in, 3500 out.
         for (std::uint64_t k = 1; k <= max_live; ++k) ASSERT_TRUE(set.insert(k));
@@ -583,85 +612,6 @@ TEST_P(ConcurrentEdgeSetBackends, RefillHoldsExactlyTheGivenKeys) {
         EXPECT_TRUE(set.insert_unique(1));
         EXPECT_EQ(set.size(), keys.size());
     }
-}
-
-// ------------------------------------------ lock-free backend mechanics
-
-TEST(LockFreeEdgeSet, PslBoundEnforcedAndRestoredByRebuild) {
-    // 80 keys whose home buckets all land in [0, 8) of a 256-bucket table:
-    // placements pile past home + kMaxPsl, which must raise the probe
-    // limit (keeping every key findable) and flip needs_rebuild(), and the
-    // rebuild must restore the bound.
-    ConcurrentEdgeSet set(64, EdgeSetBackend::kLockFree);
-    ASSERT_EQ(set.bucket_count(), 256u);
-    const unsigned shift = 56; // 64 - log2(256): the table's home shift
-    std::vector<std::uint64_t> clustered;
-    for (std::uint64_t k = 1; clustered.size() < 80; ++k) {
-        if ((edge_hash(k) >> shift) < 8) clustered.push_back(k);
-    }
-    for (const auto k : clustered) ASSERT_TRUE(set.insert(k));
-
-    auto* lockfree = set.lockfree_backend();
-    ASSERT_NE(lockfree, nullptr);
-    EXPECT_TRUE(lockfree->psl_overflowed());
-    EXPECT_TRUE(set.needs_rebuild());
-    EXPECT_GE(set.max_psl(), LockFreeEdgeSet::kMaxPsl);
-    // Overflow mode is slow, not wrong: every key stays reachable.
-    for (const auto k : clustered) ASSERT_TRUE(set.contains(k));
-
-    set.rebuild();
-    EXPECT_FALSE(lockfree->psl_overflowed());
-    EXPECT_FALSE(set.needs_rebuild());
-    EXPECT_EQ(set.size(), clustered.size());
-    for (const auto k : clustered) ASSERT_TRUE(set.contains(k));
-    // Post-rebuild placements honor the bound again (psl_max restarts at
-    // the rebuild and only tracks new placements).
-    ASSERT_TRUE(set.insert(1ULL << 40));
-    EXPECT_LT(set.max_psl(), LockFreeEdgeSet::kMaxPsl);
-}
-
-TEST(LockFreeEdgeSet, EpochReclamationLetsGuardedReadersOutliveRebuilds) {
-    // Readers hold ReadGuards across continuous table churn + rebuilds.
-    // Keys 1..512 are immortal — a reader observing one missing means it
-    // raced a table swap wrongly; ASan/TSan additionally catch any
-    // use-after-free of a retired table.  After the readers leave, a
-    // collect() must be able to free every retired table.
-    ConcurrentEdgeSet set(1024, EdgeSetBackend::kLockFree);
-    for (std::uint64_t k = 1; k <= 1024; ++k) ASSERT_TRUE(set.insert(k));
-    auto* lockfree = set.lockfree_backend();
-    ASSERT_NE(lockfree, nullptr);
-
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 2; ++r) {
-        readers.emplace_back([&, r] {
-            Mt19937_64 gen(77 + r);
-            while (!stop.load(std::memory_order_relaxed)) {
-                ConcurrentEdgeSet::ReadGuard guard(set);
-                for (int i = 0; i < 64; ++i) {
-                    const std::uint64_t key = 1 + uniform_below(gen, 512);
-                    EXPECT_TRUE(set.contains(key)) << key;
-                }
-            }
-        });
-    }
-
-    // Churn the mortal half and force a rebuild every round.
-    for (int round = 0; round < 50; ++round) {
-        for (std::uint64_t k = 513; k <= 1024; ++k) {
-            ASSERT_TRUE(set.erase(k));
-        }
-        for (std::uint64_t k = 513; k <= 1024; ++k) {
-            ASSERT_TRUE(set.insert(k));
-        }
-        set.rebuild();
-    }
-
-    stop.store(true);
-    for (auto& t : readers) t.join();
-    lockfree->epochs().collect();
-    EXPECT_EQ(lockfree->retired_tables(), 0u);
-    for (std::uint64_t k = 1; k <= 1024; ++k) ASSERT_TRUE(set.contains(k));
 }
 
 // ------------------------------------------------------ dependency table

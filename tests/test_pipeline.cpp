@@ -214,16 +214,21 @@ TEST(PipelineConfig, RejectsUnknownKeysAndBadValues) {
     EXPECT_THROW(apply_config_entry(c, "edge-set-backend", "waitfree"), Error);
 }
 
-TEST(PipelineConfig, EdgeSetBackendParsesAndRoundTrips) {
+TEST(PipelineConfig, EdgeSetBackendKeyAcceptsOnlyLocked) {
+    // One-release compatibility for the removed backend knob: "locked" is
+    // a no-op that is never written back; any other value is an error that
+    // says the lock-free backend was removed.
     PipelineConfig c;
-    EXPECT_EQ(c.edge_set_backend, EdgeSetBackend::kLocked); // default
-    apply_config_entry(c, "edge-set-backend", "lockfree");
-    EXPECT_EQ(c.edge_set_backend, EdgeSetBackend::kLockFree);
-    const PipelineConfig back =
-        read_pipeline_config_string(pipeline_config_to_string(c));
-    EXPECT_EQ(back.edge_set_backend, EdgeSetBackend::kLockFree);
     apply_config_entry(c, "edge-set-backend", "locked");
-    EXPECT_EQ(c.edge_set_backend, EdgeSetBackend::kLocked);
+    EXPECT_EQ(pipeline_config_to_string(c), pipeline_config_to_string(PipelineConfig{}));
+    try {
+        apply_config_entry(c, "edge-set-backend", "lockfree");
+        FAIL() << "lockfree was accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("lock-free backend was removed"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(PipelineConfig, ValidateCatchesContradictions) {
@@ -554,51 +559,26 @@ TEST(Pipeline, SameConfigAndSeedGiveByteIdenticalOutputs) {
     }
 }
 
-TEST(Pipeline, EdgeSetBackendsGiveByteIdenticalOutputs) {
-    // The ConcurrentEdgeSet backend is a pure performance knob: for every
-    // parallel chain, the locked and lock-free implementations must emit
-    // identical bytes under both schedule shapes.  naive-par-es is only
-    // deterministic at T = 1 (its outputs depend on chain-threads, see
-    // pipeline.cpp's warning), so it is compared under the replicates
-    // policy alone.
-    struct Cell {
-        const char* algo;
-        SchedulePolicy policy;
-        unsigned threads;
-        unsigned chain_threads;
-        const char* tag;
-    };
-    const Cell cells[] = {
-        {"par-es", SchedulePolicy::kReplicates, 4, 0, "repl"},
-        {"par-es", SchedulePolicy::kHybrid, 4, 2, "hyb"},
-        {"par-global-es", SchedulePolicy::kReplicates, 4, 0, "repl"},
-        {"par-global-es", SchedulePolicy::kHybrid, 4, 2, "hyb"},
-        {"naive-par-es", SchedulePolicy::kReplicates, 4, 0, "repl"},
-    };
-    for (const Cell& cell : cells) {
-        std::vector<RunReport> reports;
-        for (const EdgeSetBackend backend :
-             {EdgeSetBackend::kLocked, EdgeSetBackend::kLockFree}) {
-            const fs::path dir = scratch_dir(std::string("esb_") + cell.algo +
-                                             "_" + cell.tag + "_" +
-                                             to_string(backend));
-            PipelineConfig c = small_run_config(cell.algo, dir);
-            c.replicates = 4;
-            c.policy = cell.policy;
-            c.threads = cell.threads;
-            c.chain_threads = cell.chain_threads;
-            c.edge_set_backend = backend;
-            reports.push_back(run_pipeline(c));
-            ASSERT_TRUE(all_succeeded(reports.back()))
-                << cell.algo << " " << cell.tag << " " << to_string(backend);
-            EXPECT_EQ(reports.back().resolved_edge_set_backend, backend);
-        }
-        for (std::uint64_t r = 0; r < 4; ++r) {
-            ASSERT_FALSE(reports[0].replicates[r].output_path.empty());
-            EXPECT_EQ(slurp(reports[0].replicates[r].output_path),
-                      slurp(reports[1].replicates[r].output_path))
-                << cell.algo << " " << cell.tag << " replicate " << r;
-        }
+TEST(Pipeline, NaiveParEsIsReproducibleAtOneThreadPerChain) {
+    // naive-par-es is inexact: its outputs depend on chain-threads (see
+    // pipeline.cpp's warning).  At T = 1, under the replicates policy, it
+    // is deterministic, so two runs of one config give the same bytes.
+    std::vector<RunReport> reports;
+    for (const char* tag : {"a", "b"}) {
+        const fs::path dir = scratch_dir(std::string("naive_repl_") + tag);
+        PipelineConfig c = small_run_config("naive-par-es", dir);
+        c.replicates = 4;
+        c.policy = SchedulePolicy::kReplicates;
+        c.threads = 4;
+        reports.push_back(run_pipeline(c));
+        ASSERT_TRUE(all_succeeded(reports.back())) << tag;
+        ASSERT_EQ(reports.back().replicates.size(), 4u) << tag;
+    }
+    for (std::uint64_t r = 0; r < 4; ++r) {
+        ASSERT_FALSE(reports[0].replicates[r].output_path.empty());
+        EXPECT_EQ(slurp(reports[0].replicates[r].output_path),
+                  slurp(reports[1].replicates[r].output_path))
+            << "replicate " << r;
     }
 }
 

@@ -1032,7 +1032,6 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
         ASSERT_EQ(per_job->array_items.size(), 2u);
         for (const JsonValue& job : per_job->array_items) {
             EXPECT_EQ(job.string_member("status"), "succeeded");
-            EXPECT_EQ(job.string_member("edge_set_backend"), "locked");
             EXPECT_EQ(job.uint_member("replicates_done"), 3u);
             EXPECT_GT(job.find("seconds")->number_value, 0.0);
             EXPECT_GT(job.find("attempted_switches")->number_value, 0.0);

@@ -77,8 +77,6 @@ Shortcuts (equivalent to --set):
   --policy NAME       auto | replicates | intra-chain | hybrid
   --chain-threads T   threads leased per chain (hybrid K x T; 0 = derive)
   --max-concurrent K  cap on replicates computing at once (0 = budget/T)
-  --edge-set-backend B  concurrent edge-set implementation for the parallel
-                      chains: locked | lockfree (byte-identical outputs)
   --output-dir DIR    write one graph per replicate into DIR
   --output-format F   text | binary
   --report FILE       write the JSON run report to FILE (corpus runs: the
@@ -280,7 +278,6 @@ int main(int argc, char** argv) {
         {"--max-supersteps", "max-supersteps"}, {"--check-every", "check-every"},
         {"--threads", "threads"},     {"--policy", "policy"},
         {"--chain-threads", "chain-threads"}, {"--max-concurrent", "max-concurrent"},
-        {"--edge-set-backend", "edge-set-backend"},
         {"--output-dir", "output-dir"}, {"--output-format", "output-format"},
         {"--report", "report"},         {"--checkpoint-every", "checkpoint-every"},
     };
