@@ -11,7 +11,7 @@ ProxySample measure_proxies(const Chain& chain, std::uint64_t superstep) {
     ProxySample s;
     s.superstep = superstep;
     s.triangles = triangle_count(adj);
-    s.global_clustering = global_clustering(adj);
+    s.global_clustering = global_clustering(adj, s.triangles);
     s.assortativity = degree_assortativity(g);
     return s;
 }

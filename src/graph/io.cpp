@@ -1,13 +1,16 @@
 #include "graph/io.hpp"
 
+#include "util/binio.hpp"
 #include "util/check.hpp"
 
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace gesmc {
 
@@ -21,35 +24,6 @@ constexpr std::uint8_t kBinaryVersion = 1;
 // number), byte 5 the section's own version.
 constexpr char kChainStateTag = 'S';
 constexpr std::uint8_t kChainStateVersion = 1;
-
-void write_varint(std::ostream& os, std::uint64_t v) {
-    char buf[10];
-    int len = 0;
-    while (v >= 0x80) {
-        buf[len++] = static_cast<char>((v & 0x7F) | 0x80);
-        v >>= 7;
-    }
-    buf[len++] = static_cast<char>(v);
-    os.write(buf, len);
-}
-
-/// `what` names the enclosing section in errors ("binary edge list",
-/// "chain state") so a truncated checkpoint is not reported as a broken
-/// graph file.
-std::uint64_t read_varint(std::istream& is, const char* what = "binary edge list") {
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int byte = is.get();
-        GESMC_CHECK(byte != std::char_traits<char>::eof(), std::string(what) + " truncated");
-        // The 10th byte (shift 63) has room for one data bit only; higher
-        // bits would be shifted out silently.
-        GESMC_CHECK(shift < 63 || (byte & 0x7E) == 0,
-                    std::string(what) + ": varint overflows 64 bits");
-        v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) return v;
-    }
-    throw Error(std::string(what) + ": varint longer than 64 bits");
-}
 
 } // namespace
 
@@ -106,18 +80,37 @@ EdgeList read_edge_list_file(const std::string& path) {
 
 // ------------------------------------------------------------------ binary
 
-void write_edge_list_binary(std::ostream& os, const EdgeList& graph) {
-    os.write(kBinaryMagic, sizeof(kBinaryMagic));
-    os.put(static_cast<char>(kBinaryVersion));
-    write_varint(os, graph.num_nodes());
-    write_varint(os, graph.num_edges());
-    const std::vector<edge_key_t> sorted = graph.sorted_keys();
+namespace {
+
+/// A graph section over the ascending keys that `for_each_key(emit)` emits:
+/// the first key absolute, then the deltas.  One buffer, written once.
+template <typename ForEachKey>
+std::string encode_edge_list_binary(node_t n, std::uint64_t m, ForEachKey&& for_each_key) {
+    std::string out(kBinaryMagic, sizeof(kBinaryMagic));
+    out.push_back(static_cast<char>(kBinaryVersion));
+    binio::append_varint(out, n);
+    binio::append_varint(out, m);
+    out.reserve(out.size() + 4 * m); // a few bytes per delta; grows if not
     edge_key_t prev = 0;
-    for (const edge_key_t key : sorted) {
-        write_varint(os, key - prev);
+    for_each_key([&](edge_key_t key) {
+        binio::append_varint(out, key - prev);
         prev = key;
-    }
+    });
+    return out;
+}
+
+void write_bytes(std::ostream& os, const std::string& bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     GESMC_CHECK(os.good(), "binary edge list write failed");
+}
+
+} // namespace
+
+void write_edge_list_binary(std::ostream& os, const EdgeList& graph) {
+    const std::vector<edge_key_t> sorted = graph.sorted_keys();
+    write_bytes(os, encode_edge_list_binary(graph.num_nodes(), sorted.size(), [&](auto&& emit) {
+        for (const edge_key_t key : sorted) emit(key);
+    }));
 }
 
 void write_edge_list_binary_file(const std::string& path, const EdgeList& graph) {
@@ -126,28 +119,51 @@ void write_edge_list_binary_file(const std::string& path, const EdgeList& graph)
     write_edge_list_binary(os, graph);
 }
 
+void write_edge_list_binary(std::ostream& os, const Adjacency& adj) {
+    // A loop or a duplicate would break the header's edge count and the
+    // strictly increasing keys.
+    GESMC_CHECK(adj.is_simple(), "binary edge list: the graph is not simple");
+    const node_t n = adj.num_nodes();
+    write_bytes(os, encode_edge_list_binary(n, adj.num_edges(), [&](auto&& emit) {
+        for (node_t u = 0; u < n; ++u) {
+            const auto nu = adj.neighbors(u);
+            for (auto it = std::upper_bound(nu.begin(), nu.end(), u); it != nu.end(); ++it) {
+                emit(edge_key(u, *it));
+            }
+        }
+    }));
+}
+
+void write_edge_list_binary_file(const std::string& path, const Adjacency& adj) {
+    std::ofstream os(path, std::ios::binary);
+    GESMC_CHECK(os.good(), "cannot open for writing: " + path);
+    write_edge_list_binary(os, adj);
+}
+
 EdgeList read_edge_list_binary(std::istream& is) {
-    char magic[4] = {};
-    is.read(magic, sizeof(magic));
-    GESMC_CHECK(is.gcount() == sizeof(magic) &&
-                    std::memcmp(magic, kBinaryMagic, sizeof(magic)) == 0,
+    const std::string bytes = binio::read_rest(is);
+    GESMC_CHECK(bytes.size() >= sizeof(kBinaryMagic) &&
+                    std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) == 0,
                 "not a GESB binary edge list");
-    const int version = is.get();
+    binio::Decoder in(std::string_view(bytes).substr(sizeof(kBinaryMagic)),
+                      "binary edge list");
+    const int version = in.get();
     GESMC_CHECK(version != kChainStateTag,
                 "this GESB file is a chain-state section, not a graph "
                 "(read it with read_chain_state)");
     GESMC_CHECK(version == kBinaryVersion,
                 "unsupported GESB version: " + std::to_string(version));
-    const std::uint64_t n = read_varint(is);
+    const std::uint64_t n = in.varint();
     GESMC_CHECK(n <= static_cast<std::uint64_t>(kMaxNode) + 1, "node count exceeds 2^28");
-    const std::uint64_t m = read_varint(is);
+    const std::uint64_t m = in.varint();
     std::vector<edge_key_t> keys;
     // Don't trust the header's edge count for the allocation: a corrupt m
     // must fail as "truncated" below, not as a multi-exabyte reserve here.
-    keys.reserve(std::min<std::uint64_t>(m, 1u << 20));
+    // Every delta takes at least one byte.
+    keys.reserve(std::min<std::uint64_t>(m, in.remaining()));
     edge_key_t prev = 0;
     for (std::uint64_t i = 0; i < m; ++i) {
-        const std::uint64_t delta = read_varint(is);
+        const std::uint64_t delta = in.varint();
         // Deltas of the sorted key sequence are strictly positive (key 0 is
         // the loop {0,0}, never a simple edge; a zero delta later would be a
         // duplicate).  Guard the sum against wrap-around too: wrapped keys
@@ -188,54 +204,28 @@ EdgeList read_any_edge_list_file(const std::string& path) {
 
 // ------------------------------------------------------------- chain state
 
-namespace {
-
-void write_double_le(std::ostream& os, double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    char buf[8];
-    for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
-    os.write(buf, sizeof(buf));
-}
-
-double read_double_le(std::istream& is) {
-    char buf[8];
-    is.read(buf, sizeof(buf));
-    GESMC_CHECK(is.gcount() == static_cast<std::streamsize>(sizeof(buf)),
-                "chain state truncated");
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-        bits |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
-    }
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-} // namespace
-
 void write_chain_state(std::ostream& os, const ChainState& state) {
     os.write(kBinaryMagic, sizeof(kBinaryMagic));
     os.put(kChainStateTag);
     os.put(static_cast<char>(kChainStateVersion));
     const std::string name = chain_algorithm_name(state.algorithm);
-    write_varint(os, name.size());
+    binio::write_varint(os, name.size());
     os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    write_varint(os, state.seed);
-    write_varint(os, state.counter);
-    write_double_le(os, state.pl);
-    write_varint(os, state.num_nodes);
-    write_varint(os, state.keys.size());
-    write_varint(os, state.stats.supersteps);
-    write_varint(os, state.stats.attempted);
-    write_varint(os, state.stats.accepted);
-    write_varint(os, state.stats.rejected_loop);
-    write_varint(os, state.stats.rejected_edge);
-    write_varint(os, state.stats.rounds_total);
-    write_varint(os, state.stats.rounds_max);
-    write_double_le(os, state.stats.first_round_seconds);
-    write_double_le(os, state.stats.later_rounds_seconds);
-    for (const edge_key_t key : state.keys) write_varint(os, key);
+    binio::write_varint(os, state.seed);
+    binio::write_varint(os, state.counter);
+    binio::write_double_le(os, state.pl);
+    binio::write_varint(os, state.num_nodes);
+    binio::write_varint(os, state.keys.size());
+    binio::write_varint(os, state.stats.supersteps);
+    binio::write_varint(os, state.stats.attempted);
+    binio::write_varint(os, state.stats.accepted);
+    binio::write_varint(os, state.stats.rejected_loop);
+    binio::write_varint(os, state.stats.rejected_edge);
+    binio::write_varint(os, state.stats.rounds_total);
+    binio::write_varint(os, state.stats.rounds_max);
+    binio::write_double_le(os, state.stats.first_round_seconds);
+    binio::write_double_le(os, state.stats.later_rounds_seconds);
+    for (const edge_key_t key : state.keys) binio::write_varint(os, key);
     GESMC_CHECK(os.good(), "chain state write failed");
 }
 
@@ -271,7 +261,7 @@ ChainState read_chain_state(std::istream& is) {
                 "unsupported chain-state version: " + std::to_string(version));
 
     ChainState state;
-    const std::uint64_t name_len = read_varint(is, "chain state");
+    const std::uint64_t name_len = binio::read_varint(is, "chain state");
     GESMC_CHECK(name_len <= 64, "chain state: implausible algorithm name length");
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
@@ -279,26 +269,28 @@ ChainState read_chain_state(std::istream& is) {
                 "chain state truncated");
     state.algorithm = chain_algorithm_from_string(name);
 
-    state.seed = read_varint(is, "chain state");
-    state.counter = read_varint(is, "chain state");
-    state.pl = read_double_le(is);
-    const std::uint64_t n = read_varint(is, "chain state");
+    state.seed = binio::read_varint(is, "chain state");
+    state.counter = binio::read_varint(is, "chain state");
+    state.pl = binio::read_double_le(is, "chain state");
+    const std::uint64_t n = binio::read_varint(is, "chain state");
     GESMC_CHECK(n <= static_cast<std::uint64_t>(kMaxNode) + 1,
                 "chain state: node count exceeds 2^28");
     state.num_nodes = static_cast<node_t>(n);
-    const std::uint64_t m = read_varint(is, "chain state");
-    state.stats.supersteps = read_varint(is, "chain state");
-    state.stats.attempted = read_varint(is, "chain state");
-    state.stats.accepted = read_varint(is, "chain state");
-    state.stats.rejected_loop = read_varint(is, "chain state");
-    state.stats.rejected_edge = read_varint(is, "chain state");
-    state.stats.rounds_total = read_varint(is, "chain state");
-    state.stats.rounds_max = read_varint(is, "chain state");
-    state.stats.first_round_seconds = read_double_le(is);
-    state.stats.later_rounds_seconds = read_double_le(is);
+    const std::uint64_t m = binio::read_varint(is, "chain state");
+    state.stats.supersteps = binio::read_varint(is, "chain state");
+    state.stats.attempted = binio::read_varint(is, "chain state");
+    state.stats.accepted = binio::read_varint(is, "chain state");
+    state.stats.rejected_loop = binio::read_varint(is, "chain state");
+    state.stats.rejected_edge = binio::read_varint(is, "chain state");
+    state.stats.rounds_total = binio::read_varint(is, "chain state");
+    state.stats.rounds_max = binio::read_varint(is, "chain state");
+    state.stats.first_round_seconds = binio::read_double_le(is, "chain state");
+    state.stats.later_rounds_seconds = binio::read_double_le(is, "chain state");
     // As for graphs: never trust the header's count for the allocation.
     state.keys.reserve(std::min<std::uint64_t>(m, 1u << 20));
-    for (std::uint64_t i = 0; i < m; ++i) state.keys.push_back(read_varint(is, "chain state"));
+    for (std::uint64_t i = 0; i < m; ++i) {
+        state.keys.push_back(binio::read_varint(is, "chain state"));
+    }
     // Slot order carries no sortedness to exploit (unlike the graph
     // section's strictly-increasing deltas), so duplicates need an explicit
     // check — a corrupt snapshot must fail here with the right message, not
@@ -349,18 +341,56 @@ void write_degree_sequence_file(const std::string& path, const DegreeSequence& s
     write_degree_sequence(os, seq);
 }
 
-DegreeSequence read_degree_sequence(std::istream& is) {
-    std::vector<std::uint32_t> degrees;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '%' || line[0] == '#') continue;
-        std::istringstream fields(line);
+namespace {
+
+/// isspace in the "C" locale: ' ', '\t', '\n', '\v', '\f', '\r'.
+bool is_c_space(char c) noexcept { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Appends one line's degrees, read as `std::istringstream >> std::uint64_t`
+/// reads them in the "C" locale, until the line ends: blanks, an optional
+/// sign ('-' wraps, as in strtoull), decimal digits; the next number may
+/// follow without a blank.  The line is malformed where a read fails before
+/// its end.  A read that fails only by reaching the end (a bare sign, a
+/// number beyond 64 bits) ends the line and adds nothing.
+void parse_degree_line(std::string_view line, std::vector<std::uint32_t>& degrees) {
+    std::size_t i = 0;
+    for (;;) {
+        while (i < line.size() && is_c_space(line[i])) ++i;
+        if (i == line.size()) return;
+        const bool negative = line[i] == '-';
+        if (negative || line[i] == '+') ++i;
+        if (i == line.size()) return;
+        const std::size_t digits = i;
         std::uint64_t d = 0;
-        while (fields >> d) {
-            GESMC_CHECK(d <= kMaxNode, "degree exceeds max node count");
-            degrees.push_back(static_cast<std::uint32_t>(d));
+        bool overflow = false;
+        for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
+            const auto digit = static_cast<std::uint64_t>(line[i] - '0');
+            if (d > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+                overflow = true;
+            } else {
+                d = 10 * d + digit;
+            }
         }
-        GESMC_CHECK(fields.eof(), "malformed degree line: " + line);
+        GESMC_CHECK(i > digits && (!overflow || i == line.size()),
+                    "malformed degree line: " + std::string(line));
+        if (overflow) return;
+        if (negative) d = 0 - d;
+        GESMC_CHECK(d <= kMaxNode, "degree exceeds max node count");
+        degrees.push_back(static_cast<std::uint32_t>(d));
+    }
+}
+
+} // namespace
+
+DegreeSequence read_degree_sequence(std::istream& is) {
+    const std::string text = binio::read_rest(is);
+    std::vector<std::uint32_t> degrees;
+    for (std::size_t begin = 0; begin < text.size();) {
+        const std::size_t newline = std::min(text.find('\n', begin), text.size());
+        const std::string_view line(text.data() + begin, newline - begin);
+        begin = newline + 1;
+        if (line.empty() || line[0] == '%' || line[0] == '#') continue;
+        parse_degree_line(line, degrees);
     }
     return DegreeSequence(std::move(degrees));
 }

@@ -50,6 +50,7 @@
 #pragma once
 
 #include "core/chain.hpp"
+#include "graph/adjacency.hpp"
 #include "graph/degree_sequence.hpp"
 #include "graph/edge_list.hpp"
 
@@ -72,7 +73,13 @@ EdgeList read_edge_list_file(const std::string& path);
 void write_edge_list_binary(std::ostream& os, const EdgeList& graph);
 void write_edge_list_binary_file(const std::string& path, const EdgeList& graph);
 
-/// Reads the binary format; throws Error on bad magic/version/payload.
+/// The same bytes from a CSR: walking each u and its neighbors v > u yields
+/// the sorted keys without a sort.  Throws Error if `adj` is not simple.
+void write_edge_list_binary(std::ostream& os, const Adjacency& adj);
+void write_edge_list_binary_file(const std::string& path, const Adjacency& adj);
+
+/// Reads the binary format (the rest of `is`, decoded from one buffer);
+/// throws Error on bad magic/version/payload.
 EdgeList read_edge_list_binary(std::istream& is);
 EdgeList read_edge_list_binary_file(const std::string& path);
 
@@ -106,7 +113,9 @@ bool is_chain_state_file(const std::string& path);
 void write_degree_sequence(std::ostream& os, const DegreeSequence& seq);
 void write_degree_sequence_file(const std::string& path, const DegreeSequence& seq);
 
-/// Reads whitespace-separated degrees ('%'/'#' comment lines allowed).
+/// Reads whitespace-separated degrees ('%'/'#' comment lines allowed),
+/// parsing the rest of `is` from one buffer with the rules of
+/// `std::istream >> std::uint64_t` applied line by line.
 DegreeSequence read_degree_sequence(std::istream& is);
 DegreeSequence read_degree_sequence_file(const std::string& path);
 

@@ -14,11 +14,20 @@
 
 namespace gesmc {
 
-/// Number of triangles (each counted once).
-std::uint64_t triangle_count(const Adjacency& adj);
+class ThreadPool;
+
+/// Number of triangles (each counted once).  Degree-ordered: every edge
+/// points to the endpoint with the larger (degree, id), and each node's
+/// out-list is intersected with its out-neighbors' out-lists, in parallel
+/// over nodes on `pool` (null: a width-1 pool).  The count does not depend
+/// on the pool's width.
+std::uint64_t triangle_count(const Adjacency& adj, ThreadPool* pool = nullptr);
 
 /// Global clustering coefficient: 3 * triangles / wedges; 0 if no wedges.
+/// Counts the triangles itself; pass a count already made to the overload
+/// below instead of counting twice.
 double global_clustering(const Adjacency& adj);
+double global_clustering(const Adjacency& adj, std::uint64_t triangles);
 
 /// Mean local clustering coefficient (nodes of degree < 2 contribute 0).
 double mean_local_clustering(const Adjacency& adj);

@@ -225,6 +225,13 @@ std::uint64_t remove_run_checkpoints(const PipelineConfig& config) {
     return removed;
 }
 
+void verify_replicate(const Adjacency& adj, const std::vector<std::uint32_t>& degrees) {
+    GESMC_CHECK(adj.is_simple(), "replicate produced a non-simple graph");
+    bool same = adj.num_nodes() == degrees.size();
+    for (node_t u = 0; same && u < adj.num_nodes(); ++u) same = adj.degree(u) == degrees[u];
+    GESMC_CHECK(same, "replicate changed the degree sequence");
+}
+
 bool is_interrupt_error(const std::string& error) {
     return error.rfind(kInterruptPrefix, 0) == 0;
 }
@@ -489,13 +496,17 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                         finished_from_checkpoint = true;
                     } else {
                         out.resumed_supersteps = state.stats.supersteps;
+                        const obs::TraceSpan span("chain.build", "pipeline");
                         chain = make_chain(state, chain_config);
                     }
                 }
             }
             if (!finished_from_checkpoint) {
                 if (chain == nullptr) {
-                    chain = make_chain(algo, initial, chain_config);
+                    {
+                        const obs::TraceSpan span("chain.build", "pipeline");
+                        chain = make_chain(algo, initial, chain_config);
+                    }
                     if (config.adaptive) {
                         // Built against the superstep-0 state, *before* any
                         // superstep runs: the stream the verdict sees must
@@ -572,27 +583,39 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                 }
             }
 
-            const EdgeList& result =
-                finished_from_checkpoint ? finished_graph : chain->graph();
-            if (config.verify) {
-                GESMC_CHECK(result.is_simple(), "replicate produced a non-simple graph");
-                GESMC_CHECK(result.degrees() == initial_degrees,
-                            "replicate changed the degree sequence");
+            // Finish on one CSR, on the replicate's own threads.  The chain
+            // goes first, so its edge set and dependency table are freed
+            // before any finish scratch is allocated.
+            EdgeList result;
+            if (finished_from_checkpoint) {
+                result = std::move(finished_graph);
+            } else {
+                result = chain->graph();
+                chain.reset();
+            }
+            const bool binary_output = !config.output_dir.empty() &&
+                                       config.output_format == OutputFormat::kBinary;
+            std::optional<Adjacency> adj;
+            if (config.verify || config.metrics || binary_output) {
+                const obs::TraceSpan span("replicate.verify", "pipeline");
+                adj.emplace(result, slot.shared_pool);
+                if (config.verify) verify_replicate(*adj, initial_degrees);
             }
             if (!config.output_dir.empty()) {
+                const obs::TraceSpan span("output.write", "pipeline");
                 out.output_path = replicate_output_path(config, index);
-                if (config.output_format == OutputFormat::kBinary) {
-                    write_edge_list_binary_file(out.output_path, result);
+                if (binary_output) {
+                    write_edge_list_binary_file(out.output_path, *adj);
                 } else {
                     write_edge_list_file(out.output_path, result);
                 }
             }
             if (config.metrics) {
-                const Adjacency adj(result);
-                out.triangles = triangle_count(adj);
-                out.global_clustering = global_clustering(adj);
+                const obs::TraceSpan span("metrics.structural", "pipeline");
+                out.triangles = triangle_count(*adj, slot.shared_pool);
+                out.global_clustering = global_clustering(*adj, out.triangles);
                 out.assortativity = degree_assortativity(result);
-                out.components = connected_components(adj);
+                out.components = connected_components(*adj);
                 out.has_metrics = true;
             }
         } catch (const InterruptReplicate& stop) {

@@ -51,9 +51,11 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <vector>
 
 namespace gesmc {
 
+class Adjacency;         // graph/adjacency.hpp
 class ReplicateExecutor; // pipeline/scheduler.hpp
 
 /// Materializes the initial graph a run starts from (step 1 + 2).  Exposed
@@ -63,6 +65,12 @@ class ReplicateExecutor; // pipeline/scheduler.hpp
 
 /// True iff every replicate finished without error.
 [[nodiscard]] bool all_succeeded(const RunReport& report);
+
+/// The replicate verify decision, taken from the replicate's CSR: throws
+/// Error "replicate produced a non-simple graph" when a neighborhood holds
+/// a loop or a duplicate edge, else "replicate changed the degree sequence"
+/// when a degree differs from `degrees` (the initial graph's).
+void verify_replicate(const Adjacency& adj, const std::vector<std::uint32_t>& degrees);
 
 /// Execution context for a pipeline run — how the run is hosted and how it
 /// can be stopped from the outside.  The defaults reproduce the standalone

@@ -1,24 +1,33 @@
 /// \file binio.hpp
-/// \brief Minimal binary stream primitives shared by the sidecar formats.
+/// \brief Binary encoding primitives shared by every GESB-family format.
 ///
-/// graph/io.cpp keeps its own (private) copies of these routines because its
-/// error strings name the enclosing section; the analysis sidecars
-/// (estimator state, see analysis/ess.*) need the identical wire encoding —
-/// LEB128 varints and IEEE-754 little-endian doubles — without pulling the
-/// graph formats into the analysis layer.  The encodings must stay
-/// bit-compatible with graph/io.cpp: both feed byte-compared artifacts.
+/// One wire encoding — LEB128 varints and IEEE-754 little-endian doubles —
+/// serves the graph and chain-state sections (graph/io.cpp) and the analysis
+/// sidecars (estimator state, see analysis/ess.*).  Readers take the name of
+/// the enclosing section (`what`) so a truncated checkpoint is reported as
+/// such, not as a broken graph file.  Bulk payloads (a graph's edge keys)
+/// are encoded into one buffer and decoded from one buffer: per-byte stream
+/// calls cost more than the arithmetic.
 #pragma once
 
 #include "util/check.hpp"
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace gesmc::binio {
+
+inline void append_varint(std::string& out, std::uint64_t v) {
+    while (v >= 0x80) {
+        out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<char>(v));
+}
 
 inline void write_varint(std::ostream& os, std::uint64_t v) {
     char buf[10];
@@ -31,8 +40,6 @@ inline void write_varint(std::ostream& os, std::uint64_t v) {
     os.write(buf, len);
 }
 
-/// `what` names the enclosing section in errors so a truncated sidecar is
-/// reported as such, not as a generic stream failure.
 inline std::uint64_t read_varint(std::istream& is, const char* what) {
     std::uint64_t v = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
@@ -70,5 +77,48 @@ inline double read_double_le(std::istream& is, const char* what) {
     }
     return std::bit_cast<double>(bits);
 }
+
+/// Everything left in `is`, read in large blocks.
+inline std::string read_rest(std::istream& is) {
+    std::string out;
+    char block[1 << 16];
+    while (is.read(block, sizeof(block)) || is.gcount() > 0) {
+        out.append(block, static_cast<std::size_t>(is.gcount()));
+    }
+    return out;
+}
+
+/// Decodes from one in-memory buffer with the stream readers' checks and
+/// error strings.  The buffer must outlive the decoder.
+class Decoder {
+public:
+    Decoder(std::string_view bytes, const char* what) noexcept
+        : pos_(bytes.data()), end_(bytes.data() + bytes.size()), what_(what) {}
+
+    [[nodiscard]] std::size_t remaining() const noexcept {
+        return static_cast<std::size_t>(end_ - pos_);
+    }
+
+    /// The next byte, or -1 at the end (istream::get's contract).
+    int get() noexcept { return pos_ == end_ ? -1 : static_cast<unsigned char>(*pos_++); }
+
+    std::uint64_t varint() {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            GESMC_CHECK(pos_ != end_, std::string(what_) + " truncated");
+            const unsigned byte = static_cast<unsigned char>(*pos_++);
+            GESMC_CHECK(shift < 63 || (byte & 0x7E) == 0,
+                        std::string(what_) + ": varint overflows 64 bits");
+            v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+            if ((byte & 0x80) == 0) return v;
+        }
+        throw Error(std::string(what_) + ": varint longer than 64 bits");
+    }
+
+private:
+    const char* pos_;
+    const char* end_;
+    const char* what_;
+};
 
 } // namespace gesmc::binio

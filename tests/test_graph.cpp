@@ -1,14 +1,20 @@
 // Tests for the graph substrate: edge encoding, edge lists, degree
 // sequences (Erdos–Gallai, P2), adjacency, metrics, IO.
+#include "gen/corpus.hpp"
+#include "gen/gnp.hpp"
 #include "graph/adjacency.hpp"
 #include "graph/degree_sequence.hpp"
 #include "graph/edge.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
+#include "parallel/thread_pool.hpp"
+#include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -160,9 +166,135 @@ TEST(Adjacency, NeighborsAndHasEdge) {
     EXPECT_TRUE(adj.has_edge(0, 1));
     EXPECT_TRUE(adj.has_edge(1, 0));
     EXPECT_FALSE(adj.has_edge(0, 3));
+    EXPECT_TRUE(adj.is_simple());
+}
+
+std::vector<std::vector<node_t>> neighborhoods(const Adjacency& adj) {
+    std::vector<std::vector<node_t>> out;
+    for (node_t u = 0; u < adj.num_nodes(); ++u) {
+        const auto nu = adj.neighbors(u);
+        out.emplace_back(nu.begin(), nu.end());
+    }
+    return out;
+}
+
+std::string verify_outcome(const EdgeList& g, const std::vector<std::uint32_t>& degrees) {
+    try {
+        verify_replicate(Adjacency(g), degrees);
+        return "accepted";
+    } catch (const Error& e) {
+        return e.what();
+    }
+}
+
+TEST(Adjacency, VerifyRejectsFaultsAndWidthsBuildTheSameCsr) {
+    const EdgeList g = generate_powerlaw_graph(3000, 2.1, 11);
+    const std::vector<std::uint32_t> degrees = g.degrees();
+    const Adjacency serial(g);
+    EXPECT_TRUE(serial.is_simple());
+    EXPECT_EQ(verify_outcome(g, degrees), "accepted");
+    for (const unsigned width : {2u, 4u}) {
+        ThreadPool pool(width);
+        const Adjacency wide(g, &pool);
+        EXPECT_EQ(neighborhoods(wide), neighborhoods(serial)) << width;
+        EXPECT_TRUE(wide.is_simple()) << width;
+    }
+
+    // Each fault is one slot rewritten in place, as a broken chain would.
+    const Edge first = g.edge(0);
+    node_t far = 0; // a node not adjacent to first.u, to move first.v to
+    while (far == first.u || far == first.v || serial.has_edge(first.u, far)) ++far;
+    struct Fault {
+        const char* name;
+        edge_key_t key;
+        const char* message;
+    };
+    const Fault faults[] = {
+        {"loop", edge_key(first.u, first.u), "replicate produced a non-simple graph"},
+        {"duplicate", g.key(1), "replicate produced a non-simple graph"},
+        {"moved endpoint", edge_key(first.u, far), "replicate changed the degree sequence"},
+    };
+    for (const Fault& fault : faults) {
+        EdgeList broken = g;
+        broken.set_key(0, fault.key);
+        EXPECT_NE(verify_outcome(broken, degrees).find(fault.message), std::string::npos)
+            << fault.name << ": " << verify_outcome(broken, degrees);
+        ThreadPool pool(4);
+        EXPECT_EQ(neighborhoods(Adjacency(broken, &pool)), neighborhoods(Adjacency(broken)))
+            << fault.name;
+    }
 }
 
 // ---------------------------------------------------------------- metrics
+
+/// The merge-based node-iterator: for every u and neighbor v > u, the
+/// common neighbors above v.  Each triangle x < y < z counts once, at
+/// (x, y).  The reference the degree-ordered count is checked against.
+std::uint64_t reference_triangle_count(const Adjacency& adj) {
+    std::uint64_t triangles = 0;
+    for (node_t u = 0; u < adj.num_nodes(); ++u) {
+        const auto nu = adj.neighbors(u);
+        for (const node_t v : nu) {
+            if (v <= u) continue;
+            const auto nv = adj.neighbors(v);
+            auto itu = std::upper_bound(nu.begin(), nu.end(), v);
+            auto itv = std::upper_bound(nv.begin(), nv.end(), v);
+            while (itu != nu.end() && itv != nv.end()) {
+                if (*itu < *itv) {
+                    ++itu;
+                } else if (*itv < *itu) {
+                    ++itv;
+                } else {
+                    ++triangles;
+                    ++itu;
+                    ++itv;
+                }
+            }
+        }
+    }
+    return triangles;
+}
+
+TEST(Metrics, TriangleCountMatchesReference) {
+    std::vector<Edge> star, clique;
+    for (node_t v = 1; v <= 40; ++v) star.push_back(Edge{0, v});
+    for (node_t u = 0; u < 8; ++u) {
+        for (node_t v = u + 1; v < 8; ++v) clique.push_back(Edge{u, v});
+    }
+    const struct {
+        const char* name;
+        EdgeList graph;
+    } inputs[] = {
+        {"gnp", generate_gnp(2000, gnp_probability_for_edges(2000, 20000), 4)},
+        {"powerlaw hubs", generate_powerlaw_graph(5000, 2.1, 8)},
+        {"star", EdgeList::from_pairs(41, star)},
+        {"K8", EdgeList::from_pairs(8, clique)},
+        {"empty", EdgeList{}},
+        {"isolated nodes", EdgeList::from_pairs(9, {Edge{0, 1}, Edge{1, 2}, Edge{0, 2}})},
+    };
+    for (const auto& input : inputs) {
+        const Adjacency adj(input.graph);
+        const std::uint64_t expected = reference_triangle_count(adj);
+        std::uint64_t wedges = 0;
+        for (node_t u = 0; u < adj.num_nodes(); ++u) {
+            wedges += std::uint64_t{adj.degree(u)} * (adj.degree(u) - 1) / 2;
+        }
+        const double clustering =
+            wedges == 0 ? 0.0 : 3.0 * static_cast<double>(expected) / static_cast<double>(wedges);
+        for (const unsigned width : {1u, 2u, 4u}) {
+            ThreadPool pool(width);
+            EXPECT_EQ(triangle_count(adj, &pool), expected) << input.name << " width " << width;
+        }
+        EXPECT_EQ(triangle_count(adj), expected) << input.name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(global_clustering(adj)),
+                  std::bit_cast<std::uint64_t>(clustering))
+            << input.name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(global_clustering(adj, expected)),
+                  std::bit_cast<std::uint64_t>(clustering))
+            << input.name;
+    }
+    EXPECT_GT(reference_triangle_count(Adjacency(inputs[1].graph)), 0u);
+}
 
 TEST(Metrics, TriangleAndClustering) {
     const Adjacency adj(triangle_plus_pendant());

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -331,6 +332,77 @@ TEST(Trace, SuperstepPhasesNestInsideSupersteps) {
         EXPECT_EQ(count(phase, false), kSupersteps) << phase;
     }
     EXPECT_GE(count("edgeset.refill", true), 1u);
+}
+
+TEST(Trace, ReplicateStagesNestInsideTheReplicateSpan) {
+    // A traced pipeline replicate shows where its time outside the
+    // supersteps goes: chain construction, the verify decision (with the
+    // CSR it reads), the output write and the structural metrics are spans
+    // nested, in that order, in the replicate span that ran them.  Names,
+    // nesting and order only; never timings.
+    ObsFlagsGuard guard;
+    const fs::path dir = fs::path(testing::TempDir()) / "gesmc_trace_stages";
+    fs::remove_all(dir);
+    PipelineConfig config;
+    config.input_kind = InputKind::kGenerator;
+    config.generator = "gnp";
+    config.gen_n = 1000;
+    config.gen_m = 5000;
+    config.algorithm = "par-global-es";
+    config.supersteps = 2;
+    config.replicates = 3;
+    config.threads = 4;
+    config.policy = SchedulePolicy::kHybrid;
+    config.chain_threads = 2;
+    config.metrics = true;
+    config.output_format = OutputFormat::kBinary;
+    config.output_dir = dir.string();
+    obs::TraceSession::start();
+    const RunReport report = run_pipeline(config);
+    const JsonValue doc = parse_json(obs::TraceSession::stop_to_string());
+    ASSERT_TRUE(all_succeeded(report));
+
+    struct Span {
+        std::string name, cat;
+        double begin = 0, end = 0; // microseconds
+        std::uint64_t tid = 0;
+    };
+    std::vector<Span> spans;
+    for (const JsonValue& event : doc.find("traceEvents")->array_items) {
+        const double ts = event.find("ts")->number_value;
+        spans.push_back({event.string_member("name"), event.string_member("cat"), ts,
+                         ts + event.find("dur")->number_value, event.uint_member("tid")});
+    }
+    const char* stages[] = {"chain.build", "replicate.verify", "output.write",
+                            "metrics.structural"};
+    std::size_t replicates = 0;
+    for (const Span& outer : spans) {
+        if (outer.name != "replicate" || outer.cat != "pipeline") continue;
+        ++replicates;
+        double previous_begin = outer.begin;
+        for (const char* stage : stages) {
+            std::size_t inside = 0;
+            double begin = 0;
+            for (const Span& inner : spans) {
+                // Timestamps are whole nanoseconds; allow one for rounding.
+                if (inner.name == stage && inner.cat == "pipeline" && inner.tid == outer.tid &&
+                    outer.begin <= inner.begin + 1e-3 && inner.end <= outer.end + 1e-3) {
+                    ++inside;
+                    begin = inner.begin;
+                }
+            }
+            EXPECT_EQ(inside, 1u) << stage;
+            EXPECT_LE(previous_begin, begin + 1e-3) << stage << " out of order";
+            previous_begin = begin;
+        }
+    }
+    EXPECT_EQ(replicates, config.replicates);
+    for (const char* stage : stages) {
+        EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                                [&](const Span& s) { return s.name == stage; }),
+                  static_cast<std::ptrdiff_t>(config.replicates))
+            << stage;
+    }
 }
 
 // ---------------------------------------------------------------- telemetry

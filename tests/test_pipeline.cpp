@@ -5,6 +5,7 @@
 #include "core/chain.hpp"
 #include "gen/configuration_model.hpp"
 #include "gen/corpus.hpp"
+#include "graph/adjacency.hpp"
 #include "graph/degree_sequence.hpp"
 #include "graph/io.hpp"
 #include "parallel/pool_lease.hpp"
@@ -21,8 +22,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <set>
@@ -91,6 +94,39 @@ TEST(BinaryIo, EncodingIsCanonical) {
     EXPECT_EQ(sa.str(), sb.str());
 }
 
+TEST(BinaryIo, WritesVersion1BytesExactly) {
+    // Pins the GESB graph section: magic, version 1, n = 6, m = 5, then the
+    // sorted keys (u << 28 | v) as LEB128 deltas.  Written from the edge
+    // list (which sorts) and from the CSR (which walks), at two widths.
+    const EdgeList g = EdgeList::from_pairs(
+        6, {Edge{3, 4}, Edge{0, 5}, Edge{2, 1}, Edge{0, 1}, Edge{2, 3}});
+    const std::string expected("GESB\x01\x06\x05"
+                               "\x01\x04"                 // {0,1}, {0,5}
+                               "\xfd\xff\xff\x7f"         // {1,2}: 2^28 - 3
+                               "\x81\x80\x80\x80\x01"     // {2,3}: 2^28 + 1
+                               "\x81\x80\x80\x80\x01",    // {3,4}: 2^28 + 1
+                               23);
+    std::ostringstream from_list;
+    write_edge_list_binary(from_list, g);
+    EXPECT_EQ(from_list.str(), expected);
+    ThreadPool pool(2);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::ostringstream from_csr;
+        write_edge_list_binary(from_csr, Adjacency(g, p));
+        EXPECT_EQ(from_csr.str(), expected);
+    }
+    const fs::path dir = scratch_dir("gesb_v1");
+    write_edge_list_binary_file((dir / "csr.gesb").string(), Adjacency(g));
+    EXPECT_EQ(slurp((dir / "csr.gesb").string()), expected);
+}
+
+TEST(BinaryIo, CsrWriterRefusesANonSimpleGraph) {
+    EdgeList g = EdgeList::from_pairs(4, {Edge{0, 1}, Edge{1, 2}, Edge{2, 3}});
+    g.set_key(2, g.key(0));
+    std::ostringstream os;
+    EXPECT_THROW(write_edge_list_binary(os, Adjacency(g)), Error);
+}
+
 TEST(BinaryIo, IsCompactForSortedKeys) {
     // Delta-varint coding: a sparse graph should cost only a few bytes per
     // edge, far below the 8-byte raw keys.
@@ -110,6 +146,68 @@ TEST(BinaryIo, RejectsBadMagicAndTruncation) {
     const std::string full = ss.str();
     std::stringstream truncated(full.substr(0, full.size() / 2));
     EXPECT_THROW(read_edge_list_binary(truncated), Error);
+}
+
+TEST(BinaryIo, RejectsMalformedSectionsWithTheirMessages) {
+    // One row per check of the graph-section reader; the messages are the
+    // ones the per-byte stream reader gave, through the stream and the file
+    // entry points alike.
+    const auto gesb = [](std::initializer_list<int> tail) {
+        std::string s = "GESB";
+        for (const int b : tail) s.push_back(static_cast<char>(b));
+        return s;
+    };
+    const struct {
+        std::string bytes;
+        const char* error; ///< null when accepted
+    } table[] = {
+        {"GES", "not a GESB binary edge list"},
+        {"GESB", "unsupported GESB version: -1"},
+        {gesb({'S', 1}), "this GESB file is a chain-state section"},
+        {gesb({2, 1, 0}), "unsupported GESB version: 2"},
+        {gesb({1, 0x81, 0x80, 0x80, 0x80, 0x01, 0}), "node count exceeds 2^28"},
+        {gesb({1, 4, 2, 1}), "binary edge list truncated"},
+        {gesb({1, 4, 2, 1, 0}), "binary edge list: duplicate or zero key"},
+        {gesb({1, 4, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}),
+         "binary edge list: varint overflows 64 bits"},
+        {gesb({1, 4, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x80}),
+         "binary edge list: varint longer than 64 bits"},
+        {gesb({1, 4, 2, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}),
+         "binary edge list: key overflows 64 bits"},
+        {gesb({1, 4, 1, 0x81, 0x80, 0x80, 0x80, 0x01}), "loops are not allowed"},
+        {gesb({1, 2, 1, 0x82, 0x80, 0x80, 0x80, 0x01}), "node id out of range"},
+        {gesb({1, 4, 1, 1}), nullptr},
+    };
+    const fs::path dir = scratch_dir("gesb_table");
+    const std::string path = (dir / "g.gesb").string();
+    for (const auto& row : table) {
+        {
+            std::ofstream os(path, std::ios::binary);
+            os << row.bytes;
+        }
+        const auto outcome = [](auto&& read) -> std::string {
+            try {
+                const EdgeList g = read();
+                return "accepted " + std::to_string(g.num_nodes()) + " " +
+                       std::to_string(g.num_edges());
+            } catch (const Error& e) {
+                return e.what();
+            }
+        };
+        const std::string from_stream = outcome([&] {
+            std::istringstream is(row.bytes);
+            return read_edge_list_binary(is);
+        });
+        const std::string from_file = outcome([&] { return read_edge_list_binary_file(path); });
+        for (const std::string& got : {from_stream, from_file}) {
+            if (row.error == nullptr) {
+                EXPECT_EQ(got, "accepted 4 1");
+            } else {
+                EXPECT_NE(got.find(row.error), std::string::npos)
+                    << "expected: " << row.error << " got: " << got;
+            }
+        }
+    }
 }
 
 TEST(BinaryIo, FileSniffingPicksTheRightReader) {
@@ -160,6 +258,75 @@ TEST(DegreeSequenceIo, AcceptsCommentsAndMultiplePerLine) {
 TEST(DegreeSequenceIo, RejectsMalformedLines) {
     std::stringstream ss("3 two 1\n");
     EXPECT_THROW(read_degree_sequence(ss), Error);
+}
+
+TEST(DegreeSequenceIo, AcceptsAndRejectsWhatTheStreamRulesDo) {
+    // Each line is read as `istringstream >> uint64_t` reads it: a sign is
+    // allowed ('-' wraps), blanks include tabs and '\r', no separator is
+    // needed before the next number, and a read that fails only at the end
+    // of the line adds nothing.  Outcomes are the stream reader's.
+    const struct {
+        std::string text;
+        std::vector<std::uint32_t> degrees; ///< when accepted
+        const char* error;                  ///< null when accepted
+    } table[] = {
+        {"3\n", {3}, nullptr},
+        {"+3\n", {3}, nullptr},
+        {"3\t4\n", {3, 4}, nullptr},
+        {"3\r\n1\r\n", {3, 1}, nullptr},
+        {"\v3\f\n", {3}, nullptr},
+        {"007\n", {7}, nullptr},
+        {"1\n2", {1, 2}, nullptr},
+        {"3+4\n", {3, 4}, nullptr},
+        {"-0\n", {0}, nullptr},
+        {"3 +\n", {3}, nullptr},
+        {"99999999999999999999\n", {}, nullptr},
+        {"-18446744073709551615\n", {1}, nullptr},
+        {"268435455\n", {268435455}, nullptr},
+        {"# nodes 3\n% c\n\n   \n1 1\n", {1, 1}, nullptr},
+        {"", {}, nullptr},
+        {"-1\n", {}, "degree exceeds max node count"},
+        {"3-4\n", {}, "degree exceeds max node count"},
+        {"268435456\n", {}, "degree exceeds max node count"},
+        {" # x\n", {}, "malformed degree line:  # x"},
+        {"3 3x\n", {}, "malformed degree line: 3 3x"},
+        {"0x3\n", {}, "malformed degree line: 0x3"},
+        {"3,3\n", {}, "malformed degree line: 3,3"},
+        {"3.5\n", {}, "malformed degree line: 3.5"},
+        {"+ 3\n", {}, "malformed degree line: + 3"},
+        {"--3\n", {}, "malformed degree line: --3"},
+        {"99999999999999999999 3\n", {}, "malformed degree line: 99999999999999999999 3"},
+        {std::string("3\0 4\n", 5), {}, "malformed degree line: 3"},
+    };
+    const fs::path dir = scratch_dir("degree_table");
+    for (const auto& row : table) {
+        const std::string path = (dir / "degrees.txt").string();
+        {
+            std::ofstream os(path, std::ios::binary);
+            os << row.text;
+        }
+        const auto outcome = [&](auto&& read) -> std::string {
+            try {
+                const DegreeSequence seq = read();
+                return seq.degrees() == row.degrees ? "as expected" : "other degrees";
+            } catch (const Error& e) {
+                return e.what();
+            }
+        };
+        const std::string from_stream = outcome([&] {
+            std::istringstream is(row.text);
+            return read_degree_sequence(is);
+        });
+        const std::string from_file = outcome([&] { return read_degree_sequence_file(path); });
+        for (const std::string& got : {from_stream, from_file}) {
+            if (row.error == nullptr) {
+                EXPECT_EQ(got, "as expected") << "input: " << row.text;
+            } else {
+                EXPECT_NE(got.find(std::string(" — ") + row.error), std::string::npos)
+                    << "input: " << row.text << " got: " << got;
+            }
+        }
+    }
 }
 
 // -------------------------------------------------- configuration repair
@@ -557,6 +724,57 @@ TEST(Pipeline, SameConfigAndSeedGiveByteIdenticalOutputs) {
                   slurp(ra.replicates[1].output_path))
             << algo;
     }
+}
+
+TEST(Pipeline, StructuralMetricsDoNotDependOnChainThreads) {
+    // The finish stage runs on the replicate's leased threads; its metrics
+    // must not depend on how many there are.  Bitwise, per replicate.
+    struct Variant {
+        const char* tag;
+        SchedulePolicy policy;
+        unsigned threads;
+        unsigned chain_threads;
+    };
+    const Variant variants[] = {
+        {"intra1", SchedulePolicy::kIntraChain, 1, 0},
+        {"intra2", SchedulePolicy::kIntraChain, 2, 0},
+        {"intra4", SchedulePolicy::kIntraChain, 4, 0},
+        {"hyb22", SchedulePolicy::kHybrid, 4, 2},
+    };
+    std::vector<RunReport> reports;
+    for (const Variant& v : variants) {
+        PipelineConfig c =
+            small_run_config("par-global-es", scratch_dir(std::string("metrics_") + v.tag));
+        c.gen_n = 3000;
+        c.gen_gamma = 2.1;
+        c.replicates = 4;
+        c.metrics = true;
+        c.output_format = OutputFormat::kBinary;
+        c.policy = v.policy;
+        c.threads = v.threads;
+        c.chain_threads = v.chain_threads;
+        reports.push_back(run_pipeline(c));
+        ASSERT_TRUE(all_succeeded(reports.back())) << v.tag;
+        EXPECT_EQ(reports.back().chain_threads, v.chain_threads == 0 ? v.threads : v.chain_threads)
+            << v.tag;
+    }
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (std::size_t v = 1; v < reports.size(); ++v) {
+        for (std::uint64_t r = 0; r < 4; ++r) {
+            const ReplicateReport& a = reports[0].replicates[r];
+            const ReplicateReport& b = reports[v].replicates[r];
+            ASSERT_TRUE(a.has_metrics && b.has_metrics);
+            EXPECT_EQ(a.triangles, b.triangles) << variants[v].tag << " replicate " << r;
+            EXPECT_EQ(bits(a.global_clustering), bits(b.global_clustering))
+                << variants[v].tag << " replicate " << r;
+            EXPECT_EQ(bits(a.assortativity), bits(b.assortativity))
+                << variants[v].tag << " replicate " << r;
+            EXPECT_EQ(a.components, b.components) << variants[v].tag << " replicate " << r;
+            EXPECT_EQ(slurp(a.output_path), slurp(b.output_path))
+                << variants[v].tag << " replicate " << r;
+        }
+    }
+    EXPECT_GT(reports[0].replicates[0].triangles, 0u);
 }
 
 TEST(Pipeline, NaiveParEsIsReproducibleAtOneThreadPerChain) {
