@@ -1,9 +1,7 @@
 #include "analysis/gauges.hpp"
 
-#include "analysis/autocorrelation.hpp"
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace gesmc {
@@ -67,30 +65,12 @@ void publish_corpus_z_gauges(const RunReport& report) {
     gauges.last.set(fixed_point_milli(last));
 }
 
-MixingGaugeObserver::MixingGaugeObserver(std::uint64_t replicates,
-                                         std::uint64_t supersteps,
+MixingGaugeObserver::MixingGaugeObserver(std::uint64_t /*replicates*/,
+                                         std::uint64_t /*supersteps*/,
                                          RunObserver* inner)
-    : slots_(replicates),
-      max_thinning_(static_cast<std::uint32_t>(
-          std::clamp<std::uint64_t>(supersteps / 4, 1, 64))),
-      inner_(inner) {}
-
-MixingGaugeObserver::~MixingGaugeObserver() = default;
+    : inner_(inner) {}
 
 void MixingGaugeObserver::on_superstep(std::uint64_t replicate, const Chain& chain) {
-    if (replicate < slots_.size()) {
-        std::unique_ptr<ThinningAutocorrelation>& slot = slots_[replicate];
-        if (slot == nullptr) {
-            // First observed superstep: its state is the tracker's baseline
-            // (a one-superstep offset from the true start — irrelevant for a
-            // live mixing estimate).
-            slot = std::make_unique<ThinningAutocorrelation>(
-                chain, default_thinning_values(max_thinning_),
-                ThinningAutocorrelation::Track::kInitialEdges);
-        } else {
-            slot->observe(chain);
-        }
-    }
     if (inner_ != nullptr) inner_->on_superstep(replicate, chain);
 }
 
@@ -101,14 +81,8 @@ void MixingGaugeObserver::on_checkpoint(std::uint64_t replicate,
 }
 
 void MixingGaugeObserver::on_replicate_done(const ReplicateReport& report) {
-    std::unique_ptr<ThinningAutocorrelation> tracker;
-    if (report.index < slots_.size()) tracker = std::move(slots_[report.index]);
-    if (report.error.empty() && obs::metrics_enabled()) {
-        struct MixingGauges {
-            obs::Gauge& non_independent = obs::MetricsRegistry::instance().gauge(
-                "analysis.mixing.non_independent_milli");
-            obs::Gauge& thinning =
-                obs::MetricsRegistry::instance().gauge("analysis.mixing.thinning");
+    if (report.error.empty() && report.has_metrics && obs::metrics_enabled()) {
+        struct ReplicateGauges {
             obs::Gauge& triangles = obs::MetricsRegistry::instance().gauge(
                 "analysis.replicate.triangles");
             obs::Gauge& clustering = obs::MetricsRegistry::instance().gauge(
@@ -116,18 +90,10 @@ void MixingGaugeObserver::on_replicate_done(const ReplicateReport& report) {
             obs::Gauge& assortativity = obs::MetricsRegistry::instance().gauge(
                 "analysis.replicate.assortativity_milli");
         };
-        static MixingGauges& gauges = *new MixingGauges();
-        if (tracker != nullptr && tracker->supersteps() > 0) {
-            const std::vector<double> fractions = tracker->non_independent_fractions();
-            gauges.non_independent.set(fixed_point_milli(fractions.back()));
-            gauges.thinning.set(
-                static_cast<std::int64_t>(tracker->thinning().back()));
-        }
-        if (report.has_metrics) {
-            gauges.triangles.set(static_cast<std::int64_t>(report.triangles));
-            gauges.clustering.set(fixed_point_milli(report.global_clustering));
-            gauges.assortativity.set(fixed_point_milli(report.assortativity));
-        }
+        static ReplicateGauges& gauges = *new ReplicateGauges();
+        gauges.triangles.set(static_cast<std::int64_t>(report.triangles));
+        gauges.clustering.set(fixed_point_milli(report.global_clustering));
+        gauges.assortativity.set(fixed_point_milli(report.assortativity));
     }
     if (inner_ != nullptr) inner_->on_replicate_done(report);
 }

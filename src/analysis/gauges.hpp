@@ -6,11 +6,12 @@
 /// the Prometheus exposition can surface *statistical* health next to the
 /// operational counters:
 ///
-///   * MixingGaugeObserver wraps a pipeline RunObserver and feeds each
-///     replicate's per-superstep states into a streaming
-///     ThinningAutocorrelation tracker; when the replicate finishes it
-///     publishes the non-independent-edge fraction (the paper's §6.1
-///     stopping criterion) plus the replicate's proxy metrics as gauges.
+///   * MixingGaugeObserver wraps a pipeline RunObserver and publishes each
+///     finished replicate's proxy metrics as gauges.  The mixing signal
+///     (the paper's §6.1 non-independent-edge fraction) comes from the
+///     adaptive stop rule's own tracker, analysis.ess.non_independent_milli
+///     (analysis/ess.hpp); fixed-budget runs take no decision on it and pay
+///     for no tracker.
 ///   * replicate_z_scores / publish_corpus_z_gauges turn one corpus
 ///     shard's replicate triangle counts into z-scores against the shard's
 ///     own replicate distribution — the Milo-style "is this sample an
@@ -29,12 +30,9 @@
 #include "pipeline/report.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace gesmc {
-
-class ThinningAutocorrelation; // analysis/autocorrelation.hpp
 
 /// `value` x 1000 rounded to the nearest integer — the fixed-point spelling
 /// fractional analysis results use as gauges.  Non-finite values map to 0.
@@ -53,35 +51,22 @@ class ThinningAutocorrelation; // analysis/autocorrelation.hpp
 /// report carries no structural metrics.
 void publish_corpus_z_gauges(const RunReport& report);
 
-/// RunObserver decorator publishing per-replicate mixing telemetry.
+/// RunObserver decorator publishing per-replicate proxy metrics.
 ///
-/// Forwards every callback to `inner` (may be null) unchanged.  On top of
-/// that it maintains one streaming ThinningAutocorrelation tracker per
-/// replicate — created at the replicate's first observed superstep, fed on
-/// every subsequent one, and collapsed into gauges when the replicate
-/// finishes:
+/// Forwards every callback to `inner` (may be null) unchanged.  When a
+/// replicate finishes without error and with structural metrics, it sets
 ///
-///   analysis.mixing.non_independent_milli   fraction at the largest
-///                                           thinning value, x1000
-///   analysis.mixing.thinning                that thinning value k
 ///   analysis.replicate.triangles            last finished replicate's
-///   analysis.replicate.clustering_milli     proxy metrics (when the run
-///   analysis.replicate.assortativity_milli  computes them)
+///   analysis.replicate.clustering_milli     proxy metrics
+///   analysis.replicate.assortativity_milli
 ///
-/// Thread-safety: callbacks for *different* replicates fire concurrently
-/// (RunObserver contract), but each replicate's callbacks are sequential on
-/// its own thread — so per-replicate slots need no lock, and gauge stores
-/// are atomic.  Memory: one tracker is Theta(m x |thinning|) while its
-/// replicate runs (freed at on_replicate_done); gate construction on
-/// config.metrics, the same opt-in that buys the O(m^1.5) proxy pass.
+/// Gauge stores are atomic, so concurrent replicates need no lock.
 class MixingGaugeObserver final : public RunObserver {
 public:
-    /// `supersteps` bounds the thinning ladder (max k = supersteps / 4,
-    /// clamped to [1, 64]) so short runs still observe transitions at the
-    /// largest thinning value.
+    /// The replicate and superstep counts are not read; the signature is
+    /// kept for existing callers.
     MixingGaugeObserver(std::uint64_t replicates, std::uint64_t supersteps,
                         RunObserver* inner);
-    ~MixingGaugeObserver() override;
 
     void on_superstep(std::uint64_t replicate, const Chain& chain) override;
     void on_checkpoint(std::uint64_t replicate, const ChainState& state,
@@ -89,10 +74,6 @@ public:
     void on_replicate_done(const ReplicateReport& report) override;
 
 private:
-    /// Tracker slots, one per replicate index; each slot is touched only by
-    /// the thread running that replicate (no lock — see class comment).
-    std::vector<std::unique_ptr<ThinningAutocorrelation>> slots_;
-    std::uint32_t max_thinning_;
     RunObserver* inner_;
 };
 

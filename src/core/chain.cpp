@@ -119,9 +119,10 @@ std::unique_ptr<Chain> make_chain(const ChainState& state, const ChainConfig& co
 namespace {
 
 /// Folds the superstep's ChainStats delta into the chain.* counters.  Every
-/// driven run of every chain algorithm passes through run_checkpointed, so
-/// this one seam instruments all six chains (and resumed chains: the delta
-/// starts at the restored stats, never re-counting checkpointed work).
+/// driven run of every chain algorithm passes through the one superstep
+/// loop, so this one seam instruments all six chains (and resumed chains:
+/// the delta starts at the restored stats, never re-counting checkpointed
+/// work).
 void count_chain_progress(const ChainStats& before, const ChainStats& after) {
     struct ChainCounters {
         obs::Counter& supersteps =
@@ -151,14 +152,41 @@ void count_chain_progress(const ChainStats& before, const ChainStats& after) {
 void run_checkpointed(Chain& chain, std::uint64_t target, std::uint64_t checkpoint_every,
                       RunObserver* observer, std::uint64_t replicate,
                       const std::function<void()>& on_checkpoint_boundary) {
+    run_adaptive_checkpointed(chain, target, 0, 1, checkpoint_every, observer, replicate,
+                              nullptr, on_checkpoint_boundary);
+}
+
+void run_adaptive_checkpointed(Chain& chain, std::uint64_t max_target,
+                               std::uint64_t min_supersteps, std::uint64_t check_every,
+                               std::uint64_t checkpoint_every, RunObserver* observer,
+                               std::uint64_t replicate,
+                               const std::function<bool()>& should_stop,
+                               const std::function<void()>& on_checkpoint_boundary) {
     GESMC_CHECK(on_checkpoint_boundary != nullptr, "null checkpoint boundary");
+    GESMC_CHECK(should_stop == nullptr || check_every >= 1, "check-every must be >= 1");
     std::uint64_t done = chain.stats().supersteps;
-    GESMC_CHECK(done <= target, "chain is already past the target superstep count");
+    GESMC_CHECK(done <= max_target, "chain is already past the target superstep count");
     const ChainStats before = chain.stats();
-    while (done < target) {
-        const std::uint64_t chunk = checkpoint_every > 0
-                                        ? std::min(checkpoint_every, target - done)
-                                        : target - done;
+    // The stop rule is polled only on absolute check steps, and chunks end
+    // exactly on them, so the chain never overruns a stop verdict
+    // (overrunning would make the realized superstep count depend on chunk
+    // sizes).  Without a stop rule there is no check grid.
+    const auto stop_at = [&](std::uint64_t s) {
+        return should_stop != nullptr && s >= min_supersteps && s % check_every == 0 &&
+               should_stop();
+    };
+    bool stop = stop_at(done);
+    while (done < max_target && !stop) {
+        std::uint64_t next = max_target;
+        if (should_stop != nullptr) {
+            std::uint64_t check = std::max(done + 1, min_supersteps);
+            if (check % check_every != 0) check += check_every - check % check_every;
+            next = std::min(next, check);
+        }
+        if (checkpoint_every > 0) {
+            next = std::min(next, done + checkpoint_every - done % checkpoint_every);
+        }
+        const std::uint64_t chunk = next - done;
         if (obs::trace_enabled()) {
             // Per-superstep spans: split the chunk into single supersteps.
             // Byte-identical to the chunked path — randomness is counter-
@@ -172,56 +200,13 @@ void run_checkpointed(Chain& chain, std::uint64_t target, std::uint64_t checkpoi
         } else {
             chain.run_supersteps(chunk, observer, replicate);
         }
-        done += chunk;
-        if (done < target) on_checkpoint_boundary();
-    }
-    on_checkpoint_boundary(); // completion boundary: the finished marker
-    if (obs::metrics_enabled()) count_chain_progress(before, chain.stats());
-}
-
-void run_adaptive_checkpointed(Chain& chain, std::uint64_t max_target,
-                               std::uint64_t min_supersteps, std::uint64_t check_every,
-                               std::uint64_t checkpoint_every, RunObserver* observer,
-                               std::uint64_t replicate,
-                               const std::function<bool()>& should_stop,
-                               const std::function<void()>& on_checkpoint_boundary) {
-    GESMC_CHECK(should_stop != nullptr, "null stop predicate");
-    GESMC_CHECK(on_checkpoint_boundary != nullptr, "null checkpoint boundary");
-    GESMC_CHECK(check_every >= 1, "check-every must be >= 1");
-    std::uint64_t done = chain.stats().supersteps;
-    GESMC_CHECK(done <= max_target, "chain is already past the adaptive budget");
-    const ChainStats before = chain.stats();
-    // Smallest check step strictly after s — chunks end exactly on check
-    // steps so the chain never overruns a stop verdict (overrunning would
-    // make the realized superstep count depend on chunk sizes).
-    const auto next_check = [&](std::uint64_t s) {
-        std::uint64_t t = std::max(s + 1, min_supersteps);
-        if (t % check_every != 0) t += check_every - t % check_every;
-        return t;
-    };
-    while (done < max_target && !should_stop()) {
-        std::uint64_t next = std::min(max_target, next_check(done));
-        if (checkpoint_every > 0) {
-            next = std::min(next, done + checkpoint_every - done % checkpoint_every);
-        }
-        const std::uint64_t chunk = next - done;
-        if (obs::trace_enabled()) {
-            // Same per-superstep span splitting as run_checkpointed; the
-            // trajectory is split-invariant either way.
-            for (std::uint64_t s = 0; s < chunk; ++s) {
-                obs::TraceSpan span("superstep", "core",
-                                    {{"replicate", replicate}, {"superstep", done + s}});
-                chain.run_supersteps(1, observer, replicate);
-            }
-        } else {
-            chain.run_supersteps(chunk, observer, replicate);
-        }
         done = next;
-        // Mid-run checkpoints only on absolute multiples of the cadence —
-        // never on a plain check step — so the set of boundary points a
-        // resumed run sees matches the uninterrupted run's.
-        const bool finished = done == max_target || should_stop();
-        if (!finished && checkpoint_every > 0 && done % checkpoint_every == 0) {
+        stop = stop_at(done);
+        // Mid-run checkpoints only on absolute multiples of the cadence, so
+        // the boundary points a resumed run sees match the uninterrupted
+        // run's.
+        if (!stop && done < max_target && checkpoint_every > 0 &&
+            done % checkpoint_every == 0) {
             on_checkpoint_boundary();
         }
     }

@@ -237,27 +237,26 @@ std::unique_ptr<Chain> make_chain(ChainAlgorithm algo, const EdgeList& initial,
 std::unique_ptr<Chain> make_chain(const ChainState& state, const ChainConfig& config);
 
 /// Drives `chain` to `target` *total* supersteps (counting any restored
-/// ones) in checkpoint-sized chunks: with checkpoint_every > 0,
-/// `on_checkpoint_boundary` runs after every `checkpoint_every` supersteps;
-/// it always runs once more at completion — including when the chain is
-/// already at the target — so the final state can be persisted as a
-/// finished marker.  The single cadence shared by the pipeline scheduler
-/// and the tools (their resume semantics must never diverge).  Throws if
-/// the chain is already past `target`.
+/// ones): run_adaptive_checkpointed with no stop rule.
 void run_checkpointed(Chain& chain, std::uint64_t target, std::uint64_t checkpoint_every,
                       RunObserver* observer, std::uint64_t replicate,
                       const std::function<void()>& on_checkpoint_boundary);
 
-/// Adaptive-budget variant of run_checkpointed: drives `chain` until
-/// `should_stop()` returns true or `max_target` total supersteps, whichever
-/// comes first.  `should_stop` is polled only at *absolute check steps*
-/// (s >= min_supersteps and s % check_every == 0) and at max_target — and
-/// the chain is advanced in chunks that end exactly on those steps, so the
-/// realized stopping point is a pure function of the superstep stream,
-/// never of chunking, checkpoint cadence or resume position.  Checkpoints
-/// land on absolute multiples of checkpoint_every for the same reason.
-/// `on_checkpoint_boundary` always runs once more at completion (the
-/// finished marker), exactly like run_checkpointed.
+/// The one superstep loop, shared by the pipeline and the tools (their
+/// resume semantics must never diverge).  Drives `chain` to `max_target`
+/// total supersteps, or until `should_stop()` returns true.  An empty
+/// `should_stop` is a fixed budget: no stop rule, no check grid, one
+/// run_supersteps call per checkpoint interval (per superstep when traced).
+/// Otherwise `should_stop` is polled only at *absolute check steps*
+/// (s >= min_supersteps and s % check_every == 0) and the chain is advanced
+/// in chunks that end exactly on them, so the realized stopping point is a
+/// pure function of the superstep stream, never of chunking, checkpoint
+/// cadence or resume position.  With checkpoint_every > 0,
+/// `on_checkpoint_boundary` runs at every absolute multiple of
+/// checkpoint_every before the end; it always runs once more at completion
+/// — also when the chain is already done — so the final state can be
+/// persisted as a finished marker.  Throws if the chain is already past
+/// `max_target`.
 void run_adaptive_checkpointed(Chain& chain, std::uint64_t max_target,
                                std::uint64_t min_supersteps, std::uint64_t check_every,
                                std::uint64_t checkpoint_every, RunObserver* observer,

@@ -43,7 +43,6 @@ void MinIndexMap::reset(ThreadPool& pool) {
                                     touched_[t].value.clear();
                                 }
                             });
-    std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 ParES::ParES(const EdgeList& initial, const ChainConfig& config)

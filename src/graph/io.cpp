@@ -235,18 +235,23 @@ void write_chain_state_file(const std::string& path, const ChainState& state) {
     write_chain_state(os, state);
 }
 
-void write_chain_state_file_atomic(const std::string& path, const ChainState& state) {
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& write) {
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::binary);
         GESMC_CHECK(os.good(), "cannot open for writing: " + tmp);
-        write_chain_state(os, state);
+        write(os);
         // Flush before the rename: a full disk must fail here, not
-        // silently install a truncated state over the last good one.
+        // silently install a truncated file over the last good one.
         os.close();
-        GESMC_CHECK(os.good(), "chain state flush failed: " + tmp);
+        GESMC_CHECK(os.good(), "flush failed: " + tmp);
     }
     std::filesystem::rename(tmp, path);
+}
+
+void write_chain_state_file_atomic(const std::string& path, const ChainState& state) {
+    write_file_atomic(path, [&](std::ostream& os) { write_chain_state(os, state); });
 }
 
 ChainState read_chain_state(std::istream& is) {

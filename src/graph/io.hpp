@@ -54,6 +54,7 @@
 #include "graph/degree_sequence.hpp"
 #include "graph/edge_list.hpp"
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -94,9 +95,12 @@ EdgeList read_any_edge_list_file(const std::string& path);
 void write_chain_state(std::ostream& os, const ChainState& state);
 void write_chain_state_file(const std::string& path, const ChainState& state);
 
-/// Crash-safe variant for checkpoints: writes a sibling temp file, then
-/// renames into place, so a kill mid-write can neither leave a truncated
-/// state nor destroy the previous good one.
+/// Crash-safe file write: `write` fills a sibling temp file, which is
+/// flushed, checked and then renamed into place, so a kill mid-write can
+/// neither leave a truncated file nor destroy the previous good one.  Every
+/// checkpoint file (.gesc and the adaptive .gesa sidecar) goes through it.
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& write);
 void write_chain_state_file_atomic(const std::string& path, const ChainState& state);
 
 /// Reads a chain-state section; throws Error on bad magic/tag/version,

@@ -321,7 +321,6 @@ void ConcurrentEdgeSet::refill(std::span<const std::uint64_t> keys, ThreadPool& 
             note_psl(psl);
         }
     });
-    std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 } // namespace gesmc

@@ -36,7 +36,6 @@ void DependencyTable::begin_superstep(std::uint64_t num_switches, ThreadPool& po
                                 }
                             });
     if (touched_.size() != pool.num_threads()) touched_.resize(pool.num_threads());
-    std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 std::uint64_t DependencyTable::find_or_claim(std::uint64_t key, unsigned tid) {

@@ -110,35 +110,6 @@ PoolLease ThreadBudget::acquire(unsigned width) {
     return PoolLease(this, width, std::move(pool));
 }
 
-std::optional<PoolLease> ThreadBudget::try_acquire(unsigned width) {
-    GESMC_CHECK(width >= 1 && width <= total_,
-                "thread budget: lease of width " + std::to_string(width) +
-                    " outside [1, " + std::to_string(total_) + "]");
-    std::unique_ptr<ThreadPool> pool;
-    {
-        CheckedLockGuard lock(mutex_);
-        if (now_serving_ != next_ticket_ || leased_ + width > total_) {
-            return std::nullopt;
-        }
-        leased_ += width;
-        if (obs::metrics_enabled()) {
-            BudgetMetrics& m = budget_metrics();
-            m.leases.add(1);
-            m.leased_width.set(leased_);
-        }
-        if (width > 1) pool = take_cached_pool_locked(width);
-    }
-    if (width > 1 && pool == nullptr) {
-        try {
-            pool = std::make_unique<ThreadPool>(width);
-        } catch (...) {
-            release(width, nullptr);
-            throw;
-        }
-    }
-    return PoolLease(this, width, std::move(pool));
-}
-
 void ThreadBudget::release(unsigned width, std::unique_ptr<ThreadPool> pool) noexcept {
     // Pools evicted beyond the cache bound; destroyed (threads joined)
     // outside the lock so a slow join never stalls the admission gate.

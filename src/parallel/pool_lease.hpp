@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace gesmc {
@@ -113,11 +112,6 @@ public:
     /// Blocks until `width` threads are free *and* every earlier acquire has
     /// been served (FIFO), then leases them.  Requires 1 <= width <= total().
     [[nodiscard]] PoolLease acquire(unsigned width);
-
-    /// Non-blocking acquire: grants only when the lease fits *and* no older
-    /// acquire() is still waiting (barging past a queued wide request would
-    /// reintroduce the starvation FIFO exists to prevent).
-    [[nodiscard]] std::optional<PoolLease> try_acquire(unsigned width);
 
 private:
     friend class PoolLease;

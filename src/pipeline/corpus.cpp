@@ -542,10 +542,10 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
     SharedExecutor executor(plan.base.threads);
 
     if (log != nullptr) {
-        const ResolvedSchedule schedule = executor.resolve(
-            plan.base.replicates, ScheduleRequest{plan.base.policy,
-                                                 plan.base.chain_threads,
-                                                 plan.base.max_concurrent});
+        const ResolvedSchedule schedule = resolve_schedule(
+            ScheduleRequest{plan.base.policy, plan.base.chain_threads,
+                            plan.base.max_concurrent},
+            plan.base.replicates, executor.threads());
         *log << "corpus: " << plan.graphs.size() << " graphs x "
              << plan.base.replicates << " replicates of " << plan.base.algorithm
              << ", budget = " << executor.threads() << " threads, per-graph schedule = "

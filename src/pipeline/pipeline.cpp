@@ -14,9 +14,8 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/pool_lease.hpp"
-#include "pipeline/scheduler.hpp"
 #include "pipeline/seeds.hpp"
+#include "pipeline/shared_executor.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
 #include "util/timer.hpp"
@@ -28,6 +27,10 @@
 #include <optional>
 #include <ostream>
 #include <string>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace gesmc {
 
@@ -118,20 +121,6 @@ AdaptiveStopConfig adaptive_stop_config(const PipelineConfig& config) {
     return out;
 }
 
-/// Same atomic write protocol as the .gesc files (graph/io): tmp + rename,
-/// so a crash never leaves a torn sidecar shadowing a good checkpoint.
-void write_estimator_file_atomic(const std::string& path, const EssEstimator& est) {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary);
-        GESMC_CHECK(os.good(), "cannot open for writing: " + tmp);
-        est.save(os);
-        os.close();
-        GESMC_CHECK(os.good(), "estimator sidecar write failed: " + tmp);
-    }
-    std::filesystem::rename(tmp, path);
-}
-
 /// Restores the estimator sidecar belonging to a restored chain state, or
 /// nullopt when it is missing, unreadable, recorded under different knobs,
 /// or out of step with the chain — the callers then rerun the replicate
@@ -151,14 +140,15 @@ std::optional<EssEstimator> try_restore_estimator(const std::string& path,
 }
 
 /// Per-replicate decorator feeding the replicate's superstep stream into
-/// its estimator before forwarding to the run's observer chain.
+/// its estimator (adaptive runs; null otherwise) before forwarding to the
+/// run's observer chain.
 class EssFeed final : public RunObserver {
 public:
     EssFeed(EssEstimator* estimator, RunObserver* inner) noexcept
         : estimator_(estimator), inner_(inner) {}
 
     void on_superstep(std::uint64_t replicate, const Chain& chain) override {
-        estimator_->observe(chain);
+        if (estimator_ != nullptr) estimator_->observe(chain);
         if (inner_ != nullptr) inner_->on_superstep(replicate, chain);
     }
 
@@ -267,16 +257,11 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
     report.input_p2 = degrees.p2();
     report.init_seconds = total_timer.elapsed_s();
 
-    // Host the replicates: an injected executor (service jobs share one
-    // machine-wide budget) or a private thread budget owned by this run.
-    std::optional<ThreadBudget> own_budget;
-    std::optional<PoolExecutor> own_executor;
-    ReplicateExecutor* executor = exec.executor;
-    if (executor == nullptr) {
-        own_budget.emplace(config.threads);
-        own_executor.emplace(*own_budget);
-        executor = &*own_executor;
-    }
+    // Host the replicates: an injected executor (service jobs and corpus
+    // graphs share one machine-wide budget) or a private one of this run.
+    std::optional<SharedExecutor> own_executor;
+    SharedExecutor* executor = exec.executor;
+    if (executor == nullptr) executor = &own_executor.emplace(config.threads);
     const auto interrupted = [&exec]() noexcept {
         return exec.interrupt != nullptr &&
                exec.interrupt->load(std::memory_order_relaxed);
@@ -291,7 +276,8 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
     const bool full_range = range_begin == 0 && range_end == config.replicates;
     const ScheduleRequest request{config.policy, config.chain_threads,
                                   config.max_concurrent};
-    const ResolvedSchedule schedule = executor->resolve(range_count, request);
+    const ResolvedSchedule schedule =
+        resolve_schedule(request, range_count, executor->threads());
     // The effective per-replicate budget: fixed supersteps, or the adaptive
     // cap (each replicate may stop earlier on its own verdict).
     const std::uint64_t target_supersteps =
@@ -379,12 +365,11 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
     report.replicates.resize(config.replicates);
     const std::vector<std::uint32_t> initial_degrees = initial.degrees();
 
-    // Live mixing telemetry: when the run both computes metrics and the
+    // Live proxy metrics: when the run both computes metrics and the
     // registry is on, interpose the analysis-layer observer so each
-    // replicate's supersteps feed an autocorrelation tracker whose verdict
-    // lands in the analysis.* gauges (and through them the telemetry
-    // sampler / watch stream).  Pure decoration — `observer` still sees
-    // every callback unchanged.
+    // finished replicate lands in the analysis.replicate.* gauges (and
+    // through them the telemetry sampler / watch stream).  Pure decoration
+    // — `observer` still sees every callback unchanged.
     std::optional<MixingGaugeObserver> mixing;
     RunObserver* effective_observer = observer;
     if (config.metrics && obs::metrics_enabled()) {
@@ -425,6 +410,21 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
             std::optional<EssEstimator> estimator; // adaptive mode only
             EdgeList finished_graph;
             bool finished_from_checkpoint = false;
+            // Persists `state` as this replicate's checkpoint.  The sidecar
+            // lands after its .gesc: a crash window leaves chain-state-
+            // without-sidecar, which resume treats as "rerun fresh", never
+            // as corrupt.
+            const std::string here = checkpoint_path(config.output_dir, config, index);
+            const auto persist = [&](const ChainState& state) {
+                write_chain_state_file_atomic(here, state);
+                if (estimator) {
+                    write_file_atomic(estimator_path(config.output_dir, config, index),
+                                      [&](std::ostream& os) { estimator->save(os); });
+                }
+                if (effective_observer != nullptr) {
+                    effective_observer->on_checkpoint(index, state, here);
+                }
+            };
             if (!config.resume_from.empty()) {
                 const std::string prev =
                     checkpoint_path(config.resume_from, config, index);
@@ -472,24 +472,11 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                     } else if (finished) {
                         out.resumed_supersteps = state.stats.supersteps;
                         out.stats = state.stats;
-                        if (config.checkpoint_every > 0) {
-                            // Resuming into a different directory: carry the
-                            // finished marker over, or a later resume from
-                            // *this* run would re-run the replicate.
-                            const std::string here =
-                                checkpoint_path(config.output_dir, config, index);
-                            if (!std::filesystem::exists(here)) {
-                                write_chain_state_file_atomic(here, state);
-                                if (config.adaptive) {
-                                    write_estimator_file_atomic(
-                                        estimator_path(config.output_dir, config, index),
-                                        *estimator);
-                                }
-                                if (effective_observer != nullptr) {
-                                    effective_observer->on_checkpoint(index, state,
-                                                                      here);
-                                }
-                            }
+                        // Resuming into a different directory: carry the
+                        // finished marker over, or a later resume from
+                        // *this* run would re-run the replicate.
+                        if (config.checkpoint_every > 0 && !std::filesystem::exists(here)) {
+                            persist(state);
                         }
                         finished_graph =
                             EdgeList::from_keys(state.num_nodes, std::move(state.keys));
@@ -515,55 +502,32 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                                           adaptive_max_thinning(config.max_supersteps));
                     }
                 }
-                const auto checkpoint_boundary = [&](bool replicate_done) {
-                    if (config.checkpoint_every == 0) return;
-                    const std::string path =
-                        checkpoint_path(config.output_dir, config, index);
-                    const ChainState state = chain->snapshot();
-                    const obs::TraceSpan span(
-                        "checkpoint", "pipeline",
-                        {{"replicate", index},
-                         {"superstep", state.stats.supersteps}});
-                    write_chain_state_file_atomic(path, state);
-                    if (config.adaptive) {
-                        // The sidecar lands after its .gesc: a crash window
-                        // leaves chain-state-without-sidecar, which resume
-                        // treats as "rerun fresh", never as corrupt.
-                        write_estimator_file_atomic(
-                            estimator_path(config.output_dir, config, index),
-                            *estimator);
-                    }
-                    if (effective_observer != nullptr) {
-                        effective_observer->on_checkpoint(index, state, path);
-                    }
-                    // Drain/cancel: the state just persisted is exactly the
-                    // resume point — stop here instead of running to the
-                    // target.  The completion boundary never throws (the
-                    // replicate is done; finishing beats discarding it).
-                    if (interrupted() && !replicate_done) {
-                        throw InterruptReplicate{state.stats.supersteps};
-                    }
-                };
-                // Snapshots are exact at superstep boundaries; the final
-                // one marks the replicate finished so a resume can skip it.
-                if (config.adaptive) {
-                    EssFeed feed(&*estimator, effective_observer);
-                    run_adaptive_checkpointed(
-                        *chain, target_supersteps, config.min_supersteps,
-                        config.check_every, config.checkpoint_every, &feed,
-                        index, [&] { return estimator->stopped(); },
-                        [&] {
-                            const std::uint64_t done = chain->stats().supersteps;
-                            checkpoint_boundary(done == target_supersteps ||
-                                                estimator->stopped());
-                        });
-                } else {
-                    run_checkpointed(*chain, config.supersteps, config.checkpoint_every,
-                                     effective_observer, index, [&] {
-                        checkpoint_boundary(chain->stats().supersteps ==
-                                            config.supersteps);
+                // One loop for both modes: a fixed budget is the loop with
+                // no stop rule.  Snapshots are exact at superstep
+                // boundaries; the final one marks the replicate finished so
+                // a resume can skip it.
+                const auto stopped = [&] { return estimator && estimator->stopped(); };
+                EssFeed feed(estimator ? &*estimator : nullptr, effective_observer);
+                run_adaptive_checkpointed(
+                    *chain, target_supersteps, config.min_supersteps, config.check_every,
+                    config.checkpoint_every, &feed, index,
+                    estimator ? std::function<bool()>(stopped) : nullptr, [&] {
+                        if (config.checkpoint_every == 0) return;
+                        const ChainState state = chain->snapshot();
+                        const std::uint64_t done = state.stats.supersteps;
+                        const obs::TraceSpan span(
+                            "checkpoint", "pipeline",
+                            {{"replicate", index}, {"superstep", done}});
+                        persist(state);
+                        // Drain/cancel: the state just persisted is exactly
+                        // the resume point — stop here instead of running to
+                        // the target.  The completion boundary never throws
+                        // (the replicate is done; finishing beats discarding
+                        // it).
+                        if (interrupted() && done != target_supersteps && !stopped()) {
+                            throw InterruptReplicate{done};
+                        }
                     });
-                }
                 out.stats = chain->stats();
             }
             if (config.adaptive) {
@@ -656,6 +620,17 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
         // here — consumers need not wait for the assembled RunReport.
         if (effective_observer != nullptr) effective_observer->on_replicate_done(out);
     });
+    if (own_executor) {
+        // The private executor's workers exit with it, and what their
+        // replicates freed stays cached in their malloc arenas, where the
+        // next run's fresh workers need not find it: a process making many
+        // run_pipeline calls would grow by a replicate's footprint per
+        // arena.  Hand it back to the system.
+        own_executor.reset();
+#if defined(__GLIBC__)
+        malloc_trim(0);
+#endif
+    }
 
     report.chain_name = to_string(algo);
     report.total_seconds = total_timer.elapsed_s();

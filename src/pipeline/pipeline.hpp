@@ -55,8 +55,8 @@
 
 namespace gesmc {
 
-class Adjacency;         // graph/adjacency.hpp
-class ReplicateExecutor; // pipeline/scheduler.hpp
+class Adjacency;      // graph/adjacency.hpp
+class SharedExecutor; // pipeline/shared_executor.hpp
 
 /// Materializes the initial graph a run starts from (step 1 + 2).  Exposed
 /// separately so tools and tests can inspect the input without running
@@ -74,12 +74,13 @@ void verify_replicate(const Adjacency& adj, const std::vector<std::uint32_t>& de
 
 /// Execution context for a pipeline run — how the run is hosted and how it
 /// can be stopped from the outside.  The defaults reproduce the standalone
-/// behavior (private pool, uninterruptible); the sampling service injects
-/// its machine-wide executor and a per-job interrupt flag.
+/// behavior (private executor, uninterruptible); the sampling service and
+/// the corpus coordinator inject their shared executor, the service also a
+/// per-job interrupt flag.
 struct PipelineExec {
-    /// Hosts the replicate bodies.  Null: the run owns a private ThreadPool
-    /// of `config.threads` width (the pre-service behavior).
-    ReplicateExecutor* executor = nullptr;
+    /// Hosts the replicate bodies.  Null: the run builds a private
+    /// SharedExecutor of `config.threads` width.
+    SharedExecutor* executor = nullptr;
 
     /// Cooperative stop flag (signal handlers, job cancel, daemon drain).
     /// Once set: replicates that have not started are recorded as errors
@@ -107,8 +108,8 @@ struct PipelineExec {
 /// progress lines.  Writes output graphs and the report file as configured,
 /// and always returns the in-memory report.  A non-null `observer` streams
 /// per-superstep, per-checkpoint and per-replicate events as they happen;
-/// under the replicate-parallel policy its callbacks fire concurrently
-/// from pool threads (see RunObserver).
+/// its callbacks fire from the executor's workers, concurrently when
+/// K > 1 (see RunObserver).
 RunReport run_pipeline(const PipelineConfig& config, std::ostream* log = nullptr,
                        RunObserver* observer = nullptr);
 

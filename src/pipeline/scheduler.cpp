@@ -1,12 +1,6 @@
 #include "pipeline/scheduler.hpp"
 
-#include "parallel/pool_lease.hpp"
-#include "util/check.hpp"
-
 #include <algorithm>
-#include <atomic>
-#include <thread>
-#include <vector>
 
 namespace gesmc {
 
@@ -78,51 +72,6 @@ ResolvedSchedule resolve_schedule(const ScheduleRequest& request,
         break; // unreachable: resolved above
     }
     return out;
-}
-
-SchedulePolicy resolve_policy(SchedulePolicy policy, std::uint64_t replicates,
-                              unsigned pool_threads) noexcept {
-    ScheduleRequest request;
-    request.policy = policy;
-    return resolve_schedule(request, replicates, pool_threads).policy;
-}
-
-unsigned PoolExecutor::threads() const noexcept { return budget_->total(); }
-
-void PoolExecutor::run(std::uint64_t replicates, const ScheduleRequest& request,
-                       const std::function<void(const ReplicateSlot&)>& fn) {
-    GESMC_CHECK(fn != nullptr, "null replicate body");
-    const ResolvedSchedule schedule = resolve_schedule(request, replicates, threads());
-    const unsigned t = schedule.chain_threads;
-
-    if (schedule.max_concurrent <= 1) {
-        // One replicate at a time on the calling thread: keeps the leased
-        // pool's fork-join un-nested (a pool job must never submit to its
-        // own pool) and the kIntraChain ordering strict.
-        for (std::uint64_t r = 0; r < replicates; ++r) {
-            PoolLease lease = budget_->acquire(t);
-            fn(ReplicateSlot{r, lease.width(), lease.pool()});
-        }
-        return;
-    }
-
-    // K workers — the caller participates — each holding one width-T lease
-    // for the duration and pulling replicate indices from a shared grain-1
-    // queue.  K·T <= P, so the K acquires are granted without waiting.
-    std::atomic<std::uint64_t> next{0};
-    const auto worker = [&] {
-        PoolLease lease = budget_->acquire(t);
-        for (;;) {
-            const std::uint64_t r = next.fetch_add(1, std::memory_order_relaxed);
-            if (r >= replicates) break;
-            fn(ReplicateSlot{r, lease.width(), lease.pool()});
-        }
-    };
-    std::vector<std::thread> extra;
-    extra.reserve(schedule.max_concurrent - 1);
-    for (unsigned k = 1; k < schedule.max_concurrent; ++k) extra.emplace_back(worker);
-    worker();
-    for (std::thread& thread : extra) thread.join();
 }
 
 } // namespace gesmc

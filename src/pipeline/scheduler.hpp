@@ -5,7 +5,8 @@
 /// and intra-chain parallelism must be traded off together) is *where* the
 /// machine's budget of P threads goes.  Every run resolves to a (K, T) point
 /// — K replicates computing concurrently, each chain on a leased sub-pool of
-/// width T, with K·T ≤ P (parallel/pool_lease.hpp):
+/// width T, with K·T ≤ P (parallel/pool_lease.hpp).  SharedExecutor
+/// (shared_executor.hpp) runs every point:
 ///
 ///   * kReplicates — T = 1, K = min(P, R).  The R replicates are the
 ///     parallel work items; each chain runs single-threaded.  Best when
@@ -34,11 +35,9 @@
 #include "pipeline/config.hpp"
 
 #include <cstdint>
-#include <functional>
 
 namespace gesmc {
 
-class ThreadBudget;
 class ThreadPool;
 
 /// What a run asks the executor for — the raw config knobs, resolved
@@ -63,11 +62,6 @@ struct ResolvedSchedule {
                                                 std::uint64_t replicates,
                                                 unsigned budget) noexcept;
 
-/// Policy-only shorthand (no pinned chain-threads): what kAuto resolves to
-/// for R replicates on a budget of `pool_threads`.
-[[nodiscard]] SchedulePolicy resolve_policy(SchedulePolicy policy, std::uint64_t replicates,
-                                            unsigned pool_threads) noexcept;
-
 /// Execution context handed to each replicate body.  `shared_pool` is the
 /// replicate's *leased* pool: a disjoint worker team of `chain_threads`
 /// threads carved out of the run's budget (null when chain_threads == 1 —
@@ -76,59 +70,6 @@ struct ReplicateSlot {
     std::uint64_t index;      ///< replicate index in [0, R)
     unsigned chain_threads;   ///< T: threads the chain may use
     ThreadPool* shared_pool;  ///< leased pool to borrow (null: single-threaded)
-};
-
-/// Hosts the replicate bodies of a pipeline run.  The default
-/// implementation (PoolExecutor) leases sub-pools out of one caller-owned
-/// ThreadBudget; the sampling service substitutes a machine-wide executor
-/// (service/job_manager.hpp SharedExecutor) that multiplexes the replicates
-/// of *many concurrent jobs* over one budget while preserving each job's
-/// resolved (K, T).  Contract: bodies must not throw — exceptions cannot
-/// cross thread boundaries; catch and record failures per replicate — and
-/// each body completes its replicate end-to-end (run/resume, checkpoints,
-/// output graph, RunObserver::on_replicate_done) before returning, so
-/// replicate results reach disk and observers as they finish, never
-/// buffered behind the slowest replicate of the run.
-class ReplicateExecutor {
-public:
-    virtual ~ReplicateExecutor() = default;
-
-    /// Budget width P: what schedules resolve against, reported as
-    /// RunReport::threads.
-    [[nodiscard]] virtual unsigned threads() const noexcept = 0;
-
-    /// Runs `fn` once per replicate index in [0, replicates) under the
-    /// resolved schedule; blocks until every body returned.  Bodies of
-    /// concurrent replicates are invoked from different threads and must be
-    /// thread-safe across distinct indices; under K = 1 they run on the
-    /// calling thread.
-    virtual void run(std::uint64_t replicates, const ScheduleRequest& request,
-                     const std::function<void(const ReplicateSlot&)>& fn) = 0;
-
-    /// The (K, T) point `run` would execute — resolved against threads().
-    [[nodiscard]] ResolvedSchedule resolve(std::uint64_t replicates,
-                                           const ScheduleRequest& request) const noexcept {
-        return resolve_schedule(request, replicates, threads());
-    }
-};
-
-/// ReplicateExecutor over one caller-owned ThreadBudget — the single-run
-/// (non-service) path; run_pipeline builds one around a private budget when
-/// no executor is injected.  K worker threads (the caller participates)
-/// each hold a width-T lease and pull replicate indices from a shared
-/// dynamic queue: replicate runtimes vary (rejections, IO), so static
-/// assignment would leave leases idle at the tail.
-class PoolExecutor final : public ReplicateExecutor {
-public:
-    explicit PoolExecutor(ThreadBudget& budget) noexcept : budget_(&budget) {}
-
-    [[nodiscard]] unsigned threads() const noexcept override;
-
-    void run(std::uint64_t replicates, const ScheduleRequest& request,
-             const std::function<void(const ReplicateSlot&)>& fn) override;
-
-private:
-    ThreadBudget* budget_;
 };
 
 } // namespace gesmc

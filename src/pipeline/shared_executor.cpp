@@ -1,7 +1,5 @@
 #include "pipeline/shared_executor.hpp"
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace gesmc {
@@ -30,9 +28,9 @@ ExecutorStats SharedExecutor::stats() const {
     s.threads = budget_.total();
     s.leased = budget_.leased();
     s.lease_waiters = budget_.waiting();
-    s.active_runs = active_runs_.load(std::memory_order_relaxed);
     s.inflight_replicates = inflight_replicates_.load(std::memory_order_relaxed);
     CheckedLockGuard lock(mutex_);
+    s.active_runs = active_runs_;
     for (const auto& queue : active_) s.pending_replicates += queue->pending.size();
     return s;
 }
@@ -59,11 +57,23 @@ SharedExecutor::pick_task_locked(std::uint64_t& replicate) {
 }
 
 void SharedExecutor::worker_loop() {
+    // The run of the replicate this worker just computed.  It is retired in
+    // the critical section that picks the next task, so a worker takes on
+    // the next replicate itself: a run's replicates stay on the threads,
+    // and in the malloc arenas, they started in instead of spreading over
+    // every worker.
+    std::shared_ptr<RunQueue> finished;
     for (;;) {
         std::shared_ptr<RunQueue> queue;
         std::uint64_t replicate = 0;
+        const bool retired = finished != nullptr;
         {
             CheckedUniqueLock lock(mutex_);
+            if (finished != nullptr) {
+                --finished->inflight;
+                if (--finished->remaining == 0) finished->done_cv.notify_all();
+                finished.reset();
+            }
             work_cv_.wait(lock, [&] {
                 mutex_.assert_held();
                 if (stopping_ && active_.empty()) return true;
@@ -74,6 +84,8 @@ void SharedExecutor::worker_loop() {
             // queued replicates when the destructor fires.
             if (queue == nullptr) return;
         }
+        // A freed K slot may unblock peers too.
+        if (retired) work_cv_.notify_all();
         {
             // The admission gate: every replicate computes under a leased
             // sub-pool of its run's width, so the total computing width
@@ -82,19 +94,10 @@ void SharedExecutor::worker_loop() {
             // budget and narrow tasks queue behind it without starvation.
             PoolLease lease = budget_.acquire(queue->width);
             inflight_replicates_.fetch_add(1, std::memory_order_relaxed);
-            const obs::TraceSpan span("replicate", "executor",
-                                      {{"replicate", replicate},
-                                       {"width", lease.width()}});
             (*queue->fn)(ReplicateSlot{replicate, lease.width(), lease.pool()});
             inflight_replicates_.fetch_sub(1, std::memory_order_relaxed);
         }
-        {
-            CheckedLockGuard lock(mutex_);
-            --queue->inflight;
-            if (--queue->remaining == 0) queue->done_cv.notify_all();
-        }
-        // Freed budget width and a freed K slot may both unblock peers.
-        work_cv_.notify_all();
+        finished = std::move(queue);
     }
 }
 
@@ -104,33 +107,12 @@ void SharedExecutor::run(std::uint64_t replicates, const ScheduleRequest& reques
     if (replicates == 0) return;
     const ResolvedSchedule schedule = resolve_schedule(request, replicates, threads());
 
-    active_runs_.fetch_add(1, std::memory_order_relaxed);
-    struct RunGuard {
-        std::atomic<std::uint64_t>& runs;
-        ~RunGuard() { runs.fetch_sub(1, std::memory_order_relaxed); }
-    } run_guard{active_runs_};
-
-    if (schedule.max_concurrent <= 1) {
-        // K = 1 (intra-chain): strict replicate order on the calling runner
-        // thread.  Leasing per replicate lets other jobs' tasks interleave
-        // between chains; the FIFO budget keeps a whole-budget lease from
-        // being starved by their width-1 traffic.
-        for (std::uint64_t r = 0; r < replicates; ++r) {
-            PoolLease lease = budget_.acquire(schedule.chain_threads);
-            inflight_replicates_.fetch_add(1, std::memory_order_relaxed);
-            const obs::TraceSpan span("replicate", "executor",
-                                      {{"replicate", r}, {"width", lease.width()}});
-            fn(ReplicateSlot{r, lease.width(), lease.pool()});
-            inflight_replicates_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        return;
-    }
-
-    // K > 1: hand the replicates to the shared worker team.  The queue is
-    // heap-shared with every worker: the final decrement may race with
-    // run() returning, and a worker must never touch a waiter's dead stack
-    // frame (fn itself is safe by reference — run() cannot return until
-    // the last fn call completed).
+    // Hand the replicates to the shared worker team; K = 1 is the same
+    // ring entry capped at one in flight, so its replicates run in index
+    // order.  The queue is heap-shared with every worker: the final
+    // decrement may race with run() returning, and a worker must never
+    // touch a waiter's dead stack frame (fn itself is safe by reference —
+    // run() cannot return until the last fn call completed).
     auto queue = std::make_shared<RunQueue>();
     for (std::uint64_t r = 0; r < replicates; ++r) queue->pending.push_back(r);
     queue->width = schedule.chain_threads;
@@ -139,9 +121,11 @@ void SharedExecutor::run(std::uint64_t replicates, const ScheduleRequest& reques
     queue->fn = &fn;
     CheckedUniqueLock lock(mutex_);
     GESMC_CHECK(!stopping_, "executor is shutting down");
+    ++active_runs_;
     active_.push_back(queue);
     work_cv_.notify_all();
     queue->done_cv.wait(lock, [&queue] { return queue->remaining == 0; });
+    --active_runs_;
 }
 
 } // namespace gesmc

@@ -1,9 +1,9 @@
 /// \file shared_executor.hpp
-/// \brief Machine-wide replicate execution shared by concurrent runs.
+/// \brief The replicate executor: one thread budget shared by every run.
 ///
-/// SharedExecutor is a ReplicateExecutor over one ThreadBudget of P threads
-/// that multiplexes the replicates of *many concurrent run() calls* — the
-/// sampling service's jobs, or the graphs of one corpus run — while
+/// SharedExecutor hosts every replicate — of a standalone run (run_pipeline
+/// builds a private one), of the graphs of one corpus run, and of the
+/// sampling service's jobs — over one ThreadBudget of P threads, while
 /// preserving each run's resolved (K, T) schedule:
 ///
 ///   * Every run's replicates become tasks of the run's resolved chain
@@ -14,14 +14,11 @@
 ///   * The width-counting budget is the admission gate: a T=4 chain of one
 ///     run and four T=1 replicates of other runs compute simultaneously,
 ///     and the total leased width never exceeds P.
-///   * A K = 1 run (intra-chain) runs its replicates on its own calling
-///     thread, leasing per replicate so other runs interleave between
-///     chains; the ChainConfig::shared_pool contract holds because every
-///     lease is an exclusive, disjoint worker team.
-///
-/// This class started life inside the service's JobManager; the corpus
-/// layer (pipeline/corpus.hpp) shares it now, so it lives with the
-/// scheduler seam it implements.
+///   * A K = 1 run (intra-chain) is a ring entry like any other, capped at
+///     one replicate in flight: its replicates run in index order, one at a
+///     time, and other runs interleave between its chains; the
+///     ChainConfig::shared_pool contract holds because every lease is an
+///     exclusive, disjoint worker team.
 #pragma once
 
 #include "check/checked_mutex.hpp"
@@ -52,22 +49,31 @@ struct ExecutorStats {
 };
 
 /// Machine-wide replicate executor shared by all concurrently running jobs.
-class SharedExecutor final : public ReplicateExecutor {
+class SharedExecutor final {
 public:
     /// `threads` = 0 resolves to hardware concurrency.
     explicit SharedExecutor(unsigned threads);
-    ~SharedExecutor() override;
+    ~SharedExecutor();
 
     SharedExecutor(const SharedExecutor&) = delete;
     SharedExecutor& operator=(const SharedExecutor&) = delete;
 
-    /// Budget width P.
-    [[nodiscard]] unsigned threads() const noexcept override;
+    /// Budget width P: what schedules resolve against, reported as
+    /// RunReport::threads.
+    [[nodiscard]] unsigned threads() const noexcept;
 
     [[nodiscard]] ExecutorStats stats() const;
 
+    /// Runs `fn` once per replicate index in [0, replicates) under the
+    /// schedule `request` resolves to on this budget; blocks until every
+    /// body returned.  Bodies run on the task workers, concurrently across
+    /// distinct indices, and must not throw — exceptions cannot cross
+    /// thread boundaries; catch and record failures per replicate.  Each
+    /// body completes its replicate end-to-end (run/resume, checkpoints,
+    /// output graph, RunObserver::on_replicate_done) before returning, so
+    /// results reach disk and observers as they finish.
     void run(std::uint64_t replicates, const ScheduleRequest& request,
-             const std::function<void(const ReplicateSlot&)>& fn) override;
+             const std::function<void(const ReplicateSlot&)>& fn);
 
 private:
     /// One concurrent run() call's replicates: the unit the task workers
@@ -95,9 +101,8 @@ private:
 
     ThreadBudget budget_;  ///< the width-counting admission gate
 
-    /// Load tracking for stats() — atomics because the K = 1 fast path and
-    /// run() entry/exit update them without holding mutex_.
-    std::atomic<std::uint64_t> active_runs_{0};
+    /// Load tracking for stats(): workers update it around each body
+    /// without holding mutex_.
     std::atomic<std::uint64_t> inflight_replicates_{0};
 
     mutable CheckedMutex mutex_{LockRank::kSharedExecutor, "SharedExecutor"};
@@ -105,6 +110,7 @@ private:
     /// Round-robin ring of runs with pending replicates: workers pop from
     /// the front and rotate the run to the back.
     std::list<std::shared_ptr<RunQueue>> active_ GESMC_GUARDED_BY(mutex_);
+    std::uint64_t active_runs_ GESMC_GUARDED_BY(mutex_) = 0; ///< run() calls in flight
     bool stopping_ GESMC_GUARDED_BY(mutex_) = false;
     std::vector<std::thread> workers_;
 };

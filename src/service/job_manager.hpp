@@ -4,8 +4,8 @@
 /// The daemon's compute core, deliberately socket-free (tests drive it
 /// directly).  Two pieces:
 ///
-///   * SharedExecutor (pipeline/shared_executor.hpp, shared with the
-///     corpus layer) — a machine-wide ReplicateExecutor over one
+///   * SharedExecutor (pipeline/shared_executor.hpp, the one replicate
+///     executor of standalone, corpus and daemon runs) — one
 ///     ThreadBudget of P threads that multiplexes the replicates of many
 ///     concurrent jobs round-robin while preserving each job's resolved
 ///     (K, T) schedule; the width-counting budget is the admission gate.

@@ -189,6 +189,126 @@ TEST(ChainConfigValidation, MakeChainRejectsBadPlAndZeroThreads) {
     EXPECT_THROW(make_chain(corrupt, ok), Error);
 }
 
+// --------------------------------------------------- the superstep loop
+
+/// A chain that only counts: each superstep bumps stats().supersteps and
+/// every run_supersteps call records its chunk size, so the loop's
+/// chunking, boundaries and stop polls are visible without graph work.
+class CountingChain final : public Chain {
+public:
+    explicit CountingChain(std::uint64_t restored_at) { stats_.supersteps = restored_at; }
+
+    using Chain::run_supersteps;
+    void run_supersteps(std::uint64_t count, RunObserver* observer,
+                        std::uint64_t replicate) override {
+        calls.push_back(count);
+        for (std::uint64_t s = 0; s < count; ++s) {
+            ++stats_.supersteps;
+            if (observer != nullptr) observer->on_superstep(replicate, *this);
+        }
+    }
+    [[nodiscard]] ChainState snapshot() const override {
+        ChainState state;
+        state.stats = stats_;
+        return state;
+    }
+    [[nodiscard]] const EdgeList& graph() const override { return graph_; }
+    [[nodiscard]] bool has_edge(edge_key_t) const override { return false; }
+    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
+    [[nodiscard]] std::string name() const override { return "Counting"; }
+
+    std::vector<std::uint64_t> calls; ///< chunk size of every run_supersteps call
+
+private:
+    ChainStats stats_;
+    EdgeList graph_;
+};
+
+using Steps = std::vector<std::uint64_t>;
+
+TEST(SuperstepLoop, FixedBudgetMakesOneCallPerCheckpointInterval) {
+    // No stop rule, so no check grid: the chunks are the checkpoint
+    // intervals, and without checkpoints the whole budget is one call.
+    CountingChain chain(0);
+    Steps boundaries;
+    run_checkpointed(chain, 10, 4, nullptr, 0,
+                     [&] { boundaries.push_back(chain.stats().supersteps); });
+    EXPECT_EQ(chain.calls, (Steps{4, 4, 2}));
+    EXPECT_EQ(boundaries, (Steps{4, 8, 10}));
+
+    CountingChain whole(0);
+    boundaries.clear();
+    run_checkpointed(whole, 10, 0, nullptr, 0,
+                     [&] { boundaries.push_back(whole.stats().supersteps); });
+    EXPECT_EQ(whole.calls, (Steps{10}));
+    EXPECT_EQ(boundaries, (Steps{10}));
+}
+
+TEST(SuperstepLoop, BoundariesLandOnAbsoluteMultiplesAfterARestore) {
+    // Restored at 7 with a cadence of 5: the first chunk runs to 10, not 12.
+    CountingChain fixed(7);
+    Steps boundaries;
+    run_adaptive_checkpointed(fixed, 20, 8, 2, 5, nullptr, 0, nullptr,
+                              [&] { boundaries.push_back(fixed.stats().supersteps); });
+    EXPECT_EQ(fixed.calls, (Steps{3, 5, 5}));
+    EXPECT_EQ(boundaries, (Steps{10, 15, 20}));
+
+    // With a stop rule that never fires, the check grid (every 4th step)
+    // splits the chunks but moves no boundary.
+    CountingChain adaptive(7);
+    boundaries.clear();
+    run_adaptive_checkpointed(
+        adaptive, 20, 4, 4, 5, nullptr, 0, [] { return false; },
+        [&] { boundaries.push_back(adaptive.stats().supersteps); });
+    EXPECT_EQ(adaptive.calls, (Steps{1, 2, 2, 3, 1, 4}));
+    EXPECT_EQ(boundaries, (Steps{10, 15, 20}));
+}
+
+TEST(SuperstepLoop, CompletionBoundaryFiresExactlyOnce) {
+    // A target on a checkpoint multiple, a stop on one, and a chain already
+    // at its target: each ends with exactly one boundary at the last step.
+    CountingChain on_multiple(0);
+    Steps boundaries;
+    run_checkpointed(on_multiple, 12, 4, nullptr, 0,
+                     [&] { boundaries.push_back(on_multiple.stats().supersteps); });
+    EXPECT_EQ(boundaries, (Steps{4, 8, 12}));
+
+    CountingChain stopped(0);
+    boundaries.clear();
+    run_adaptive_checkpointed(
+        stopped, 40, 1, 4, 4, nullptr, 0, [&] { return stopped.stats().supersteps >= 8; },
+        [&] { boundaries.push_back(stopped.stats().supersteps); });
+    EXPECT_EQ(boundaries, (Steps{4, 8}));
+
+    CountingChain done(12);
+    boundaries.clear();
+    run_checkpointed(done, 12, 4, nullptr, 0,
+                     [&] { boundaries.push_back(done.stats().supersteps); });
+    EXPECT_TRUE(done.calls.empty());
+    EXPECT_EQ(boundaries, (Steps{12}));
+    EXPECT_THROW(run_checkpointed(done, 11, 4, nullptr, 0, [] {}), Error);
+}
+
+TEST(SuperstepLoop, AdaptiveStopFiresOnlyOnCheckSteps) {
+    // The rule would stop at any step >= 5, but the loop polls it only on
+    // check steps (s >= 4, s % 3 == 0): not at the checkpoint boundary 5,
+    // so the stop lands on check step 6.
+    CountingChain chain(0);
+    Steps polls;
+    Steps boundaries;
+    run_adaptive_checkpointed(
+        chain, 30, 4, 3, 5, nullptr, 0,
+        [&] {
+            polls.push_back(chain.stats().supersteps);
+            return chain.stats().supersteps >= 5;
+        },
+        [&] { boundaries.push_back(chain.stats().supersteps); });
+    EXPECT_EQ(polls, (Steps{6}));
+    EXPECT_EQ(chain.calls, (Steps{5, 1}));
+    EXPECT_EQ(boundaries, (Steps{5, 6}));
+    EXPECT_EQ(chain.stats().supersteps, 6u);
+}
+
 // --------------------------------------------- per-chain snapshot/restore
 
 /// For every chain kind: run K supersteps, snapshot, serialize the state

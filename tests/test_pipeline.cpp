@@ -8,7 +8,6 @@
 #include "graph/adjacency.hpp"
 #include "graph/degree_sequence.hpp"
 #include "graph/io.hpp"
-#include "parallel/pool_lease.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/config.hpp"
 #include "pipeline/corpus.hpp"
@@ -16,6 +15,7 @@
 #include "pipeline/report.hpp"
 #include "pipeline/scheduler.hpp"
 #include "pipeline/seeds.hpp"
+#include "pipeline/shared_executor.hpp"
 #include "service/json.hpp"
 
 #include <gtest/gtest.h>
@@ -511,12 +511,13 @@ TEST(ReplicateSeeds, DeterministicAndDistinct) {
 // -------------------------------------------------------------- scheduler
 
 TEST(Scheduler, ResolvesAutoByReplicateCount) {
-    EXPECT_EQ(resolve_policy(SchedulePolicy::kAuto, 8, 4), SchedulePolicy::kReplicates);
-    EXPECT_EQ(resolve_policy(SchedulePolicy::kAuto, 2, 4), SchedulePolicy::kIntraChain);
-    EXPECT_EQ(resolve_policy(SchedulePolicy::kReplicates, 2, 4),
-              SchedulePolicy::kReplicates);
-    EXPECT_EQ(resolve_policy(SchedulePolicy::kIntraChain, 100, 4),
-              SchedulePolicy::kIntraChain);
+    const auto policy = [](SchedulePolicy requested, std::uint64_t replicates) {
+        return resolve_schedule({requested, 0, 0}, replicates, 4).policy;
+    };
+    EXPECT_EQ(policy(SchedulePolicy::kAuto, 8), SchedulePolicy::kReplicates);
+    EXPECT_EQ(policy(SchedulePolicy::kAuto, 2), SchedulePolicy::kIntraChain);
+    EXPECT_EQ(policy(SchedulePolicy::kReplicates, 2), SchedulePolicy::kReplicates);
+    EXPECT_EQ(policy(SchedulePolicy::kIntraChain, 100), SchedulePolicy::kIntraChain);
 }
 
 TEST(Scheduler, ResolvesHybridPoints) {
@@ -589,35 +590,45 @@ TEST(Scheduler, AutoIsBudgetAwareWhenChainThreadsIsPinned) {
     EXPECT_EQ(s.max_concurrent, 1u);
 }
 
-TEST(Scheduler, PoolExecutorRunsEveryReplicateOnceUnderEveryPolicy) {
+TEST(Scheduler, SharedExecutorRunsEveryReplicateOnceUnderEveryPolicy) {
     struct Point {
         ScheduleRequest request;
         unsigned expect_threads;
         bool expect_pool;
+        bool serial; ///< K = 1: one replicate at a time, in index order
     };
     const Point points[] = {
-        {{SchedulePolicy::kReplicates, 0, 0}, 1, false},
-        {{SchedulePolicy::kIntraChain, 0, 0}, 4, true},
-        {{SchedulePolicy::kHybrid, 2, 0}, 2, true},
-        {{SchedulePolicy::kHybrid, 2, 1}, 2, true}, // K capped to 1
+        {{SchedulePolicy::kReplicates, 0, 0}, 1, false, false},
+        {{SchedulePolicy::kIntraChain, 0, 0}, 4, true, true},
+        {{SchedulePolicy::kHybrid, 2, 0}, 2, true, false},
+        {{SchedulePolicy::kHybrid, 2, 1}, 2, true, true}, // K capped to 1
     };
     for (const Point& point : points) {
-        ThreadBudget budget(4);
-        PoolExecutor executor(budget);
+        SharedExecutor executor(4);
         constexpr std::uint64_t kReplicates = 37;
         std::vector<std::atomic<int>> hits(kReplicates);
+        std::atomic<int> inflight{0};
+        std::atomic<std::uint64_t> started{0};
         executor.run(kReplicates, point.request, [&](const ReplicateSlot& slot) {
             hits[slot.index].fetch_add(1);
+            const int overlapping = inflight.fetch_add(1);
+            if (point.serial) {
+                EXPECT_EQ(overlapping, 0);
+                EXPECT_EQ(slot.index, started.fetch_add(1));
+            }
             EXPECT_EQ(slot.chain_threads, point.expect_threads);
             if (point.expect_pool) {
-                ASSERT_NE(slot.shared_pool, nullptr);
-                EXPECT_EQ(slot.shared_pool->num_threads(), point.expect_threads);
+                EXPECT_NE(slot.shared_pool, nullptr);
+                if (slot.shared_pool != nullptr) {
+                    EXPECT_EQ(slot.shared_pool->num_threads(), point.expect_threads);
+                }
             } else {
                 EXPECT_EQ(slot.shared_pool, nullptr);
             }
+            inflight.fetch_sub(1);
         });
         for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-        EXPECT_EQ(budget.leased(), 0u); // every lease returned
+        EXPECT_EQ(executor.stats().leased, 0u); // every lease returned
     }
 }
 
