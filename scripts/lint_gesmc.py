@@ -28,6 +28,12 @@ docs/static_analysis.md for the rationale behind each):
                 and tempts ad-hoc stderr chatter in hot paths.  Tools own
                 their stdout; the library reports through Error/metrics.
 
+  strto-null-end
+                `strto*` with a null end pointer in src/ and tools/: the
+                call cannot tell "abc" or "3x" from a number, so a
+                malformed value parses as 0 or a prefix.  Use the strict
+                parsers (pipeline/config.hpp) or check the end pointer.
+
 Suppress a finding by appending `// lint: allow(<rule>)` to the line.
 """
 
@@ -56,6 +62,9 @@ RAW_MUTEX_PATTERN = re.compile(
 SPINLOCK_PATTERN = re.compile(r"\bstd::atomic_flag\b")
 
 IOSTREAM_PATTERN = re.compile(r"^\s*#\s*include\s*<iostream>")
+
+STRTO_NULL_END_PATTERN = re.compile(
+    r"\bstrto\w+\s*\([^,;]+,\s*(nullptr|NULL|0)\s*[,)]")
 
 ALLOW_PATTERN = re.compile(r"//\s*lint:\s*allow\((?P<rule>[\w-]+)\)")
 
@@ -104,6 +113,13 @@ def check_file(root: pathlib.Path, path: pathlib.Path, findings: list) -> None:
                 (rel, lineno, "spinlock",
                  "std::atomic_flag spinlocks are invisible to the lock "
                  "checkers; use CheckedMutex (src/check/): " + raw.strip()))
+
+        if STRTO_NULL_END_PATTERN.search(line) \
+                and not suppressed(raw, "strto-null-end"):
+            findings.append(
+                (rel, lineno, "strto-null-end",
+                 "strto* without an end pointer accepts malformed input; "
+                 "use parse_u64/parse_unsigned/parse_double: " + raw.strip()))
 
         if in_library and not in_bench_util \
                 and IOSTREAM_PATTERN.search(line) \

@@ -1,109 +1,51 @@
 #include "core/adj_list_es.hpp"
 
-#include "util/check.hpp"
+#include "core/sequential_apply.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace gesmc {
 
-AdjListES::AdjListES(const EdgeList& initial, const ChainConfig& config)
-    : edges_(initial),
-      adjacency_(initial.num_nodes()),
-      stream_(config.seed, initial.num_edges()) {
-    GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
-    GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
-    for (std::uint64_t i = 0; i < initial.num_edges(); ++i) {
-        const Edge e = initial.edge(i);
-        adjacency_[e.u].push_back(e.v);
-        adjacency_[e.v].push_back(e.u);
+AdjListES::NeighborSets::NeighborSets(const EdgeList& g) : nb_(g.num_nodes()) {
+    for (const edge_key_t key : g.keys()) {
+        const Edge e = edge_from_key(key);
+        nb_[e.u].push_back(e.v);
+        nb_[e.v].push_back(e.u);
     }
-    for (auto& nb : adjacency_) std::sort(nb.begin(), nb.end());
+    for (auto& nb : nb_) std::sort(nb.begin(), nb.end());
 }
 
-AdjListES::AdjListES(const ChainState& state, const ChainConfig& config)
-    : AdjListES(EdgeList::from_keys(state.num_nodes, state.keys),
-                config_with_state(config, state)) {
-    next_switch_ = state.counter;
-    stats_ = state.stats;
-}
-
-ChainState AdjListES::snapshot() const {
-    ChainState state;
-    state.algorithm = ChainAlgorithm::kAdjListES;
-    state.seed = stream_.seed();
-    state.counter = next_switch_;
-    state.num_nodes = edges_.num_nodes();
-    state.keys = edges_.keys();
-    state.stats = stats_;
-    return state;
-}
-
-bool AdjListES::has_edge(edge_key_t key) const {
+bool AdjListES::NeighborSets::contains(edge_key_t key) const {
     const Edge e = edge_from_key(key);
-    const auto& small =
-        adjacency_[e.u].size() <= adjacency_[e.v].size() ? adjacency_[e.u] : adjacency_[e.v];
-    const node_t other = adjacency_[e.u].size() <= adjacency_[e.v].size() ? e.v : e.u;
-    return std::binary_search(small.begin(), small.end(), other);
+    const bool u_smaller = nb_[e.u].size() <= nb_[e.v].size();
+    const auto& small = u_smaller ? nb_[e.u] : nb_[e.v];
+    return std::binary_search(small.begin(), small.end(), u_smaller ? e.v : e.u);
 }
 
-void AdjListES::insert_adj(node_t u, node_t v) {
-    auto& nb = adjacency_[u];
-    nb.insert(std::lower_bound(nb.begin(), nb.end(), v), v);
-}
-
-void AdjListES::erase_adj(node_t u, node_t v) {
-    auto& nb = adjacency_[u];
-    nb.erase(std::lower_bound(nb.begin(), nb.end(), v));
-}
-
-void AdjListES::run_supersteps(std::uint64_t count, RunObserver* observer,
-                               std::uint64_t replicate) {
-    const std::uint64_t per_superstep = edges_.num_edges() / 2;
-    for (std::uint64_t step = 0; step < count; ++step) {
-        run_switches(per_superstep);
-        ++stats_.supersteps;
-        if (observer != nullptr) observer->on_superstep(replicate, *this);
+void AdjListES::NeighborSets::insert(edge_key_t key) {
+    const Edge e = edge_from_key(key);
+    for (const auto& [u, v] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+        nb_[u].insert(std::lower_bound(nb_[u].begin(), nb_[u].end(), v), v);
     }
 }
 
-void AdjListES::run_switches(std::uint64_t switches) {
-    auto& keys = edges_.keys();
+void AdjListES::NeighborSets::erase(edge_key_t key) {
+    const Edge e = edge_from_key(key);
+    for (const auto& [u, v] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+        nb_[u].erase(std::lower_bound(nb_[u].begin(), nb_[u].end(), v));
+    }
+}
+
+AdjListES::AdjListES(const EdgeList& initial, const ChainConfig& config)
+    : SwitchingChain(ChainAlgorithm::kAdjListES, initial, config),
+      neighbors_(initial),
+      stream_(config.seed, initial.num_edges()) {}
+
+void AdjListES::advance() {
+    const std::uint64_t switches = edges_.num_edges() / 2;
     for (std::uint64_t t = 0; t < switches; ++t) {
-        const Switch sw = stream_.get(next_switch_++);
-        const edge_key_t k1 = keys[sw.i];
-        const edge_key_t k2 = keys[sw.j];
-        const Edge e1 = edge_from_key(k1);
-        const Edge e2 = edge_from_key(k2);
-        const auto [t3, t4] = switch_targets(e1, e2, sw.g != 0);
-        const SwitchOutcome outcome =
-            decide_switch(k1, k2, t3, t4, [this](edge_key_t k) { return has_edge(k); });
-        switch (outcome) {
-        case SwitchOutcome::kAccepted: {
-            const edge_key_t k3 = edge_key(t3);
-            if (k3 != k1 && k3 != k2) { // identity no-op needs no updates
-                erase_adj(e1.u, e1.v);
-                erase_adj(e1.v, e1.u);
-                erase_adj(e2.u, e2.v);
-                erase_adj(e2.v, e2.u);
-                const Edge c3 = t3.canonical();
-                const Edge c4 = t4.canonical();
-                insert_adj(c3.u, c3.v);
-                insert_adj(c3.v, c3.u);
-                insert_adj(c4.u, c4.v);
-                insert_adj(c4.v, c4.u);
-            }
-            keys[sw.i] = k3;
-            keys[sw.j] = edge_key(t4);
-            ++stats_.accepted;
-            break;
-        }
-        case SwitchOutcome::kRejectedLoop:
-            ++stats_.rejected_loop;
-            break;
-        case SwitchOutcome::kRejectedEdge:
-            ++stats_.rejected_edge;
-            break;
-        }
+        apply_switch_sequential(edges_.keys(), neighbors_, stream_.get(counter_++), stats_);
     }
     stats_.attempted += switches;
 }

@@ -19,34 +19,32 @@
 
 namespace gesmc {
 
-class AdjListES final : public Chain {
+class AdjListES final : public SwitchingChain {
 public:
     AdjListES(const EdgeList& initial, const ChainConfig& config);
 
-    /// Restores a snapshotted chain (see Chain::snapshot / make_chain).
-    AdjListES(const ChainState& state, const ChainConfig& config);
-
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver* observer,
-                        std::uint64_t replicate) override;
-
-    [[nodiscard]] ChainState snapshot() const override;
-
-    [[nodiscard]] const EdgeList& graph() const override { return edges_; }
-    [[nodiscard]] bool has_edge(edge_key_t key) const override;
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "AdjListES"; }
+    [[nodiscard]] bool has_edge(edge_key_t key) const override {
+        return neighbors_.contains(key);
+    }
 
 private:
-    void run_switches(std::uint64_t switches);
-    void insert_adj(node_t u, node_t v);
-    void erase_adj(node_t u, node_t v);
+    /// Per-node sorted neighbor vectors, addressed by edge key for the
+    /// shared sequential switch step.
+    class NeighborSets {
+    public:
+        explicit NeighborSets(const EdgeList& g);
+        [[nodiscard]] bool contains(edge_key_t key) const;
+        void insert(edge_key_t key);
+        void erase(edge_key_t key);
 
-    EdgeList edges_;
-    std::vector<std::vector<node_t>> adjacency_; ///< sorted neighbor vectors
+    private:
+        std::vector<std::vector<node_t>> nb_;
+    };
+
+    void advance() override;
+
+    NeighborSets neighbors_;
     SwitchStream stream_;
-    std::uint64_t next_switch_ = 0;
-    ChainStats stats_;
 };
 
 } // namespace gesmc

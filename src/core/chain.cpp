@@ -72,8 +72,19 @@ void validate(const ChainConfig& config) {
     }
 }
 
-std::unique_ptr<Chain> make_chain(ChainAlgorithm algo, const EdgeList& initial,
-                                  const ChainConfig& config) {
+namespace {
+
+/// `initial`, checked before the chain copies it, so that the copy can reuse
+/// the memory of is_simple's sorted scratch: every chain switches a simple
+/// graph of at least two edges.
+const EdgeList& checked(const EdgeList& initial) {
+    GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
+    GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
+    return initial;
+}
+
+std::unique_ptr<SwitchingChain> build_chain(ChainAlgorithm algo, const EdgeList& initial,
+                                            const ChainConfig& config) {
     validate(config);
     switch (algo) {
     case ChainAlgorithm::kSeqES:
@@ -93,27 +104,50 @@ std::unique_ptr<Chain> make_chain(ChainAlgorithm algo, const EdgeList& initial,
     return nullptr;
 }
 
-std::unique_ptr<Chain> make_chain(const ChainState& state, const ChainConfig& config) {
-    // Validate what the restored chain will actually run with: the
-    // snapshot's seed and pl override the config's (config_with_state), so
-    // a corrupt .gesc with pl = 0 must be rejected here, not mid-run.
-    validate(config_with_state(config, state));
-    switch (state.algorithm) {
-    case ChainAlgorithm::kSeqES:
-        return std::make_unique<SeqES>(state, config);
-    case ChainAlgorithm::kSeqGlobalES:
-        return std::make_unique<SeqGlobalES>(state, config);
-    case ChainAlgorithm::kParES:
-        return std::make_unique<ParES>(state, config);
-    case ChainAlgorithm::kParGlobalES:
-        return std::make_unique<ParGlobalES>(state, config);
-    case ChainAlgorithm::kNaiveParES:
-        return std::make_unique<NaiveParES>(state, config);
-    case ChainAlgorithm::kAdjListES:
-        return std::make_unique<AdjListES>(state, config);
+} // namespace
+
+SwitchingChain::SwitchingChain(ChainAlgorithm algorithm, const EdgeList& initial,
+                               const ChainConfig& config)
+    : edges_(checked(initial)),
+      seed_(config.seed),
+      pl_(algorithm == ChainAlgorithm::kSeqGlobalES ||
+                  algorithm == ChainAlgorithm::kParGlobalES
+              ? config.pl
+              : ChainState{}.pl),
+      algorithm_(algorithm) {}
+
+void SwitchingChain::run_supersteps(std::uint64_t count, RunObserver* observer,
+                                    std::uint64_t replicate) {
+    for (std::uint64_t step = 0; step < count; ++step) {
+        advance();
+        ++stats_.supersteps;
+        if (observer != nullptr) observer->on_superstep(replicate, *this);
     }
-    GESMC_CHECK(false, "unknown algorithm in chain state");
-    return nullptr;
+}
+
+ChainState SwitchingChain::snapshot() const {
+    return ChainState{.algorithm = algorithm_,
+                      .seed = seed_,
+                      .counter = counter_,
+                      .pl = pl_,
+                      .num_nodes = edges_.num_nodes(),
+                      .keys = edges_.keys(),
+                      .stats = stats_};
+}
+
+std::unique_ptr<Chain> make_chain(ChainAlgorithm algo, const EdgeList& initial,
+                                  const ChainConfig& config) {
+    return build_chain(algo, initial, config);
+}
+
+std::unique_ptr<Chain> make_chain(const ChainState& state, const ChainConfig& config) {
+    // The snapshot's seed and pl override the config's (config_with_state),
+    // and build_chain validates what the chain will actually run with, so a
+    // corrupt .gesc with pl = 0 is rejected here, not mid-run.
+    auto chain = build_chain(state.algorithm, EdgeList::from_keys(state.num_nodes, state.keys),
+                             config_with_state(config, state));
+    chain->resume(state.counter, state.stats);
+    return chain;
 }
 
 namespace {

@@ -9,10 +9,12 @@
 ///
 /// Chains are *resumable*: all randomness comes from counter-based streams
 /// keyed by the seed, so a chain's complete state is just (edge keys in
-/// slot order, seed, position counter, accumulated stats).  snapshot()
+/// slot order, seed, P_L, position counter, accumulated stats).  snapshot()
 /// captures that state as a ChainState value; make_chain(state, config)
 /// reconstructs a chain that continues the identical trajectory — the
-/// restored run is byte-for-byte the uninterrupted run.  RunObserver lets
+/// restored run is byte-for-byte the uninterrupted run.  SwitchingChain
+/// owns that state and the superstep loop for all six algorithms, which
+/// add only their own structures and one superstep.  RunObserver lets
 /// long runs stream progress (and, driven by the pipeline, checkpoints and
 /// finished replicates) instead of being fire-and-forget.
 #pragma once
@@ -225,6 +227,48 @@ void validate(const ChainConfig& config);
     config.pl = state.pl;
     return config;
 }
+
+/// The skeleton of the six algorithms: it owns the ChainState fields and
+/// implements snapshot() and the superstep loop, so an algorithm adds only
+/// its own structures, has_edge and advance().  make_chain(state, config)
+/// builds the chain from the snapshot's keys and then resume()s it.
+class SwitchingChain : public Chain {
+public:
+    using Chain::run_supersteps;
+    void run_supersteps(std::uint64_t count, RunObserver* observer,
+                        std::uint64_t replicate) final;
+
+    [[nodiscard]] ChainState snapshot() const final;
+    [[nodiscard]] const EdgeList& graph() const final { return edges_; }
+    [[nodiscard]] const ChainStats& stats() const final { return stats_; }
+    [[nodiscard]] std::string name() const final { return to_string(algorithm_); }
+
+    /// Continues a snapshotted run from its stream position and stats.
+    void resume(std::uint64_t counter, const ChainStats& stats) {
+        counter_ = counter;
+        stats_ = stats;
+    }
+
+protected:
+    /// Checks that `initial` is simple with at least two edges.
+    SwitchingChain(ChainAlgorithm algorithm, const EdgeList& initial,
+                   const ChainConfig& config);
+
+    /// One superstep: advances counter_ and every stats_ field but
+    /// supersteps, which the loop counts.
+    virtual void advance() = 0;
+
+    EdgeList edges_;
+    std::uint64_t seed_;
+    /// The config's P_L for the G-ES-type chains; ES-type chains do not
+    /// read it and snapshot ChainState's placeholder.
+    double pl_;
+    std::uint64_t counter_ = 0; ///< see ChainState::counter
+    ChainStats stats_;
+
+private:
+    ChainAlgorithm algorithm_;
+};
 
 /// Creates a chain of the given kind started at `initial`.
 std::unique_ptr<Chain> make_chain(ChainAlgorithm algo, const EdgeList& initial,

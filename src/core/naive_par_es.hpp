@@ -24,50 +24,27 @@
 #include "parallel/pool_ref.hpp"
 #include "parallel/thread_pool.hpp"
 
-#include <atomic>
-#include <vector>
-
 namespace gesmc {
 
-class NaiveParES final : public Chain {
+/// Snapshots are exact only between supersteps, and a resume reproduces the
+/// uninterrupted run only for the same thread count (the thread partition
+/// is part of this process), and exactly only with one thread (concurrent
+/// interleavings are inherently racy).
+class NaiveParES final : public SwitchingChain {
 public:
     NaiveParES(const EdgeList& initial, const ChainConfig& config);
 
-    /// Restores a snapshotted chain.  Caveat (fixed-policy): the thread
-    /// partition is part of this process, so a resume reproduces the
-    /// uninterrupted run only for the same thread count, and exactly only
-    /// with one thread (concurrent interleavings are inherently racy).
-    NaiveParES(const ChainState& state, const ChainConfig& config);
-
-    ~NaiveParES() override;
-
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver* observer,
-                        std::uint64_t replicate) override;
-
-    [[nodiscard]] ChainState snapshot() const override;
-
-    [[nodiscard]] const EdgeList& graph() const override;
     [[nodiscard]] bool has_edge(edge_key_t key) const override { return set_.contains(key); }
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "NaiveParES"; }
 
 private:
+    void advance() override;
+
     /// One switch attempt by thread `tid`; returns counters via references.
     void perform_switch(unsigned tid, const Switch& sw, std::uint64_t& accepted,
                         std::uint64_t& rejected_loop, std::uint64_t& rejected_edge);
 
-    // Edge array entries are written concurrently -> atomics.
-    std::vector<std::atomic<edge_key_t>> edges_;
-    node_t num_nodes_;
     ConcurrentEdgeSet set_;
-    std::uint64_t seed_;
     PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
-    std::uint64_t next_switch_ = 0;
-    ChainStats stats_;
-
-    mutable EdgeList snapshot_; ///< materialized on demand by graph()
-    mutable bool snapshot_valid_ = false;
 };
 
 } // namespace gesmc

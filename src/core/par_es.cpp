@@ -46,56 +46,19 @@ void MinIndexMap::reset(ThreadPool& pool) {
 }
 
 ParES::ParES(const EdgeList& initial, const ChainConfig& config)
-    : edges_(initial),
+    : SwitchingChain(ChainAlgorithm::kParES, initial, config),
       set_(initial.num_edges()),
       stream_(config.seed, initial.num_edges()),
       pool_(make_pool_ref(config.shared_pool, config.threads)),
       index_map_(initial.num_edges(), pool_->num_threads()),
-      runner_(initial.num_edges(), config.prefetch) {
-    GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
-    GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
+      // Windows end at the superstep boundary, so none exceeds m/2 switches.
+      runner_(initial.num_edges() / 2, config.prefetch) {
     set_.refill(edges_.keys(), *pool_);
 }
 
-ParES::ParES(const ChainState& state, const ChainConfig& config)
-    : ParES(EdgeList::from_keys(state.num_nodes, state.keys),
-            config_with_state(config, state)) {
-    next_switch_ = state.counter;
-    stats_ = state.stats;
-    attempted_at_construction_ = state.stats.attempted;
-}
-
-ParES::~ParES() = default;
-
-ChainState ParES::snapshot() const {
-    ChainState state;
-    state.algorithm = ChainAlgorithm::kParES;
-    state.seed = stream_.seed();
-    state.counter = next_switch_;
-    state.num_nodes = edges_.num_nodes();
-    state.keys = edges_.keys();
-    state.stats = stats_;
-    return state;
-}
-
-const EdgeList& ParES::graph() const { return edges_; }
-
 double ParES::mean_superstep_length() const {
     if (windows_executed_ == 0) return 0.0;
-    // Only the switches attempted by this object: restored stats carry the
-    // pre-snapshot attempts, but windows_executed_ starts at the restore.
-    return static_cast<double>(stats_.attempted - attempted_at_construction_) /
-           static_cast<double>(windows_executed_);
-}
-
-void ParES::run_supersteps(std::uint64_t count, RunObserver* observer,
-                           std::uint64_t replicate) {
-    const std::uint64_t per_superstep = edges_.num_edges() / 2;
-    for (std::uint64_t s = 0; s < count; ++s) {
-        run_switch_range(next_switch_ + per_superstep);
-        ++stats_.supersteps;
-        if (observer != nullptr) observer->on_superstep(replicate, *this);
-    }
+    return static_cast<double>(switches_executed_) / static_cast<double>(windows_executed_);
 }
 
 std::uint64_t ParES::find_window_end(std::uint64_t s, std::uint64_t cap) {
@@ -137,9 +100,10 @@ std::uint64_t ParES::find_window_end(std::uint64_t s, std::uint64_t cap) {
     return t;
 }
 
-void ParES::run_switch_range(std::uint64_t end) {
-    while (next_switch_ < end) {
-        const std::uint64_t s = next_switch_;
+void ParES::advance() {
+    const std::uint64_t end = counter_ + edges_.num_edges() / 2;
+    while (counter_ < end) {
+        const std::uint64_t s = counter_;
         // Capping windows at the superstep boundary only shortens them;
         // the executed switch sequence (and thus the graph) is unchanged.
         const std::uint64_t t = find_window_end(s, end);
@@ -149,21 +113,15 @@ void ParES::run_switch_range(std::uint64_t end) {
             for (std::uint64_t k = lo; k < hi; ++k) window_[k - s] = stream_.get(k);
         });
 
-        const SuperstepResult result = runner_.run(*pool_, edges_.keys(), set_, window_);
+        add_superstep(stats_, runner_.run(*pool_, edges_.keys(), set_, window_));
         stats_.attempted += t - s;
-        stats_.accepted += result.accepted;
-        stats_.rejected_loop += result.rejected_loop;
-        stats_.rejected_edge += result.rejected_edge;
-        stats_.rounds_total += result.rounds;
-        stats_.rounds_max = std::max<std::uint64_t>(stats_.rounds_max, result.rounds);
-        stats_.first_round_seconds += result.first_round_seconds;
-        stats_.later_rounds_seconds += result.later_rounds_seconds;
+        switches_executed_ += t - s;
         ++windows_executed_;
 
         // Between windows the edge list holds exactly the live keys, so the
         // set rebuilds from it on the pool.
         if (set_.needs_rebuild()) set_.refill(edges_.keys(), *pool_);
-        next_switch_ = t;
+        counter_ = t;
     }
 }
 

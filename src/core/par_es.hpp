@@ -24,7 +24,6 @@
 #include "util/cache_padded.hpp"
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
 namespace gesmc {
@@ -50,25 +49,11 @@ private:
     std::vector<CachePadded<std::vector<std::uint32_t>>> touched_; ///< per thread
 };
 
-class ParES final : public Chain {
+class ParES final : public SwitchingChain {
 public:
     ParES(const EdgeList& initial, const ChainConfig& config);
 
-    /// Restores a snapshotted chain (see Chain::snapshot / make_chain).
-    ParES(const ChainState& state, const ChainConfig& config);
-
-    ~ParES() override;
-
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver* observer,
-                        std::uint64_t replicate) override;
-
-    [[nodiscard]] ChainState snapshot() const override;
-
-    [[nodiscard]] const EdgeList& graph() const override;
     [[nodiscard]] bool has_edge(edge_key_t key) const override { return set_.contains(key); }
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "ParES"; }
 
     /// Average length of the dependency-free prefixes executed by *this*
     /// chain object (the paper's Theta(sqrt(m)) expectation for ES-MC,
@@ -77,24 +62,21 @@ public:
     [[nodiscard]] double mean_superstep_length() const;
 
 private:
-    /// Executes switches [next_switch_, end) of the stream in windows.
-    void run_switch_range(std::uint64_t end);
+    /// Executes the superstep's m/2 switches of the stream in windows.
+    void advance() override;
 
     /// Finds the end t of the maximal source-dependency-free window
     /// starting at s (exclusive end, capped at `cap`).
     std::uint64_t find_window_end(std::uint64_t s, std::uint64_t cap);
 
-    mutable EdgeList edges_; // keys mutated in place; num_nodes constant
     ConcurrentEdgeSet set_;
     SwitchStream stream_;
     PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
     MinIndexMap index_map_;
     SuperstepRunner runner_;
     std::vector<Switch> window_;
-    std::uint64_t next_switch_ = 0;
     std::uint64_t windows_executed_ = 0;
-    std::uint64_t attempted_at_construction_ = 0; ///< restored stats baseline
-    ChainStats stats_;
+    std::uint64_t switches_executed_ = 0; ///< in those windows
 };
 
 } // namespace gesmc

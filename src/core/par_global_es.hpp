@@ -20,45 +20,25 @@
 
 namespace gesmc {
 
-class ParGlobalES final : public Chain {
+class ParGlobalES final : public SwitchingChain {
 public:
     ParGlobalES(const EdgeList& initial, const ChainConfig& config);
 
-    /// Restores a snapshotted chain (see Chain::snapshot / make_chain).
-    ParGlobalES(const ChainState& state, const ChainConfig& config);
-
-    ~ParGlobalES() override;
-
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver* observer,
-                        std::uint64_t replicate) override;
-
-    [[nodiscard]] ChainState snapshot() const override;
-
-    [[nodiscard]] const EdgeList& graph() const override { return edges_; }
     [[nodiscard]] bool has_edge(edge_key_t key) const override { return set_.contains(key); }
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "ParGlobalES"; }
 
     /// Rounds used by the most recent global switch (Fig. 9 driver).
     [[nodiscard]] std::uint32_t last_rounds() const noexcept { return last_rounds_; }
 
 private:
-    /// §7 base case: applies the sampled global switch sequentially.
-    void run_global_switch_sequential();
+    void advance() override;
 
-    EdgeList edges_;
     ConcurrentEdgeSet set_;
-    std::uint64_t seed_;
-    double pl_;
     std::uint64_t small_graph_cutoff_;
     PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
     SuperstepRunner runner_;
     std::vector<Switch> switch_scratch_;
     std::vector<std::uint32_t> perm_scratch_;
-    std::uint64_t next_global_ = 0;
     std::uint32_t last_rounds_ = 0;
-    ChainStats stats_;
 };
 
 } // namespace gesmc

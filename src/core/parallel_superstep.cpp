@@ -1,13 +1,25 @@
 #include "core/parallel_superstep.hpp"
 
+#include "core/chain.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
 #include "util/timer.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace gesmc {
+
+void add_superstep(ChainStats& stats, const SuperstepResult& result) {
+    stats.accepted += result.accepted;
+    stats.rejected_loop += result.rejected_loop;
+    stats.rejected_edge += result.rejected_edge;
+    stats.rounds_total += result.rounds;
+    stats.rounds_max = std::max<std::uint64_t>(stats.rounds_max, result.rounds);
+    stats.first_round_seconds += result.first_round_seconds;
+    stats.later_rounds_seconds += result.later_rounds_seconds;
+}
 
 SuperstepRunner::SuperstepRunner(std::uint64_t max_switches, bool prefetch)
     : table_(max_switches),

@@ -59,6 +59,8 @@
 
 namespace gesmc {
 
+struct ChainStats; // core/chain.hpp
+
 /// Per-superstep instrumentation (drives Fig. 9 and the stats counters).
 struct SuperstepResult {
     std::uint32_t rounds = 0;
@@ -69,11 +71,16 @@ struct SuperstepResult {
     double later_rounds_seconds = 0;
 };
 
+/// Adds one superstep's verdicts, rounds and round times to `stats`
+/// (ParES per window, ParGlobalES per global switch).
+void add_superstep(ChainStats& stats, const SuperstepResult& result);
+
 /// Reusable executor: owns the dependency table and all scratch arrays so
 /// repeated supersteps allocate nothing.
 class SuperstepRunner {
 public:
-    /// max_switches: largest batch ever passed to run() (m/2 for G-ES-MC).
+    /// max_switches: largest batch ever passed to run() (m/2 for both ParES
+    /// and ParGlobalES).
     /// `prefetch` turns the phases' prefetches on (see the file comment).
     explicit SuperstepRunner(std::uint64_t max_switches, bool prefetch = true);
 

@@ -7,59 +7,29 @@
 namespace gesmc {
 
 SeqES::SeqES(const EdgeList& initial, const ChainConfig& config)
-    : edges_(initial),
+    : SwitchingChain(ChainAlgorithm::kSeqES, initial, config),
       set_(initial.num_edges()),
       stream_(config.seed, initial.num_edges()),
       prefetch_(config.prefetch) {
-    GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
-    GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
     set_.reserve(initial.num_edges());
     for (const edge_key_t k : edges_.keys()) set_.insert(k);
     GESMC_CHECK(!set_.would_rehash_on_insert(), "set must be pre-sized (stable prepares)");
 }
 
-SeqES::SeqES(const ChainState& state, const ChainConfig& config)
-    : SeqES(EdgeList::from_keys(state.num_nodes, state.keys),
-            config_with_state(config, state)) {
-    next_switch_ = state.counter;
-    stats_ = state.stats;
-}
-
-ChainState SeqES::snapshot() const {
-    ChainState state;
-    state.algorithm = ChainAlgorithm::kSeqES;
-    state.seed = stream_.seed();
-    state.counter = next_switch_;
-    state.num_nodes = edges_.num_nodes();
-    state.keys = edges_.keys();
-    state.stats = stats_;
-    return state;
-}
-
-void SeqES::run_supersteps(std::uint64_t count, RunObserver* observer,
-                           std::uint64_t replicate) {
-    const std::uint64_t per_superstep = edges_.num_edges() / 2;
-    for (std::uint64_t step = 0; step < count; ++step) {
-        run_switches(per_superstep);
-        ++stats_.supersteps;
-        if (observer != nullptr) observer->on_superstep(replicate, *this);
-    }
-}
-
 void SeqES::run_switches(std::uint64_t count) {
     if (!prefetch_) {
         for (std::uint64_t t = 0; t < count; ++t) {
-            apply_one(stream_.get(next_switch_ + t));
+            apply_one(stream_.get(counter_ + t));
         }
     } else {
         std::uint64_t done = 0;
         while (done < count) {
             const auto block = static_cast<unsigned>(std::min<std::uint64_t>(4, count - done));
-            run_block_pipelined(next_switch_ + done, block);
+            run_block_pipelined(counter_ + done, block);
             done += block;
         }
     }
-    next_switch_ += count;
+    counter_ += count;
     stats_.attempted += count;
 }
 

@@ -17,36 +17,22 @@
 
 namespace gesmc {
 
-class SeqES final : public Chain {
+class SeqES final : public SwitchingChain {
 public:
     SeqES(const EdgeList& initial, const ChainConfig& config);
 
-    /// Restores a snapshotted chain (see Chain::snapshot / make_chain).
-    SeqES(const ChainState& state, const ChainConfig& config);
-
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver* observer,
-                        std::uint64_t replicate) override;
-
-    [[nodiscard]] ChainState snapshot() const override;
-
-    [[nodiscard]] const EdgeList& graph() const override { return edges_; }
     [[nodiscard]] bool has_edge(edge_key_t key) const override { return set_.contains(key); }
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "SeqES"; }
 
     /// Runs `count` individual switches (a superstep is m/2 of these).
     void run_switches(std::uint64_t count);
 
 private:
+    void advance() override { run_switches(edges_.num_edges() / 2); }
     void apply_one(const Switch& sw);
     void run_block_pipelined(std::uint64_t first, unsigned block_len);
 
-    EdgeList edges_;
     RobinSet set_;
     SwitchStream stream_;
-    std::uint64_t next_switch_ = 0; ///< position in the switch stream
-    ChainStats stats_;
     bool prefetch_;
 };
 

@@ -34,50 +34,18 @@ std::uint64_t sample_global_switch(std::vector<Switch>& out,
 }
 
 SeqGlobalES::SeqGlobalES(const EdgeList& initial, const ChainConfig& config)
-    : edges_(initial),
+    : SwitchingChain(ChainAlgorithm::kSeqGlobalES, initial, config),
       set_(initial.num_edges()),
-      seed_(config.seed),
-      pl_(config.pl),
       pool_(make_pool_ref(config.shared_pool, 1)) {
-    GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
-    GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
     set_.reserve(initial.num_edges());
     for (const edge_key_t k : edges_.keys()) set_.insert(k);
 }
 
-SeqGlobalES::SeqGlobalES(const ChainState& state, const ChainConfig& config)
-    : SeqGlobalES(EdgeList::from_keys(state.num_nodes, state.keys),
-                  config_with_state(config, state)) {
-    next_global_ = state.counter;
-    stats_ = state.stats;
-}
-
-SeqGlobalES::~SeqGlobalES() = default;
-
-ChainState SeqGlobalES::snapshot() const {
-    ChainState state;
-    state.algorithm = ChainAlgorithm::kSeqGlobalES;
-    state.seed = seed_;
-    state.counter = next_global_;
-    state.pl = pl_;
-    state.num_nodes = edges_.num_nodes();
-    state.keys = edges_.keys();
-    state.stats = stats_;
-    return state;
-}
-
-void SeqGlobalES::run_supersteps(std::uint64_t count, RunObserver* observer,
-                                 std::uint64_t replicate) {
-    for (std::uint64_t step = 0; step < count; ++step) {
-        const std::uint64_t l =
-            sample_global_switch(switch_scratch_, perm_scratch_, edges_.num_edges(), seed_,
-                                 next_global_++, pl_, *pool_);
-        for (std::uint64_t k = 0; k < l; ++k) {
-            apply_switch_sequential(edges_.keys(), set_, switch_scratch_[k], stats_);
-        }
-        stats_.attempted += l;
-        ++stats_.supersteps;
-        if (observer != nullptr) observer->on_superstep(replicate, *this);
+void SeqGlobalES::advance() {
+    stats_.attempted += sample_global_switch(switch_scratch_, perm_scratch_,
+                                             edges_.num_edges(), seed_, counter_++, pl_, *pool_);
+    for (const Switch& sw : switch_scratch_) {
+        apply_switch_sequential(edges_.keys(), set_, sw, stats_);
     }
 }
 

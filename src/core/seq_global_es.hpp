@@ -26,36 +26,19 @@ std::uint64_t sample_global_switch(std::vector<Switch>& out,
                                    std::uint64_t num_edges, std::uint64_t seed,
                                    std::uint64_t gidx, double pl, ThreadPool& pool);
 
-class SeqGlobalES final : public Chain {
+class SeqGlobalES final : public SwitchingChain {
 public:
     SeqGlobalES(const EdgeList& initial, const ChainConfig& config);
 
-    /// Restores a snapshotted chain (see Chain::snapshot / make_chain).
-    SeqGlobalES(const ChainState& state, const ChainConfig& config);
-
-    ~SeqGlobalES() override;
-
-    using Chain::run_supersteps;
-    void run_supersteps(std::uint64_t count, RunObserver* observer,
-                        std::uint64_t replicate) override;
-
-    [[nodiscard]] ChainState snapshot() const override;
-
-    [[nodiscard]] const EdgeList& graph() const override { return edges_; }
     [[nodiscard]] bool has_edge(edge_key_t key) const override { return set_.contains(key); }
-    [[nodiscard]] const ChainStats& stats() const override { return stats_; }
-    [[nodiscard]] std::string name() const override { return "SeqGlobalES"; }
 
 private:
-    EdgeList edges_;
+    void advance() override;
+
     RobinSet set_;
-    std::uint64_t seed_;
-    double pl_;
-    std::uint64_t next_global_ = 0; ///< index of the next global switch
     std::vector<Switch> switch_scratch_;
     std::vector<std::uint32_t> perm_scratch_;
     PoolRef pool_; ///< single-thread pool for the shared sampler (or borrowed)
-    ChainStats stats_;
 };
 
 } // namespace gesmc

@@ -1,23 +1,27 @@
 /// \file sequential_apply.hpp
-/// \brief Shared single-switch executor for the sequential chains.
+/// \brief The one sequential switch step.
 ///
-/// SeqES, SeqGlobalES and the test reference executor all decide and apply
-/// one switch against (edge array, robin set) state with identical
-/// semantics (see edge_switch.hpp for the identity-case convention).
+/// SeqES, SeqGlobalES, ParGlobalES's §7 base case, AdjListES and the test
+/// reference executor all decide and apply one switch against an edge
+/// array plus an edge set with identical semantics (see edge_switch.hpp
+/// for the identity-case convention).
 #pragma once
 
 #include "core/chain.hpp"
 #include "core/edge_switch.hpp"
-#include "hashing/robin_set.hpp"
 
 #include <vector>
 
 namespace gesmc {
 
 /// Decides sw against the current state and applies it if legal.
-/// Returns the outcome; updates accepted/rejected counters in `stats`.
-inline SwitchOutcome apply_switch_sequential(std::vector<edge_key_t>& keys, RobinSet& set,
-                                             const Switch& sw, ChainStats& stats) {
+/// `EdgeSet` answers contains(key) and applies erase(key) / insert(key):
+/// a RobinSet, a one-writer view of a ConcurrentEdgeSet or AdjListES's
+/// neighbor vectors.  Returns the outcome; updates accepted/rejected
+/// counters in `stats`.
+template <typename EdgeSet>
+SwitchOutcome apply_switch_sequential(std::vector<edge_key_t>& keys, EdgeSet& set,
+                                      const Switch& sw, ChainStats& stats) {
     const edge_key_t k1 = keys[sw.i];
     const edge_key_t k2 = keys[sw.j];
     const auto [t3, t4] = switch_targets(edge_from_key(k1), edge_from_key(k2), sw.g != 0);

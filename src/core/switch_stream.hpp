@@ -33,9 +33,6 @@ public:
 
     [[nodiscard]] std::uint64_t num_edges() const noexcept { return m_; }
 
-    /// The seed the stream was keyed with (recorded in chain snapshots).
-    [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-
 private:
     static constexpr std::uint64_t kSalt = 0x51a9e4d20cb37f68ULL;
     std::uint64_t seed_;

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -24,6 +25,49 @@ constexpr std::uint8_t kBinaryVersion = 1;
 // number), byte 5 the section's own version.
 constexpr char kChainStateTag = 'S';
 constexpr std::uint8_t kChainStateVersion = 1;
+
+/// isspace in the "C" locale: ' ', '\t', '\n', '\v', '\f', '\r'.
+bool is_c_space(char c) noexcept { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Reads the number at line[i..] as `std::istringstream >> std::uint64_t`
+/// reads it in the "C" locale: blanks, an optional sign ('-' wraps, as in
+/// strtoull), decimal digits; the next number may follow without a blank.
+/// Returns nullopt when the read fails only by reaching the end of the line
+/// (nothing left but blanks, a bare sign, a number beyond 64 bits), and
+/// throws "malformed <kind> line" when it fails before the end.
+std::optional<std::uint64_t> next_number(std::string_view line, std::size_t& i,
+                                         const char* kind) {
+    while (i < line.size() && is_c_space(line[i])) ++i;
+    if (i == line.size()) return std::nullopt;
+    const bool negative = line[i] == '-';
+    if (negative || line[i] == '+') ++i;
+    if (i == line.size()) return std::nullopt;
+    const std::size_t digits = i;
+    std::uint64_t d = 0;
+    bool overflow = false;
+    for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
+        const auto digit = static_cast<std::uint64_t>(line[i] - '0');
+        if (d > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+            overflow = true;
+        } else {
+            d = 10 * d + digit;
+        }
+    }
+    GESMC_CHECK(i > digits && (!overflow || i == line.size()),
+                std::string("malformed ") + kind + " line: " + std::string(line));
+    if (overflow) return std::nullopt;
+    return negative ? 0 - d : d;
+}
+
+/// Calls fn(line) for every line of `text`, without the '\n'.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+    for (std::size_t begin = 0; begin < text.size();) {
+        const std::size_t newline = std::min(text.find('\n', begin), text.size());
+        fn(text.substr(begin, newline - begin));
+        begin = newline + 1;
+    }
+}
 
 } // namespace
 
@@ -46,25 +90,27 @@ EdgeList read_edge_list(std::istream& is) {
     std::vector<edge_key_t> keys;
     node_t declared_nodes = 0;
     node_t max_node = 0;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty()) continue;
+    for_each_line(binio::read_rest(is), [&](std::string_view line) {
+        if (line.empty()) return;
         if (line[0] == '%' || line[0] == '#') {
-            std::istringstream header(line.substr(1));
+            std::istringstream header(std::string(line.substr(1)));
             std::string word;
             while (header >> word) {
                 if (word == "nodes") header >> declared_nodes;
             }
-            continue;
+            return;
         }
-        std::istringstream fields(line);
-        std::uint64_t u = 0, v = 0;
-        GESMC_CHECK(static_cast<bool>(fields >> u >> v), "malformed edge line: " + line);
-        GESMC_CHECK(u <= kMaxNode && v <= kMaxNode, "node id exceeds 2^28-1");
-        if (u == v) continue; // drop self-loops (paper's NetRep cleaning)
-        keys.push_back(edge_key(static_cast<node_t>(u), static_cast<node_t>(v)));
-        max_node = std::max({max_node, static_cast<node_t>(u), static_cast<node_t>(v)});
-    }
+        // Two numbers, as `istringstream >> u >> v` reads them; the rest of
+        // the line is ignored.
+        std::size_t i = 0;
+        const std::optional<std::uint64_t> u = next_number(line, i, "edge");
+        const std::optional<std::uint64_t> v = u ? next_number(line, i, "edge") : std::nullopt;
+        GESMC_CHECK(u && v, "malformed edge line: " + std::string(line));
+        GESMC_CHECK(*u <= kMaxNode && *v <= kMaxNode, "node id exceeds 2^28-1");
+        if (*u == *v) return; // drop self-loops (paper's NetRep cleaning)
+        keys.push_back(edge_key(static_cast<node_t>(*u), static_cast<node_t>(*v)));
+        max_node = std::max({max_node, static_cast<node_t>(*u), static_cast<node_t>(*v)});
+    });
     // Collapse multi-edges.
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -346,57 +392,18 @@ void write_degree_sequence_file(const std::string& path, const DegreeSequence& s
     write_degree_sequence(os, seq);
 }
 
-namespace {
-
-/// isspace in the "C" locale: ' ', '\t', '\n', '\v', '\f', '\r'.
-bool is_c_space(char c) noexcept { return c == ' ' || (c >= '\t' && c <= '\r'); }
-
-/// Appends one line's degrees, read as `std::istringstream >> std::uint64_t`
-/// reads them in the "C" locale, until the line ends: blanks, an optional
-/// sign ('-' wraps, as in strtoull), decimal digits; the next number may
-/// follow without a blank.  The line is malformed where a read fails before
-/// its end.  A read that fails only by reaching the end (a bare sign, a
-/// number beyond 64 bits) ends the line and adds nothing.
-void parse_degree_line(std::string_view line, std::vector<std::uint32_t>& degrees) {
-    std::size_t i = 0;
-    for (;;) {
-        while (i < line.size() && is_c_space(line[i])) ++i;
-        if (i == line.size()) return;
-        const bool negative = line[i] == '-';
-        if (negative || line[i] == '+') ++i;
-        if (i == line.size()) return;
-        const std::size_t digits = i;
-        std::uint64_t d = 0;
-        bool overflow = false;
-        for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-            const auto digit = static_cast<std::uint64_t>(line[i] - '0');
-            if (d > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-                overflow = true;
-            } else {
-                d = 10 * d + digit;
-            }
-        }
-        GESMC_CHECK(i > digits && (!overflow || i == line.size()),
-                    "malformed degree line: " + std::string(line));
-        if (overflow) return;
-        if (negative) d = 0 - d;
-        GESMC_CHECK(d <= kMaxNode, "degree exceeds max node count");
-        degrees.push_back(static_cast<std::uint32_t>(d));
-    }
-}
-
-} // namespace
-
 DegreeSequence read_degree_sequence(std::istream& is) {
-    const std::string text = binio::read_rest(is);
     std::vector<std::uint32_t> degrees;
-    for (std::size_t begin = 0; begin < text.size();) {
-        const std::size_t newline = std::min(text.find('\n', begin), text.size());
-        const std::string_view line(text.data() + begin, newline - begin);
-        begin = newline + 1;
-        if (line.empty() || line[0] == '%' || line[0] == '#') continue;
-        parse_degree_line(line, degrees);
-    }
+    for_each_line(binio::read_rest(is), [&](std::string_view line) {
+        if (line.empty() || line[0] == '%' || line[0] == '#') return;
+        // Every number on the line, as `istringstream >> std::uint64_t`
+        // reads them until the line ends.
+        std::size_t i = 0;
+        while (const std::optional<std::uint64_t> d = next_number(line, i, "degree")) {
+            GESMC_CHECK(*d <= kMaxNode, "degree exceeds max node count");
+            degrees.push_back(static_cast<std::uint32_t>(*d));
+        }
+    });
     return DegreeSequence(std::move(degrees));
 }
 

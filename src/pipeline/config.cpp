@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -21,25 +22,6 @@ std::string trim(const std::string& s) {
     return std::string(begin, end);
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-    std::istringstream is(value);
-    std::uint64_t v = 0;
-    // istream >> uint64_t silently wraps negative input; reject it up front.
-    GESMC_CHECK(value.find('-') == std::string::npos &&
-                    static_cast<bool>(is >> v) && is.eof(),
-                "config key \"" + key + "\": expected a non-negative integer, got \"" +
-                    value + "\"");
-    return v;
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-    std::istringstream is(value);
-    double v = 0;
-    GESMC_CHECK(static_cast<bool>(is >> v) && is.eof(),
-                "config key \"" + key + "\": expected a number, got \"" + value + "\"");
-    return v;
-}
-
 bool parse_bool(const std::string& key, const std::string& value) {
     if (value == "true" || value == "1" || value == "yes" || value == "on") return true;
     if (value == "false" || value == "0" || value == "no" || value == "off") return false;
@@ -47,6 +29,33 @@ bool parse_bool(const std::string& key, const std::string& value) {
 }
 
 } // namespace
+
+std::uint64_t parse_u64(const std::string& what, const std::string& value) {
+    std::istringstream is(value);
+    std::uint64_t v = 0;
+    // istream >> uint64_t silently wraps negative input; reject it up front.
+    if (value.find('-') != std::string::npos || !(is >> v) || !is.eof()) {
+        throw Error(what + ": expected a non-negative integer, got \"" + value + "\"");
+    }
+    return v;
+}
+
+unsigned parse_unsigned(const std::string& what, const std::string& value) {
+    const std::uint64_t v = parse_u64(what, value);
+    if (v > std::numeric_limits<unsigned>::max()) {
+        throw Error(what + ": value too large, got \"" + value + "\"");
+    }
+    return static_cast<unsigned>(v);
+}
+
+double parse_double(const std::string& what, const std::string& value) {
+    std::istringstream is(value);
+    double v = 0;
+    if (!(is >> v) || !is.eof()) {
+        throw Error(what + ": expected a number, got \"" + value + "\"");
+    }
+    return v;
+}
 
 std::string to_string(InputKind kind) {
     switch (kind) {
@@ -98,6 +107,7 @@ void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
                         const std::string& raw_value) {
     const std::string key = trim(raw_key);
     const std::string value = trim(raw_value);
+    const std::string what = "config key \"" + key + "\"";
     if (key == "input") {
         config.input_path = value;
     } else if (key == "input-glob") {
@@ -122,19 +132,17 @@ void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
     } else if (key == "generator") {
         config.generator = value;
     } else if (key == "gen-n") {
-        config.gen_n = parse_u64(key, value);
+        config.gen_n = parse_u64(what, value);
     } else if (key == "gen-m") {
-        config.gen_m = parse_u64(key, value);
+        config.gen_m = parse_u64(what, value);
     } else if (key == "gen-gamma") {
-        config.gen_gamma = parse_double(key, value);
+        config.gen_gamma = parse_double(what, value);
     } else if (key == "gen-rows") {
-        config.gen_rows = parse_u64(key, value);
+        config.gen_rows = parse_u64(what, value);
     } else if (key == "gen-cols") {
-        config.gen_cols = parse_u64(key, value);
+        config.gen_cols = parse_u64(what, value);
     } else if (key == "gen-degree") {
-        const std::uint64_t v = parse_u64(key, value);
-        GESMC_CHECK(v <= 0xFFFFFFFFull, "config key \"gen-degree\": value too large");
-        config.gen_degree = static_cast<std::uint32_t>(v);
+        config.gen_degree = parse_unsigned(what, value);
     } else if (key == "algorithm") {
         config.algorithm = value;
     } else if (key == "supersteps") {
@@ -142,20 +150,20 @@ void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
             config.adaptive = true;
         } else {
             config.adaptive = false;
-            config.supersteps = parse_u64(key, value);
+            config.supersteps = parse_u64(what, value);
         }
     } else if (key == "ess-target") {
-        config.ess_target = parse_double(key, value);
+        config.ess_target = parse_double(what, value);
     } else if (key == "mixing-tau") {
-        config.mixing_tau = parse_double(key, value);
+        config.mixing_tau = parse_double(what, value);
     } else if (key == "min-supersteps") {
-        config.min_supersteps = parse_u64(key, value);
+        config.min_supersteps = parse_u64(what, value);
     } else if (key == "max-supersteps") {
-        config.max_supersteps = parse_u64(key, value);
+        config.max_supersteps = parse_u64(what, value);
     } else if (key == "check-every") {
-        config.check_every = parse_u64(key, value);
+        config.check_every = parse_u64(what, value);
     } else if (key == "pl") {
-        config.pl = parse_double(key, value);
+        config.pl = parse_double(what, value);
     } else if (key == "prefetch") {
         config.prefetch = parse_bool(key, value);
     } else if (key == "edge-set-backend") {
@@ -165,15 +173,13 @@ void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
                         "only \"locked\" is accepted, got \"" + value + "\"");
         }
     } else if (key == "small-cutoff") {
-        config.small_graph_cutoff = parse_u64(key, value);
+        config.small_graph_cutoff = parse_u64(what, value);
     } else if (key == "replicates") {
-        config.replicates = parse_u64(key, value);
+        config.replicates = parse_u64(what, value);
     } else if (key == "seed") {
-        config.seed = parse_u64(key, value);
+        config.seed = parse_u64(what, value);
     } else if (key == "threads") {
-        const std::uint64_t v = parse_u64(key, value);
-        GESMC_CHECK(v <= 0xFFFFFFFFull, "config key \"threads\": value too large");
-        config.threads = static_cast<unsigned>(v);
+        config.threads = parse_unsigned(what, value);
     } else if (key == "policy") {
         if (value == "auto") config.policy = SchedulePolicy::kAuto;
         else if (value == "replicates") config.policy = SchedulePolicy::kReplicates;
@@ -183,15 +189,11 @@ void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
             "config key \"policy\": expected auto|replicates|intra-chain|hybrid, got \"" +
             value + "\"");
     } else if (key == "chain-threads") {
-        const std::uint64_t v = parse_u64(key, value);
-        GESMC_CHECK(v <= 0xFFFFFFFFull, "config key \"chain-threads\": value too large");
-        config.chain_threads = static_cast<unsigned>(v);
+        config.chain_threads = parse_unsigned(what, value);
     } else if (key == "max-concurrent") {
-        const std::uint64_t v = parse_u64(key, value);
-        GESMC_CHECK(v <= 0xFFFFFFFFull, "config key \"max-concurrent\": value too large");
-        config.max_concurrent = static_cast<unsigned>(v);
+        config.max_concurrent = parse_unsigned(what, value);
     } else if (key == "checkpoint-every") {
-        config.checkpoint_every = parse_u64(key, value);
+        config.checkpoint_every = parse_u64(what, value);
     } else if (key == "resume-from") {
         config.resume_from = value;
     } else if (key == "keep-checkpoints") {

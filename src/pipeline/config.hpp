@@ -193,6 +193,14 @@ struct PipelineConfig {
 [[nodiscard]] std::string to_string(SchedulePolicy policy);
 [[nodiscard]] std::string to_string(OutputFormat format);
 
+/// Strict number parsing for config values and the tools' numeric flags:
+/// all of `value` must be one number in range.  Empty input, trailing
+/// characters, a sign on an unsigned value and overflow throw Error naming
+/// `what` (`config key "seed"`, `--seed`).
+[[nodiscard]] std::uint64_t parse_u64(const std::string& what, const std::string& value);
+[[nodiscard]] unsigned parse_unsigned(const std::string& what, const std::string& value);
+[[nodiscard]] double parse_double(const std::string& what, const std::string& value);
+
 /// Applies one "key = value" entry; throws Error on unknown key/bad value.
 void apply_config_entry(PipelineConfig& config, const std::string& key,
                         const std::string& value);

@@ -1,6 +1,6 @@
 #include "service/corpus_client.hpp"
 
-#include "pipeline/pipeline.hpp"
+#include "pipeline/report.hpp"
 #include "service/json.hpp"
 #include "util/check.hpp"
 
@@ -39,55 +39,43 @@ CorpusGraphRow corpus_row_from_report_json(const CorpusInput& input,
     const JsonValue doc = parse_json(json_text);
     GESMC_CHECK(doc.is_object(), "shard report is not a JSON object");
 
-    CorpusGraphRow row;
-    row.name = input.name;
-    row.input_path = input.path;
-    row.seed = uint(member(doc, "config"), "seed");
+    // Only the RunReport fields a corpus row reads; corpus_row_from_report
+    // aggregates them, as it does for a local shard.
+    RunReport report;
+    const JsonValue& config = member(doc, "config");
+    report.config.seed = uint(config, "seed");
+    if (config.find("max_supersteps") != nullptr) {
+        report.config.max_supersteps = uint(config, "max_supersteps");
+    }
     const JsonValue& graph = member(doc, "input_graph");
-    row.input_nodes = uint(graph, "nodes");
-    row.input_edges = uint(graph, "edges");
-    row.seconds = number(doc, "total_seconds");
-    row.switches_per_second = number(doc, "switches_per_second");
+    report.input_nodes = uint(graph, "nodes");
+    report.input_edges = uint(graph, "edges");
+    report.total_seconds = number(doc, "total_seconds");
 
     const JsonValue& replicates = member(doc, "replicates");
     GESMC_CHECK(replicates.is_array(), "shard report \"replicates\" is not an array");
-    row.replicates = replicates.array_items.size();
-
-    std::uint64_t attempted = 0, accepted = 0, with_metrics = 0;
-    double triangles = 0, clustering = 0, assortativity = 0, components = 0;
     for (const JsonValue& r : replicates.array_items) {
+        ReplicateReport& rep = report.replicates.emplace_back();
         const JsonValue& stats = member(r, "stats");
-        attempted += uint(stats, "attempted");
-        accepted += uint(stats, "accepted");
+        rep.stats.attempted = uint(stats, "attempted");
+        rep.stats.accepted = uint(stats, "accepted");
         if (const JsonValue* error = r.find("error"); error != nullptr) {
             GESMC_CHECK(error->is_string(), "shard report replicate error is not a string");
-            if (is_interrupt_error(error->string_value)) {
-                ++row.interrupted;
-            } else {
-                ++row.failed;
-                if (row.error.empty()) row.error = error->string_value;
-            }
+            rep.error = error->string_value;
+        }
+        if (r.find("realized_supersteps") != nullptr) {
+            rep.has_adaptive = true;
+            rep.realized_supersteps = uint(r, "realized_supersteps");
         }
         if (const JsonValue* metrics = r.find("metrics"); metrics != nullptr) {
-            ++with_metrics;
-            triangles += number(*metrics, "triangles");
-            clustering += number(*metrics, "global_clustering");
-            assortativity += number(*metrics, "assortativity");
-            components += number(*metrics, "components");
+            rep.has_metrics = true;
+            rep.triangles = uint(*metrics, "triangles");
+            rep.global_clustering = number(*metrics, "global_clustering");
+            rep.assortativity = number(*metrics, "assortativity");
+            rep.components = uint(*metrics, "components");
         }
     }
-    row.acceptance_rate =
-        attempted > 0 ? static_cast<double>(accepted) / static_cast<double>(attempted)
-                      : 0;
-    if (with_metrics > 0) {
-        row.has_metrics = true;
-        const double n = static_cast<double>(with_metrics);
-        row.mean_triangles = triangles / n;
-        row.mean_clustering = clustering / n;
-        row.mean_assortativity = assortativity / n;
-        row.mean_components = components / n;
-    }
-    return row;
+    return corpus_row_from_report(input, report);
 }
 
 } // namespace gesmc

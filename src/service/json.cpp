@@ -180,7 +180,7 @@ private:
         JsonValue v;
         v.kind = JsonValue::Kind::kNumber;
         const std::string token = text_.substr(start, pos_ - start);
-        v.number_value = std::strtod(token.c_str(), nullptr);
+        v.number_value = std::strtod(token.c_str(), nullptr); // lint: allow(strto-null-end)
         // Integer-shaped and in range: keep the exact value alongside the
         // double (64-bit seeds/ids overflow double's 53-bit mantissa).
         if (token.find_first_of(".eE-") == std::string::npos) {

@@ -314,10 +314,15 @@ TEST(SuperstepLoop, AdaptiveStopFiresOnlyOnCheckSteps) {
 /// For every chain kind: run K supersteps, snapshot, serialize the state
 /// through the GESB section, restore, run K more — the graph (in slot
 /// order!) and the stats counters must be byte-identical to one
-/// uninterrupted 2K-superstep run.
+/// uninterrupted 2K-superstep run.  P_L is not the default, so the test
+/// also pins what the snapshot records for it: the config's P_L for the
+/// G-ES-type chains, ChainState's placeholder for the ES-type ones (the
+/// .gesc bytes depend on it).
 TEST(CheckpointRoundTrip, SplitRunEqualsUninterruptedRunForEveryAlgorithm) {
     const EdgeList initial = generate_powerlaw_graph(500, 2.2, 11);
     constexpr std::uint64_t kHalf = 3;
+    constexpr double kPl = 0.05;
+    ASSERT_NE(kPl, ChainState{}.pl);
 
     for (const auto& [name, algo] : chain_algorithm_names()) {
         // Fixed-policy caveat: NaiveParES's thread partition is part of the
@@ -332,6 +337,7 @@ TEST(CheckpointRoundTrip, SplitRunEqualsUninterruptedRunForEveryAlgorithm) {
             ChainConfig config;
             config.seed = 77;
             config.threads = threads;
+            config.pl = kPl;
             const std::string label = name + " threads=" + std::to_string(threads);
 
             auto uninterrupted = make_chain(algo, initial, config);
@@ -346,7 +352,11 @@ TEST(CheckpointRoundTrip, SplitRunEqualsUninterruptedRunForEveryAlgorithm) {
             const ChainState state = read_chain_state(ss);
             EXPECT_EQ(state.algorithm, algo) << label;
             EXPECT_EQ(state.stats.supersteps, kHalf) << label;
+            const bool global = algo == ChainAlgorithm::kSeqGlobalES ||
+                                algo == ChainAlgorithm::kParGlobalES;
+            EXPECT_EQ(state.pl, global ? kPl : ChainState{}.pl) << label;
             auto resumed = make_chain(state, config);
+            EXPECT_EQ(resumed->name(), to_string(algo)) << label;
             EXPECT_EQ(resumed->name(), uninterrupted->name()) << label;
             resumed->run_supersteps(kHalf);
 

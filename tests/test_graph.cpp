@@ -366,5 +366,58 @@ TEST(Io, MalformedLineThrows) {
     EXPECT_THROW(read_edge_list(ss), Error);
 }
 
+TEST(Io, EdgeLinesParseAsTwoStreamExtractions) {
+    // Each line reads as `istringstream >> u >> v` in the "C" locale:
+    // blanks (tabs, a CR) before a number, an optional sign ('-' wraps),
+    // the second number may follow the first without a blank, and the rest
+    // of the line is ignored.  "" marks an accepted line.
+    struct Case {
+        const char* line;
+        const char* error;
+    };
+    const Case cases[] = {
+        {"1 2", ""},
+        {"1\t2", ""},
+        {"\t 1 \t2\t", ""},
+        {"1 2\r", ""},
+        {"+1 +2", ""},
+        {"-0 2", ""},
+        {"1+2", ""},
+        {"1 2 3", ""},
+        {"1 2x", ""},
+        {"1 2 # trailing", ""},
+        {"1", "malformed edge line"},
+        {"1 x", "malformed edge line"},
+        {"x 1", "malformed edge line"},
+        {"1 -", "malformed edge line"},
+        {"1 +", "malformed edge line"},
+        {"1x 2", "malformed edge line"},
+        {"\r", "malformed edge line"},
+        {" # indented comment", "malformed edge line"},
+        {"36893488147419103232 2", "malformed edge line"},
+        {"1 36893488147419103232", "malformed edge line"},
+        {"1 36893488147419103232 2", "malformed edge line"},
+        {"-1 2", "node id exceeds 2^28-1"},
+        {"268435456 2", "node id exceeds 2^28-1"},
+        {"1 268435456", "node id exceeds 2^28-1"},
+    };
+    for (const Case& c : cases) {
+        std::stringstream ss(std::string("# nodes 3\n") + c.line + "\n");
+        if (*c.error == '\0') {
+            const EdgeList g = read_edge_list(ss);
+            ASSERT_EQ(g.num_edges(), 1u) << c.line;
+            EXPECT_EQ(g.key(0), edge_key(c.line[0] == '-' ? 0 : 1, 2)) << c.line;
+            continue;
+        }
+        try {
+            (void)read_edge_list(ss);
+            ADD_FAILURE() << "accepted: " << c.line;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+                << c.line << ": " << e.what();
+        }
+    }
+}
+
 } // namespace
 } // namespace gesmc

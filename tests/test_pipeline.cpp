@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -379,6 +380,46 @@ TEST(PipelineConfig, RejectsUnknownKeysAndBadValues) {
     EXPECT_THROW(apply_config_entry(c, "policy", "sideways"), Error);
     EXPECT_THROW(apply_config_entry(c, "prefetch", "maybe"), Error);
     EXPECT_THROW(apply_config_entry(c, "edge-set-backend", "waitfree"), Error);
+}
+
+TEST(PipelineConfig, NumericParsersAcceptOnlyOneNumberInRange) {
+    // The config keys and the tools' numeric flags share these parsers:
+    // all of the value must be the number, and the error names the flag.
+    struct Case {
+        std::string value;
+        bool u64_ok, unsigned_ok, double_ok;
+    };
+    const Case cases[] = {
+        {"abc", false, false, false},
+        {"3x", false, false, false},
+        {"-1", false, false, true},
+        {"", false, false, false},
+        {"18446744073709551616", false, false, true},
+        {"18446744073709551615", true, false, true},
+        {"4294967296", true, false, true},
+        {"4294967295", true, true, true},
+        {"7", true, true, true},
+        {"0.25", false, false, true},
+    };
+    const auto accepts = [](const auto& parse) {
+        try {
+            (void)parse();
+            return true;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("--flag"), std::string::npos) << e.what();
+            return false;
+        }
+    };
+    for (const Case& c : cases) {
+        EXPECT_EQ(accepts([&] { return parse_u64("--flag", c.value); }), c.u64_ok) << c.value;
+        EXPECT_EQ(accepts([&] { return parse_unsigned("--flag", c.value); }), c.unsigned_ok)
+            << c.value;
+        EXPECT_EQ(accepts([&] { return parse_double("--flag", c.value); }), c.double_ok)
+            << c.value;
+    }
+    EXPECT_EQ(parse_u64("--flag", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parse_unsigned("--flag", "4294967295"), UINT_MAX);
+    EXPECT_EQ(parse_double("--flag", "0.25"), 0.25);
 }
 
 TEST(PipelineConfig, EdgeSetBackendKeyAcceptsOnlyLocked) {

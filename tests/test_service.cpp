@@ -756,36 +756,50 @@ TEST(JobManager, RejectsCorpusConfigsAtSubmit) {
 TEST(CorpusClient, RowFromReportJsonMatchesTheInMemoryRow) {
     // The client-side merge parses the shard report the daemon wrote; the
     // row it rebuilds must be field-equal to the one run_corpus computes
-    // from the in-memory RunReport.
-    const fs::path dir = scratch_dir("corpus_row");
-    PipelineConfig config = job_config(dir, 41);
-    config.metrics = true;
-    const RunReport report = run_pipeline(config);
-    ASSERT_TRUE(all_succeeded(report));
-
+    // from the in-memory RunReport, under a fixed and an adaptive budget.
     const CorpusInput input{"row-test", "in/row-test.gesb"};
-    const CorpusGraphRow direct = corpus_row_from_report(input, report);
-    std::ostringstream os;
-    write_json_report(os, report);
-    const CorpusGraphRow parsed = corpus_row_from_report_json(input, os.str());
+    for (const bool adaptive : {false, true}) {
+        const std::string label = adaptive ? "adaptive" : "fixed";
+        const fs::path dir = scratch_dir("corpus_row_" + label);
+        PipelineConfig config = job_config(dir, 41);
+        config.metrics = true;
+        if (adaptive) {
+            config.adaptive = true;
+            config.min_supersteps = 2;
+            config.max_supersteps = 10;
+        }
+        const RunReport report = run_pipeline(config);
+        ASSERT_TRUE(all_succeeded(report)) << label;
 
-    EXPECT_EQ(parsed.name, direct.name);
-    EXPECT_EQ(parsed.input_path, direct.input_path);
-    EXPECT_EQ(parsed.seed, direct.seed);
-    EXPECT_EQ(parsed.input_nodes, direct.input_nodes);
-    EXPECT_EQ(parsed.input_edges, direct.input_edges);
-    EXPECT_EQ(parsed.replicates, direct.replicates);
-    EXPECT_EQ(parsed.failed, direct.failed);
-    EXPECT_EQ(parsed.interrupted, direct.interrupted);
-    EXPECT_NEAR(parsed.seconds, direct.seconds, 1e-12);
-    EXPECT_NEAR(parsed.switches_per_second, direct.switches_per_second, 1e-6);
-    EXPECT_NEAR(parsed.acceptance_rate, direct.acceptance_rate, 1e-12);
-    ASSERT_TRUE(parsed.has_metrics);
-    EXPECT_NEAR(parsed.mean_triangles, direct.mean_triangles, 1e-9);
-    EXPECT_NEAR(parsed.mean_clustering, direct.mean_clustering, 1e-12);
-    EXPECT_NEAR(parsed.mean_assortativity, direct.mean_assortativity, 1e-12);
-    EXPECT_NEAR(parsed.mean_components, direct.mean_components, 1e-12);
-    EXPECT_EQ(parsed.error, direct.error);
+        const CorpusGraphRow direct = corpus_row_from_report(input, report);
+        std::ostringstream os;
+        write_json_report(os, report);
+        const CorpusGraphRow parsed = corpus_row_from_report_json(input, os.str());
+
+        EXPECT_EQ(parsed.name, direct.name) << label;
+        EXPECT_EQ(parsed.input_path, direct.input_path) << label;
+        EXPECT_EQ(parsed.seed, direct.seed) << label;
+        EXPECT_EQ(parsed.input_nodes, direct.input_nodes) << label;
+        EXPECT_EQ(parsed.input_edges, direct.input_edges) << label;
+        EXPECT_EQ(parsed.replicates, direct.replicates) << label;
+        EXPECT_EQ(parsed.failed, direct.failed) << label;
+        EXPECT_EQ(parsed.interrupted, direct.interrupted) << label;
+        EXPECT_NEAR(parsed.seconds, direct.seconds, 1e-12) << label;
+        EXPECT_NEAR(parsed.switches_per_second, direct.switches_per_second, 1e-6) << label;
+        EXPECT_NEAR(parsed.acceptance_rate, direct.acceptance_rate, 1e-12) << label;
+        ASSERT_TRUE(parsed.has_metrics) << label;
+        EXPECT_NEAR(parsed.mean_triangles, direct.mean_triangles, 1e-9) << label;
+        EXPECT_NEAR(parsed.mean_clustering, direct.mean_clustering, 1e-12) << label;
+        EXPECT_NEAR(parsed.mean_assortativity, direct.mean_assortativity, 1e-12) << label;
+        EXPECT_NEAR(parsed.mean_components, direct.mean_components, 1e-12) << label;
+        EXPECT_EQ(parsed.error, direct.error) << label;
+
+        ASSERT_EQ(direct.has_adaptive, adaptive) << label;
+        EXPECT_EQ(parsed.has_adaptive, direct.has_adaptive) << label;
+        EXPECT_EQ(parsed.stopped_early, direct.stopped_early) << label;
+        EXPECT_EQ(parsed.configured_supersteps, direct.configured_supersteps) << label;
+        EXPECT_EQ(parsed.mean_realized_supersteps, direct.mean_realized_supersteps) << label;
+    }
 
     EXPECT_THROW((void)corpus_row_from_report_json(input, "{}"), Error);
     EXPECT_THROW((void)corpus_row_from_report_json(input, "not json"), Error);

@@ -14,6 +14,7 @@
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
 #include "graph/io.hpp"
+#include "pipeline/config.hpp"
 #include "util/format.hpp"
 #include "util/signal_interrupt.hpp"
 #include "util/timer.hpp"
@@ -124,7 +125,7 @@ std::optional<Options> parse(int argc, char** argv) {
             opt.checkpoint = v;
         } else if (arg == "--checkpoint-every") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.checkpoint_every = std::strtoull(v, nullptr, 10);
+            opt.checkpoint_every = parse_u64(arg, v);
         } else if (arg == "--resume") {
             if (!(v = need_value(i))) return std::nullopt;
             opt.resume = v;
@@ -132,48 +133,43 @@ std::optional<Options> parse(int argc, char** argv) {
             opt.progress = true;
         } else if (arg == "--algo") {
             if (!(v = need_value(i))) return std::nullopt;
-            try {
-                opt.algo = chain_algorithm_from_string(v);
-                opt.algo_set = true;
-            } catch (const Error& e) {
-                std::cerr << e.what() << "\n";
-                return std::nullopt;
-            }
+            opt.algo = chain_algorithm_from_string(v);
+            opt.algo_set = true;
         } else if (arg == "--supersteps") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.supersteps = std::strtoull(v, nullptr, 10);
+            opt.supersteps = parse_u64(arg, v);
         } else if (arg == "--seed") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.chain.seed = std::strtoull(v, nullptr, 10);
+            opt.chain.seed = parse_u64(arg, v);
             opt.seed_set = true;
         } else if (arg == "--threads") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.chain.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            opt.chain.threads = parse_unsigned(arg, v);
         } else if (arg == "--pl") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.chain.pl = std::strtod(v, nullptr);
+            opt.chain.pl = parse_double(arg, v);
             opt.pl_set = true;
         } else if (arg == "--small-cutoff") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.chain.small_graph_cutoff = std::strtoull(v, nullptr, 10);
+            opt.chain.small_graph_cutoff = parse_u64(arg, v);
         } else if (arg == "--n") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.n = std::strtoull(v, nullptr, 10);
+            opt.n = parse_u64(arg, v);
         } else if (arg == "--m") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.m = std::strtoull(v, nullptr, 10);
+            opt.m = parse_u64(arg, v);
         } else if (arg == "--gamma") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.gamma = std::strtod(v, nullptr);
+            opt.gamma = parse_double(arg, v);
         } else if (arg == "--rows") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.rows = std::strtoull(v, nullptr, 10);
+            opt.rows = parse_u64(arg, v);
         } else if (arg == "--cols") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.cols = std::strtoull(v, nullptr, 10);
+            opt.cols = parse_u64(arg, v);
         } else if (arg == "--degree") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.degree = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            opt.degree = parse_unsigned(arg, v);
         } else {
             std::cerr << "unknown option: " << arg << "\n" << kUsage;
             return std::nullopt;
@@ -224,7 +220,13 @@ EdgeList build_graph(const Options& opt) {
 } // namespace
 
 int main(int argc, char** argv) {
-    auto opt = parse(argc, argv);
+    std::optional<Options> opt;
+    try {
+        opt = parse(argc, argv);
+    } catch (const Error& e) { // a malformed flag value, named in the message
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     if (!opt) return 2;
     try {
         // make_chain validates threads >= 1; 0 means "use the hardware".

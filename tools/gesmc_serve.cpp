@@ -17,12 +17,12 @@
 /// then the daemon exits 0.
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "pipeline/config.hpp"
 #include "service/server.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -93,50 +93,55 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* v = nullptr;
-        if (arg == "--help") {
-            std::cout << kUsage;
-            return 0;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--no-metrics") {
-            metrics = false;
-        } else if (arg == "--socket") {
-            if (!(v = need_value(i))) return 2;
-            config.socket_path = v;
-        } else if (arg == "--threads") {
-            if (!(v = need_value(i))) return 2;
-            config.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--max-jobs") {
-            if (!(v = need_value(i))) return 2;
-            config.max_jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-            if (config.max_jobs == 0) {
-                std::cerr << "--max-jobs must be >= 1\n";
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const char* v = nullptr;
+            if (arg == "--help") {
+                std::cout << kUsage;
+                return 0;
+            } else if (arg == "--quiet") {
+                quiet = true;
+            } else if (arg == "--no-metrics") {
+                metrics = false;
+            } else if (arg == "--socket") {
+                if (!(v = need_value(i))) return 2;
+                config.socket_path = v;
+            } else if (arg == "--threads") {
+                if (!(v = need_value(i))) return 2;
+                config.threads = parse_unsigned(arg, v);
+            } else if (arg == "--max-jobs") {
+                if (!(v = need_value(i))) return 2;
+                config.max_jobs = parse_unsigned(arg, v);
+                if (config.max_jobs == 0) {
+                    std::cerr << "--max-jobs must be >= 1\n";
+                    return 2;
+                }
+            } else if (arg == "--telemetry-interval") {
+                if (!(v = need_value(i))) return 2;
+                const std::uint64_t ms = parse_u64(arg, v);
+                if (ms == 0) {
+                    std::cerr << "--telemetry-interval must be >= 1 ms\n";
+                    return 2;
+                }
+                config.telemetry_interval = std::chrono::milliseconds(ms);
+            } else if (arg == "--telemetry-out") {
+                if (!(v = need_value(i))) return 2;
+                config.telemetry_out = v;
+            } else if (arg == "--log-file") {
+                if (!(v = need_value(i))) return 2;
+                log_file = v;
+            } else if (arg == "--log-level") {
+                if (!(v = need_value(i))) return 2;
+                log_level = v;
+            } else {
+                std::cerr << "unknown option: " << arg << "\n" << kUsage;
                 return 2;
             }
-        } else if (arg == "--telemetry-interval") {
-            if (!(v = need_value(i))) return 2;
-            const unsigned long ms = std::strtoul(v, nullptr, 10);
-            if (ms == 0) {
-                std::cerr << "--telemetry-interval must be >= 1 ms\n";
-                return 2;
-            }
-            config.telemetry_interval = std::chrono::milliseconds(ms);
-        } else if (arg == "--telemetry-out") {
-            if (!(v = need_value(i))) return 2;
-            config.telemetry_out = v;
-        } else if (arg == "--log-file") {
-            if (!(v = need_value(i))) return 2;
-            log_file = v;
-        } else if (arg == "--log-level") {
-            if (!(v = need_value(i))) return 2;
-            log_level = v;
-        } else {
-            std::cerr << "unknown option: " << arg << "\n" << kUsage;
-            return 2;
         }
+    } catch (const Error& e) { // a malformed flag value, named in the message
+        std::cerr << e.what() << "\n";
+        return 2;
     }
     if (config.socket_path.empty()) {
         std::cerr << "--socket PATH is required\n" << kUsage;

@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -494,57 +493,62 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* v = nullptr;
-        if (arg == "--help") {
-            std::cout << kUsage;
-            return 0;
-        } else if (arg == "--quiet") {
-            submit.quiet = true;
-        } else if (arg == "--socket") {
-            if (!(v = need_value(i))) return 2;
-            socket_path = v;
-        } else if (arg == "--config") {
-            if (!(v = need_value(i))) return 2;
-            submit.config_path = v;
-        } else if (arg == "--set") {
-            if (!(v = need_value(i))) return 2;
-            submit.overrides.emplace_back(v);
-        } else if (arg == "--stream-dir") {
-            if (!(v = need_value(i))) return 2;
-            submit.stream_dir = v;
-        } else if (arg == "--corpus") {
-            submit.corpus = true;
-        } else if (arg == "--status") {
-            action = Action::kStatus;
-        } else if (arg == "--job") {
-            if (!(v = need_value(i))) return 2;
-            job = std::strtoull(v, nullptr, 10);
-            has_job = true;
-        } else if (arg == "--cancel") {
-            if (!(v = need_value(i))) return 2;
-            action = Action::kCancel;
-            job = std::strtoull(v, nullptr, 10);
-            has_job = true;
-        } else if (arg == "--metrics") {
-            if (action != Action::kWatch) action = Action::kMetrics;
-        } else if (arg == "--watch") {
-            if (!(v = need_value(i))) return 2;
-            watch_seconds = std::strtod(v, nullptr);
-            if (!(watch_seconds > 0)) {
-                std::cerr << "--watch expects a positive duration in seconds\n";
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const char* v = nullptr;
+            if (arg == "--help") {
+                std::cout << kUsage;
+                return 0;
+            } else if (arg == "--quiet") {
+                submit.quiet = true;
+            } else if (arg == "--socket") {
+                if (!(v = need_value(i))) return 2;
+                socket_path = v;
+            } else if (arg == "--config") {
+                if (!(v = need_value(i))) return 2;
+                submit.config_path = v;
+            } else if (arg == "--set") {
+                if (!(v = need_value(i))) return 2;
+                submit.overrides.emplace_back(v);
+            } else if (arg == "--stream-dir") {
+                if (!(v = need_value(i))) return 2;
+                submit.stream_dir = v;
+            } else if (arg == "--corpus") {
+                submit.corpus = true;
+            } else if (arg == "--status") {
+                action = Action::kStatus;
+            } else if (arg == "--job") {
+                if (!(v = need_value(i))) return 2;
+                job = parse_u64(arg, v);
+                has_job = true;
+            } else if (arg == "--cancel") {
+                if (!(v = need_value(i))) return 2;
+                action = Action::kCancel;
+                job = parse_u64(arg, v);
+                has_job = true;
+            } else if (arg == "--metrics") {
+                if (action != Action::kWatch) action = Action::kMetrics;
+            } else if (arg == "--watch") {
+                if (!(v = need_value(i))) return 2;
+                watch_seconds = parse_double(arg, v);
+                if (!(watch_seconds > 0)) {
+                    std::cerr << "--watch expects a positive duration in seconds\n";
+                    return 2;
+                }
+                action = Action::kWatch;
+            } else if (arg == "--prom") {
+                action = Action::kProm;
+            } else if (arg == "--shutdown") {
+                action = Action::kShutdown;
+            } else {
+                std::cerr << "unknown option: " << arg << "\n" << kUsage;
                 return 2;
             }
-            action = Action::kWatch;
-        } else if (arg == "--prom") {
-            action = Action::kProm;
-        } else if (arg == "--shutdown") {
-            action = Action::kShutdown;
-        } else {
-            std::cerr << "unknown option: " << arg << "\n" << kUsage;
-            return 2;
         }
+    } catch (const Error& e) { // a malformed flag value, named in the message
+        std::cerr << e.what() << "\n";
+        return 2;
     }
     if (socket_path.empty()) {
         std::cerr << "--socket PATH is required\n" << kUsage;

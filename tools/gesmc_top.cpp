@@ -14,6 +14,7 @@
 /// screen (the smoke test asserts monotone timestamps from it); --ticks N
 /// exits 0 after N ticks.  Exit 1 when the stream ends before any tick —
 /// a daemon whose sampler never fires is a bug worth a non-zero exit.
+#include "pipeline/config.hpp"
 #include "service/frame.hpp"
 #include "service/json.hpp"
 #include "service/socket.hpp"
@@ -21,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -186,24 +186,29 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* v = nullptr;
-        if (arg == "--help") {
-            std::cout << kUsage;
-            return 0;
-        } else if (arg == "--plain") {
-            plain = true;
-        } else if (arg == "--socket") {
-            if (!(v = need_value(i))) return 2;
-            socket_path = v;
-        } else if (arg == "--ticks") {
-            if (!(v = need_value(i))) return 2;
-            max_ticks = std::strtoull(v, nullptr, 10);
-        } else {
-            std::cerr << "unknown option: " << arg << "\n" << kUsage;
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const char* v = nullptr;
+            if (arg == "--help") {
+                std::cout << kUsage;
+                return 0;
+            } else if (arg == "--plain") {
+                plain = true;
+            } else if (arg == "--socket") {
+                if (!(v = need_value(i))) return 2;
+                socket_path = v;
+            } else if (arg == "--ticks") {
+                if (!(v = need_value(i))) return 2;
+                max_ticks = parse_u64(arg, v);
+            } else {
+                std::cerr << "unknown option: " << arg << "\n" << kUsage;
+                return 2;
+            }
         }
+    } catch (const Error& e) { // a malformed flag value, named in the message
+        std::cerr << e.what() << "\n";
+        return 2;
     }
     if (socket_path.empty()) {
         std::cerr << "--socket PATH is required\n" << kUsage;
