@@ -34,6 +34,11 @@ docs/static_analysis.md for the rationale behind each):
                 malformed value parses as 0 or a prefix.  Use the strict
                 parsers (pipeline/config.hpp) or check the end pointer.
 
+  page-memory   `mmap`, `munmap` and `madvise` are banned in src/ outside
+                src/util/table_storage.cpp: the huge-page policy of the
+                chains' tables (alignment, the THP hint, unmapping) lives
+                in that one module.
+
 Suppress a finding by appending `// lint: allow(<rule>)` to the line.
 """
 
@@ -65,6 +70,10 @@ IOSTREAM_PATTERN = re.compile(r"^\s*#\s*include\s*<iostream>")
 
 STRTO_NULL_END_PATTERN = re.compile(
     r"\bstrto\w+\s*\([^,;]+,\s*(nullptr|NULL|0)\s*[,)]")
+
+PAGE_MEMORY_PATTERN = re.compile(r"(^|[^\w.])(mmap|munmap|madvise)\s*\(")
+
+PAGE_MEMORY_HOME = "src/util/table_storage.cpp"
 
 ALLOW_PATTERN = re.compile(r"//\s*lint:\s*allow\((?P<rule>[\w-]+)\)")
 
@@ -120,6 +129,14 @@ def check_file(root: pathlib.Path, path: pathlib.Path, findings: list) -> None:
                 (rel, lineno, "strto-null-end",
                  "strto* without an end pointer accepts malformed input; "
                  "use parse_u64/parse_unsigned/parse_double: " + raw.strip()))
+
+        if in_library and rel != PAGE_MEMORY_HOME \
+                and PAGE_MEMORY_PATTERN.search(line) \
+                and not suppressed(raw, "page-memory"):
+            findings.append(
+                (rel, lineno, "page-memory",
+                 "page-level memory calls belong in " + PAGE_MEMORY_HOME
+                 + " (TableStorage): " + raw.strip()))
 
         if in_library and not in_bench_util \
                 and IOSTREAM_PATTERN.search(line) \

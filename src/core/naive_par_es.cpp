@@ -19,10 +19,8 @@ std::atomic_ref<edge_key_t> key_at(std::vector<edge_key_t>& keys, std::uint32_t 
 
 NaiveParES::NaiveParES(const EdgeList& initial, const ChainConfig& config)
     : SwitchingChain(ChainAlgorithm::kNaiveParES, initial, config),
-      set_(initial.num_edges()),
-      pool_(make_pool_ref(config.shared_pool, config.threads)) {
-    for (const edge_key_t k : edges_.keys()) set_.insert_unique(k);
-}
+      pool_(make_pool_ref(config.shared_pool, config.threads)),
+      set_(edges_.keys(), *pool_) {}
 
 void NaiveParES::advance() {
     const std::uint64_t m = edges_.num_edges();

@@ -43,8 +43,8 @@ private:
     void perform_switch(unsigned tid, const Switch& sw, std::uint64_t& accepted,
                         std::uint64_t& rejected_loop, std::uint64_t& rejected_edge);
 
+    PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool; builds set_
     ConcurrentEdgeSet set_;
-    PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
 };
 
 } // namespace gesmc

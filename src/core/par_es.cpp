@@ -47,14 +47,12 @@ void MinIndexMap::reset(ThreadPool& pool) {
 
 ParES::ParES(const EdgeList& initial, const ChainConfig& config)
     : SwitchingChain(ChainAlgorithm::kParES, initial, config),
-      set_(initial.num_edges()),
       stream_(config.seed, initial.num_edges()),
       pool_(make_pool_ref(config.shared_pool, config.threads)),
+      set_(edges_.keys(), *pool_),
       index_map_(initial.num_edges(), pool_->num_threads()),
       // Windows end at the superstep boundary, so none exceeds m/2 switches.
-      runner_(initial.num_edges() / 2, config.prefetch) {
-    set_.refill(edges_.keys(), *pool_);
-}
+      runner_(initial.num_edges() / 2, config.prefetch, &*pool_) {}
 
 double ParES::mean_superstep_length() const {
     if (windows_executed_ == 0) return 0.0;

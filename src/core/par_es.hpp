@@ -69,9 +69,9 @@ private:
     /// starting at s (exclusive end, capped at `cap`).
     std::uint64_t find_window_end(std::uint64_t s, std::uint64_t cap);
 
-    ConcurrentEdgeSet set_;
     SwitchStream stream_;
-    PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
+    PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool; builds set_
+    ConcurrentEdgeSet set_;
     MinIndexMap index_map_;
     SuperstepRunner runner_;
     std::vector<Switch> window_;

@@ -20,12 +20,10 @@ struct OneWriterSet {
 
 ParGlobalES::ParGlobalES(const EdgeList& initial, const ChainConfig& config)
     : SwitchingChain(ChainAlgorithm::kParGlobalES, initial, config),
-      set_(initial.num_edges()),
       small_graph_cutoff_(config.small_graph_cutoff),
       pool_(make_pool_ref(config.shared_pool, config.threads)),
-      runner_(initial.num_edges() / 2, config.prefetch) {
-    set_.refill(edges_.keys(), *pool_);
-}
+      set_(edges_.keys(), *pool_),
+      runner_(initial.num_edges() / 2, config.prefetch, &*pool_) {}
 
 void ParGlobalES::advance() {
     stats_.attempted += sample_global_switch(switch_scratch_, perm_scratch_,

@@ -32,9 +32,9 @@ public:
 private:
     void advance() override;
 
-    ConcurrentEdgeSet set_;
     std::uint64_t small_graph_cutoff_;
-    PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool
+    PoolRef pool_; ///< owned, or borrowed from ChainConfig::shared_pool; builds set_
+    ConcurrentEdgeSet set_;
     SuperstepRunner runner_;
     std::vector<Switch> switch_scratch_;
     std::vector<std::uint32_t> perm_scratch_;

@@ -21,8 +21,8 @@ void add_superstep(ChainStats& stats, const SuperstepResult& result) {
     stats.later_rounds_seconds += result.later_rounds_seconds;
 }
 
-SuperstepRunner::SuperstepRunner(std::uint64_t max_switches, bool prefetch)
-    : table_(max_switches),
+SuperstepRunner::SuperstepRunner(std::uint64_t max_switches, bool prefetch, ThreadPool* pool)
+    : table_(max_switches, pool),
       status_(max_switches),
       src_(2 * max_switches),
       tgt_(2 * max_switches),

@@ -82,7 +82,9 @@ public:
     /// max_switches: largest batch ever passed to run() (m/2 for both ParES
     /// and ParGlobalES).
     /// `prefetch` turns the phases' prefetches on (see the file comment).
-    explicit SuperstepRunner(std::uint64_t max_switches, bool prefetch = true);
+    /// The dependency table is initialized on `pool` (null: by the caller).
+    explicit SuperstepRunner(std::uint64_t max_switches, bool prefetch = true,
+                             ThreadPool* pool = nullptr);
 
     /// Executes the batch on (edges, set). `switches` must be free of
     /// source dependencies; `set` must contain exactly the keys of `edges`.

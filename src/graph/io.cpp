@@ -53,8 +53,9 @@ std::optional<std::uint64_t> next_number(std::string_view line, std::size_t& i,
             d = 10 * d + digit;
         }
     }
-    GESMC_CHECK(i > digits && (!overflow || i == line.size()),
-                std::string("malformed ") + kind + " line: " + std::string(line));
+    if (i == digits || (overflow && i != line.size())) {
+        throw Error(std::string("malformed ") + kind + " line: " + std::string(line));
+    }
     if (overflow) return std::nullopt;
     return negative ? 0 - d : d;
 }
@@ -77,12 +78,12 @@ void write_edge_list(std::ostream& os, const EdgeList& graph) {
         const Edge e = graph.edge(i);
         os << e.u << ' ' << e.v << '\n';
     }
-    GESMC_CHECK(os.good(), "edge list write failed");
+    if (!os.good()) throw Error("edge list write failed");
 }
 
 void write_edge_list_file(const std::string& path, const EdgeList& graph) {
     std::ofstream os(path);
-    GESMC_CHECK(os.good(), "cannot open for writing: " + path);
+    if (!os.good()) throw Error("cannot open for writing: " + path);
     write_edge_list(os, graph);
 }
 
@@ -105,8 +106,8 @@ EdgeList read_edge_list(std::istream& is) {
         std::size_t i = 0;
         const std::optional<std::uint64_t> u = next_number(line, i, "edge");
         const std::optional<std::uint64_t> v = u ? next_number(line, i, "edge") : std::nullopt;
-        GESMC_CHECK(u && v, "malformed edge line: " + std::string(line));
-        GESMC_CHECK(*u <= kMaxNode && *v <= kMaxNode, "node id exceeds 2^28-1");
+        if (!u || !v) throw Error("malformed edge line: " + std::string(line));
+        if (*u > kMaxNode || *v > kMaxNode) throw Error("node id exceeds 2^28-1");
         if (*u == *v) return; // drop self-loops (paper's NetRep cleaning)
         keys.push_back(edge_key(static_cast<node_t>(*u), static_cast<node_t>(*v)));
         max_node = std::max({max_node, static_cast<node_t>(*u), static_cast<node_t>(*v)});
@@ -120,7 +121,7 @@ EdgeList read_edge_list(std::istream& is) {
 
 EdgeList read_edge_list_file(const std::string& path) {
     std::ifstream is(path);
-    GESMC_CHECK(is.good(), "cannot open for reading: " + path);
+    if (!is.good()) throw Error("cannot open for reading: " + path);
     return read_edge_list(is);
 }
 
@@ -147,7 +148,7 @@ std::string encode_edge_list_binary(node_t n, std::uint64_t m, ForEachKey&& for_
 
 void write_bytes(std::ostream& os, const std::string& bytes) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    GESMC_CHECK(os.good(), "binary edge list write failed");
+    if (!os.good()) throw Error("binary edge list write failed");
 }
 
 } // namespace
@@ -161,7 +162,7 @@ void write_edge_list_binary(std::ostream& os, const EdgeList& graph) {
 
 void write_edge_list_binary_file(const std::string& path, const EdgeList& graph) {
     std::ofstream os(path, std::ios::binary);
-    GESMC_CHECK(os.good(), "cannot open for writing: " + path);
+    if (!os.good()) throw Error("cannot open for writing: " + path);
     write_edge_list_binary(os, graph);
 }
 
@@ -182,25 +183,28 @@ void write_edge_list_binary(std::ostream& os, const Adjacency& adj) {
 
 void write_edge_list_binary_file(const std::string& path, const Adjacency& adj) {
     std::ofstream os(path, std::ios::binary);
-    GESMC_CHECK(os.good(), "cannot open for writing: " + path);
+    if (!os.good()) throw Error("cannot open for writing: " + path);
     write_edge_list_binary(os, adj);
 }
 
 EdgeList read_edge_list_binary(std::istream& is) {
     const std::string bytes = binio::read_rest(is);
-    GESMC_CHECK(bytes.size() >= sizeof(kBinaryMagic) &&
-                    std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) == 0,
-                "not a GESB binary edge list");
+    if (bytes.size() < sizeof(kBinaryMagic) ||
+        std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
+        throw Error("not a GESB binary edge list");
+    }
     binio::Decoder in(std::string_view(bytes).substr(sizeof(kBinaryMagic)),
                       "binary edge list");
     const int version = in.get();
-    GESMC_CHECK(version != kChainStateTag,
-                "this GESB file is a chain-state section, not a graph "
-                "(read it with read_chain_state)");
-    GESMC_CHECK(version == kBinaryVersion,
-                "unsupported GESB version: " + std::to_string(version));
+    if (version == kChainStateTag) {
+        throw Error("this GESB file is a chain-state section, not a graph "
+                    "(read it with read_chain_state)");
+    }
+    if (version != kBinaryVersion) {
+        throw Error("unsupported GESB version: " + std::to_string(version));
+    }
     const std::uint64_t n = in.varint();
-    GESMC_CHECK(n <= static_cast<std::uint64_t>(kMaxNode) + 1, "node count exceeds 2^28");
+    if (n > static_cast<std::uint64_t>(kMaxNode) + 1) throw Error("node count exceeds 2^28");
     const std::uint64_t m = in.varint();
     std::vector<edge_key_t> keys;
     // Don't trust the header's edge count for the allocation: a corrupt m
@@ -215,8 +219,8 @@ EdgeList read_edge_list_binary(std::istream& is) {
         // duplicate).  Guard the sum against wrap-around too: wrapped keys
         // would break the strictly-increasing order that from_keys's
         // per-key validation cannot check.
-        GESMC_CHECK(delta != 0, "binary edge list: duplicate or zero key");
-        GESMC_CHECK(delta <= ~prev, "binary edge list: key overflows 64 bits");
+        if (delta == 0) throw Error("binary edge list: duplicate or zero key");
+        if (delta > ~prev) throw Error("binary edge list: key overflows 64 bits");
         prev += delta;
         keys.push_back(prev);
     }
@@ -226,7 +230,7 @@ EdgeList read_edge_list_binary(std::istream& is) {
 
 EdgeList read_edge_list_binary_file(const std::string& path) {
     std::ifstream is(path, std::ios::binary);
-    GESMC_CHECK(is.good(), "cannot open for reading: " + path);
+    if (!is.good()) throw Error("cannot open for reading: " + path);
     return read_edge_list_binary(is);
 }
 
@@ -243,7 +247,7 @@ bool is_binary_edge_list(std::istream& is) {
 
 EdgeList read_any_edge_list_file(const std::string& path) {
     std::ifstream is(path, std::ios::binary);
-    GESMC_CHECK(is.good(), "cannot open for reading: " + path);
+    if (!is.good()) throw Error("cannot open for reading: " + path);
     if (is_binary_edge_list(is)) return read_edge_list_binary(is);
     return read_edge_list(is);
 }
@@ -272,12 +276,12 @@ void write_chain_state(std::ostream& os, const ChainState& state) {
     binio::write_double_le(os, state.stats.first_round_seconds);
     binio::write_double_le(os, state.stats.later_rounds_seconds);
     for (const edge_key_t key : state.keys) binio::write_varint(os, key);
-    GESMC_CHECK(os.good(), "chain state write failed");
+    if (!os.good()) throw Error("chain state write failed");
 }
 
 void write_chain_state_file(const std::string& path, const ChainState& state) {
     std::ofstream os(path, std::ios::binary);
-    GESMC_CHECK(os.good(), "cannot open for writing: " + path);
+    if (!os.good()) throw Error("cannot open for writing: " + path);
     write_chain_state(os, state);
 }
 
@@ -286,12 +290,12 @@ void write_file_atomic(const std::string& path,
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::binary);
-        GESMC_CHECK(os.good(), "cannot open for writing: " + tmp);
+        if (!os.good()) throw Error("cannot open for writing: " + tmp);
         write(os);
         // Flush before the rename: a full disk must fail here, not
         // silently install a truncated file over the last good one.
         os.close();
-        GESMC_CHECK(os.good(), "flush failed: " + tmp);
+        if (!os.good()) throw Error("flush failed: " + tmp);
     }
     std::filesystem::rename(tmp, path);
 }
@@ -303,29 +307,31 @@ void write_chain_state_file_atomic(const std::string& path, const ChainState& st
 ChainState read_chain_state(std::istream& is) {
     char preamble[6] = {};
     is.read(preamble, sizeof(preamble));
-    GESMC_CHECK(is.gcount() == sizeof(preamble) &&
-                    std::memcmp(preamble, kBinaryMagic, sizeof(kBinaryMagic)) == 0 &&
-                    preamble[4] == kChainStateTag,
-                "not a GESB chain-state section");
+    if (is.gcount() != sizeof(preamble) ||
+        std::memcmp(preamble, kBinaryMagic, sizeof(kBinaryMagic)) != 0 ||
+        preamble[4] != kChainStateTag) {
+        throw Error("not a GESB chain-state section");
+    }
     const int version = static_cast<unsigned char>(preamble[5]);
-    GESMC_CHECK(version == kChainStateVersion,
-                "unsupported chain-state version: " + std::to_string(version));
+    if (version != kChainStateVersion) {
+        throw Error("unsupported chain-state version: " + std::to_string(version));
+    }
 
     ChainState state;
     const std::uint64_t name_len = binio::read_varint(is, "chain state");
-    GESMC_CHECK(name_len <= 64, "chain state: implausible algorithm name length");
+    if (name_len > 64) throw Error("chain state: implausible algorithm name length");
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
-    GESMC_CHECK(is.gcount() == static_cast<std::streamsize>(name_len),
-                "chain state truncated");
+    if (is.gcount() != static_cast<std::streamsize>(name_len)) throw Error("chain state truncated");
     state.algorithm = chain_algorithm_from_string(name);
 
     state.seed = binio::read_varint(is, "chain state");
     state.counter = binio::read_varint(is, "chain state");
     state.pl = binio::read_double_le(is, "chain state");
     const std::uint64_t n = binio::read_varint(is, "chain state");
-    GESMC_CHECK(n <= static_cast<std::uint64_t>(kMaxNode) + 1,
-                "chain state: node count exceeds 2^28");
+    if (n > static_cast<std::uint64_t>(kMaxNode) + 1) {
+        throw Error("chain state: node count exceeds 2^28");
+    }
     state.num_nodes = static_cast<node_t>(n);
     const std::uint64_t m = binio::read_varint(is, "chain state");
     state.stats.supersteps = binio::read_varint(is, "chain state");
@@ -348,14 +354,15 @@ ChainState read_chain_state(std::istream& is) {
     // as a downstream "non-simple graph" pointing at the chain.
     std::vector<edge_key_t> sorted = state.keys;
     std::sort(sorted.begin(), sorted.end());
-    GESMC_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-                "chain state: duplicate edge key");
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+        throw Error("chain state: duplicate edge key");
+    }
     return state;
 }
 
 ChainState read_chain_state_file(const std::string& path) {
     std::ifstream is(path, std::ios::binary);
-    GESMC_CHECK(is.good(), "cannot open for reading: " + path);
+    if (!is.good()) throw Error("cannot open for reading: " + path);
     return read_chain_state(is);
 }
 
@@ -374,7 +381,7 @@ bool is_chain_state(std::istream& is) {
 
 bool is_chain_state_file(const std::string& path) {
     std::ifstream is(path, std::ios::binary);
-    GESMC_CHECK(is.good(), "cannot open for reading: " + path);
+    if (!is.good()) throw Error("cannot open for reading: " + path);
     return is_chain_state(is);
 }
 
@@ -383,12 +390,12 @@ bool is_chain_state_file(const std::string& path) {
 void write_degree_sequence(std::ostream& os, const DegreeSequence& seq) {
     os << "# nodes " << seq.num_nodes() << '\n';
     for (const std::uint32_t d : seq.degrees()) os << d << '\n';
-    GESMC_CHECK(os.good(), "degree sequence write failed");
+    if (!os.good()) throw Error("degree sequence write failed");
 }
 
 void write_degree_sequence_file(const std::string& path, const DegreeSequence& seq) {
     std::ofstream os(path);
-    GESMC_CHECK(os.good(), "cannot open for writing: " + path);
+    if (!os.good()) throw Error("cannot open for writing: " + path);
     write_degree_sequence(os, seq);
 }
 
@@ -400,7 +407,7 @@ DegreeSequence read_degree_sequence(std::istream& is) {
         // reads them until the line ends.
         std::size_t i = 0;
         while (const std::optional<std::uint64_t> d = next_number(line, i, "degree")) {
-            GESMC_CHECK(*d <= kMaxNode, "degree exceeds max node count");
+            if (*d > kMaxNode) throw Error("degree exceeds max node count");
             degrees.push_back(static_cast<std::uint32_t>(*d));
         }
     });
@@ -409,7 +416,7 @@ DegreeSequence read_degree_sequence(std::istream& is) {
 
 DegreeSequence read_degree_sequence_file(const std::string& path) {
     std::ifstream is(path);
-    GESMC_CHECK(is.good(), "cannot open for reading: " + path);
+    if (!is.good()) throw Error("cannot open for reading: " + path);
     return read_degree_sequence(is);
 }
 

@@ -47,6 +47,10 @@
 ///
 /// Degree-sequence files: whitespace-separated non-negative integers with
 /// the same '%'/'#' comment rules, in node-id order.
+///
+/// Errors: a file that cannot be opened or written, a malformed line and a
+/// malformed section throw Error whose what() is the message alone (e.g.
+/// "cannot open for reading: <path>"), which the tools print as is.
 #pragma once
 
 #include "core/chain.hpp"

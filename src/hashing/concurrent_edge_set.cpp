@@ -37,18 +37,27 @@ EdgeSetMetrics& edge_set_metrics() noexcept {
     static EdgeSetMetrics& m = *new EdgeSetMetrics();
     return m;
 }
+
+/// 4x headroom: live keys stay below 1/4 load, tombstones may add another
+/// 1/4 before maybe_rebuild() compacts, so probes stay short.
+std::uint64_t bucket_count_for(std::uint64_t max_live_keys) noexcept {
+    return next_pow2(std::max<std::uint64_t>(64, max_live_keys * 4));
+}
 } // namespace
 
-ConcurrentEdgeSet::ConcurrentEdgeSet(std::uint64_t max_live_keys, EdgeSetBackend) {
-    // 4x headroom: live keys stay below 1/4 load, tombstones may add another
-    // 1/4 before maybe_rebuild() compacts, so probes stay short.
-    const std::uint64_t cap = next_pow2(std::max<std::uint64_t>(64, max_live_keys * 4));
-    table_ = std::vector<std::atomic<std::uint64_t>>(cap);
-    for (auto& b : table_) b.store(kEmpty, std::memory_order_relaxed);
-    stripes_ = std::vector<std::atomic<std::uint8_t>>(kStripes);
-    for (auto& s : stripes_) s.store(0, std::memory_order_relaxed);
-    mask_ = cap - 1;
-    shift_ = 64 - log2_floor(cap);
+ConcurrentEdgeSet::ConcurrentEdgeSet(std::uint64_t max_live_keys, EdgeSetBackend)
+    : table_(bucket_count_for(max_live_keys), nullptr, kEmpty),
+      stripes_(kStripes),
+      mask_(table_.size() - 1),
+      shift_(64 - log2_floor(table_.size())) {}
+
+ConcurrentEdgeSet::ConcurrentEdgeSet(std::span<const std::uint64_t> keys, ThreadPool& pool)
+    : table_(bucket_count_for(keys.size()), &pool, kEmpty),
+      stripes_(kStripes),
+      mask_(table_.size() - 1),
+      shift_(64 - log2_floor(table_.size())) {
+    const obs::TraceSpan span("edgeset.refill", "hashing");
+    fill(keys, pool);
 }
 
 void ConcurrentEdgeSet::note_psl(std::uint64_t distance) noexcept {
@@ -301,12 +310,16 @@ std::uint64_t ConcurrentEdgeSet::place(std::uint64_t key) noexcept {
 
 void ConcurrentEdgeSet::refill(std::span<const std::uint64_t> keys, ThreadPool& pool) {
     const obs::TraceSpan span("edgeset.refill", "hashing");
-    // Placing at most 1/2 load always finds an empty bucket, so place()
-    // needs no bound and never throws on a worker.
-    GESMC_CHECK(keys.size() <= table_.size() / 2, "refill exceeds the table's sizing");
     pool.for_chunks(0, table_.size(), [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
         for (std::uint64_t i = lo; i < hi; ++i) table_[i].store(kEmpty, std::memory_order_relaxed);
     });
+    fill(keys, pool);
+}
+
+void ConcurrentEdgeSet::fill(std::span<const std::uint64_t> keys, ThreadPool& pool) {
+    // Placing at most 1/2 load always finds an empty bucket, so place()
+    // needs no bound and never throws on a worker.
+    GESMC_CHECK(keys.size() <= table_.size() / 2, "refill exceeds the table's sizing");
     counts_.reset(keys.size());
     psl_max_.store(0, std::memory_order_relaxed);
     constexpr std::uint64_t kAhead = 16; // bucket prefetch distance, in keys

@@ -37,6 +37,10 @@
 /// callers rebuild at a quiescent point: maybe_rebuild(), or — when they
 /// hold the exact live key list, as the chains do between supersteps —
 /// refill() with that list on their pool.
+///
+/// The buckets live in a TableStorage (util/table_storage.hpp), on huge
+/// pages from 2 MiB up; the key-span constructor first-touches them on its
+/// pool.
 #pragma once
 
 #include "hashing/count_cells.hpp"
@@ -46,6 +50,7 @@
 #include "rng/bounded.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
+#include "util/table_storage.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -77,6 +82,10 @@ public:
     /// The second parameter is a stub (edge_set_backend.hpp).
     explicit ConcurrentEdgeSet(std::uint64_t max_live_keys,
                                EdgeSetBackend = EdgeSetBackend::kLocked);
+
+    /// Creates a set sized for `keys.size()` live keys holding `keys`,
+    /// built on the pool's threads.  Same contract as refill().
+    ConcurrentEdgeSet(std::span<const std::uint64_t> keys, ThreadPool& pool);
 
     ConcurrentEdgeSet(const ConcurrentEdgeSet&) = delete;
     ConcurrentEdgeSet& operator=(const ConcurrentEdgeSet&) = delete;
@@ -209,9 +218,12 @@ private:
     /// tombstone-free table; returns its distance from home.
     std::uint64_t place(std::uint64_t key) noexcept;
 
+    /// Places `keys` into the empty table on the pool's threads.
+    void fill(std::span<const std::uint64_t> keys, ThreadPool& pool);
+
     static constexpr std::uint64_t kStripes = 4096;
 
-    std::vector<std::atomic<std::uint64_t>> table_;
+    TableStorage<std::atomic<std::uint64_t>> table_;
     std::vector<std::atomic<std::uint8_t>> stripes_;
     std::uint64_t mask_ = 0;
     unsigned shift_ = 64;

@@ -2,20 +2,14 @@
 
 namespace gesmc {
 
-DependencyTable::DependencyTable(std::uint64_t max_switches) {
+DependencyTable::DependencyTable(std::uint64_t max_switches, ThreadPool* pool)
     // Up to 4 distinct edges are registered per switch; size for load <= 1/2.
-    const std::uint64_t cap = next_pow2(std::max<std::uint64_t>(64, max_switches * 8));
-    slots_ = std::vector<Slot>(cap);
-    for (auto& slot : slots_) {
-        slot.key.store(kEmptyKey, std::memory_order_relaxed);
-        slot.erase_idx.store(kNone, std::memory_order_relaxed);
-        slot.insert_head.store(kNone, std::memory_order_relaxed);
-        slot.insert_min_cache.store(0, std::memory_order_relaxed); // round 0: never queried
-    }
-    arena_next_ = std::vector<std::atomic<std::uint32_t>>(2 * max_switches);
-    mask_ = cap - 1;
-    shift_ = 64 - log2_floor(cap);
-}
+    // Round 0 of the insert-min memo is never queried.
+    : slots_(next_pow2(std::max<std::uint64_t>(64, max_switches * 8)), pool, kEmptyKey, kNone,
+             kNone, std::uint64_t{0}),
+      arena_next_(2 * max_switches),
+      mask_(slots_.size() - 1),
+      shift_(64 - log2_floor(slots_.size())) {}
 
 void DependencyTable::begin_superstep(std::uint64_t num_switches, ThreadPool& pool) {
     GESMC_CHECK(2 * num_switches <= arena_next_.size(),

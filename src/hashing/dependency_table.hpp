@@ -27,6 +27,9 @@
 /// switch k, so no allocation happens during a superstep).  Lookups during
 /// the decision rounds are wait-free probes.  reset() only touches slots
 /// used by the previous superstep.
+///
+/// Memory: the slots live in a TableStorage (util/table_storage.hpp), on
+/// huge pages from 2 MiB up, first touched on the constructor's pool.
 #pragma once
 
 #include "hashing/hash.hpp"
@@ -35,6 +38,7 @@
 #include "util/cache_padded.hpp"
 #include "util/check.hpp"
 #include "util/prefetch.hpp"
+#include "util/table_storage.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -53,7 +57,8 @@ public:
     static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
 
     /// Sizes the table for supersteps with up to max_switches switches.
-    explicit DependencyTable(std::uint64_t max_switches);
+    /// The slots are initialized on `pool` (null: by the caller).
+    explicit DependencyTable(std::uint64_t max_switches, ThreadPool* pool = nullptr);
 
     DependencyTable(const DependencyTable&) = delete;
     DependencyTable& operator=(const DependencyTable&) = delete;
@@ -132,7 +137,7 @@ private:
 
     static constexpr std::uint64_t kEmptyKey = 0;
 
-    mutable std::vector<Slot> slots_;
+    mutable TableStorage<Slot> slots_;
     std::vector<std::atomic<std::uint32_t>> arena_next_; // node 2k+b -> next node
     /// Per-thread claimed slots, one cache line per thread: every claim
     /// appends to its thread's list.

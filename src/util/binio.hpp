@@ -5,7 +5,8 @@
 /// serves the graph and chain-state sections (graph/io.cpp) and the analysis
 /// sidecars (estimator state, see analysis/ess.*).  Readers take the name of
 /// the enclosing section (`what`) so a truncated checkpoint is reported as
-/// such, not as a broken graph file.  Bulk payloads (a graph's edge keys)
+/// such, not as a broken graph file; the Error carries that message alone.
+/// Bulk payloads (a graph's edge keys)
 /// are encoded into one buffer and decoded from one buffer: per-byte stream
 /// calls cost more than the arithmetic.
 #pragma once
@@ -44,12 +45,12 @@ inline std::uint64_t read_varint(std::istream& is, const char* what) {
     std::uint64_t v = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
         const int byte = is.get();
-        GESMC_CHECK(byte != std::char_traits<char>::eof(),
-                    std::string(what) + " truncated");
+        if (byte == std::char_traits<char>::eof()) throw Error(std::string(what) + " truncated");
         // The 10th byte (shift 63) has room for one data bit only; higher
         // bits would be shifted out silently.
-        GESMC_CHECK(shift < 63 || (byte & 0x7E) == 0,
-                    std::string(what) + ": varint overflows 64 bits");
+        if (shift == 63 && (byte & 0x7E) != 0) {
+            throw Error(std::string(what) + ": varint overflows 64 bits");
+        }
         v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
         if ((byte & 0x80) == 0) return v;
     }
@@ -69,7 +70,7 @@ inline void write_double_le(std::ostream& os, double value) {
 inline double read_double_le(std::istream& is, const char* what) {
     char buf[8];
     is.read(buf, sizeof(buf));
-    GESMC_CHECK(is.gcount() == sizeof(buf), std::string(what) + " truncated");
+    if (is.gcount() != sizeof(buf)) throw Error(std::string(what) + " truncated");
     std::uint64_t bits = 0;
     for (int i = 0; i < 8; ++i) {
         bits |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
@@ -105,10 +106,11 @@ public:
     std::uint64_t varint() {
         std::uint64_t v = 0;
         for (unsigned shift = 0; shift < 64; shift += 7) {
-            GESMC_CHECK(pos_ != end_, std::string(what_) + " truncated");
+            if (pos_ == end_) throw Error(std::string(what_) + " truncated");
             const unsigned byte = static_cast<unsigned char>(*pos_++);
-            GESMC_CHECK(shift < 63 || (byte & 0x7E) == 0,
-                        std::string(what_) + ": varint overflows 64 bits");
+            if (shift == 63 && (byte & 0x7E) != 0) {
+                throw Error(std::string(what_) + ": varint overflows 64 bits");
+            }
             v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
             if ((byte & 0x80) == 0) return v;
         }

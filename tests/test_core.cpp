@@ -14,10 +14,12 @@
 #include "core/switch_stream.hpp"
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
+#include "hashing/dependency_table.hpp"
 #include "obs/trace.hpp"
 #include "rng/mt19937_64.hpp"
 #include "rng/shuffle.hpp"
 #include "service/json.hpp"
+#include "util/table_storage.hpp"
 
 #include <gtest/gtest.h>
 
@@ -365,6 +367,45 @@ TEST(Exactness, ParGlobalESEqualsSeqGlobalESAcrossThreadCounts) {
             }
         }
     }
+}
+
+/// A G(n,p) graph whose chains' dependency table (8 slots of 32 B per
+/// switch, m/2 switches) takes the huge-page path: m is about 40,000.
+EdgeList huge_table_graph() {
+    const EdgeList g = generate_gnp(4000, 0.005, 8);
+    EXPECT_GE(DependencyTable(g.num_edges() / 2).bucket_count() * 32, detail::kHugePageBytes);
+    return g;
+}
+
+TEST(Exactness, ParGlobalESOnHugePageTablesEqualsSeqGlobalES) {
+    const EdgeList g = huge_table_graph();
+    ChainConfig config;
+    config.seed = 31;
+    SeqGlobalES seq(g, config);
+    seq.run_supersteps(3);
+    config.threads = 4;
+    ParGlobalES par(g, config);
+    par.run_supersteps(3);
+    ASSERT_TRUE(par.graph().same_graph(seq.graph()));
+    EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
+    EXPECT_EQ(par.stats().attempted, seq.stats().attempted);
+    for (const edge_key_t k : par.graph().keys()) ASSERT_TRUE(par.has_edge(k));
+}
+
+TEST(Exactness, ParESOnHugePageTablesEqualsSeqES) {
+    const EdgeList g = huge_table_graph();
+    ChainConfig config;
+    config.seed = 32;
+    SeqES seq(g, config);
+    seq.run_supersteps(3);
+    config.threads = 4;
+    ParES par(g, config);
+    par.run_supersteps(3);
+    ASSERT_TRUE(par.graph().same_graph(seq.graph()));
+    EXPECT_EQ(par.stats().accepted, seq.stats().accepted);
+    EXPECT_EQ(par.stats().rejected_loop, seq.stats().rejected_loop);
+    EXPECT_EQ(par.stats().rejected_edge, seq.stats().rejected_edge);
+    for (const edge_key_t k : par.graph().keys()) ASSERT_TRUE(par.has_edge(k));
 }
 
 TEST(Exactness, SeqESPipelinedEqualsPlain) {

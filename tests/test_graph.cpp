@@ -366,6 +366,27 @@ TEST(Io, MalformedLineThrows) {
     EXPECT_THROW(read_edge_list(ss), Error);
 }
 
+TEST(Io, InputErrorsCarryTheMessageAlone) {
+    // The tools print what() as is: no check expression, no source path.
+    const auto what = [](auto&& read) -> std::string {
+        try {
+            read();
+        } catch (const Error& e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    const std::string missing = "no-such-dir/missing.txt";
+    EXPECT_EQ(what([&] { (void)read_edge_list_file(missing); }),
+              "cannot open for reading: " + missing);
+    EXPECT_EQ(what([&] { (void)read_any_edge_list_file(missing); }),
+              "cannot open for reading: " + missing);
+    EXPECT_EQ(what([&] { (void)read_degree_sequence_file(missing); }),
+              "cannot open for reading: " + missing);
+    std::stringstream ss("1 x\n");
+    EXPECT_EQ(what([&] { (void)read_edge_list(ss); }), "malformed edge line: 1 x");
+}
+
 TEST(Io, EdgeLinesParseAsTwoStreamExtractions) {
     // Each line reads as `istringstream >> u >> v` in the "C" locale:
     // blanks (tabs, a CR) before a number, an optional sign ('-' wraps),

@@ -8,6 +8,7 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "rng/mt19937_64.hpp"
+#include "util/table_storage.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,22 +21,45 @@
 #include <unordered_set>
 #include <vector>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define GESMC_TEST_HARDWARE_CRC 1
+#endif
+
 namespace gesmc {
 namespace {
 
 // ------------------------------------------------------------------ hash
 
+#if defined(GESMC_TEST_HARDWARE_CRC)
+/// The SSE4.2 instruction, compiled for it whatever the build's flags; call
+/// only where the CPU supports it.
+__attribute__((target("sse4.2"))) std::uint32_t hardware_crc32c(std::uint32_t crc,
+                                                                std::uint64_t data) {
+    return static_cast<std::uint32_t>(_mm_crc32_u64(crc, data));
+}
+#endif
+
 TEST(Hash, HardwareAndSoftwareCrcAgree) {
-#if defined(__SSE4_2__)
+#if defined(GESMC_TEST_HARDWARE_CRC)
+    if (!__builtin_cpu_supports("sse4.2")) GTEST_SKIP() << "this CPU has no SSE4.2";
     Mt19937_64 gen(1);
     for (int i = 0; i < 10000; ++i) {
         const std::uint64_t key = gen();
-        const auto hw = static_cast<std::uint32_t>(_mm_crc32_u64(0xB2D05E13u, key));
-        EXPECT_EQ(hw, detail::crc32c_sw(0xB2D05E13u, key)) << key;
+        EXPECT_EQ(hardware_crc32c(0xB2D05E13u, key), detail::crc32c_sw(0xB2D05E13u, key))
+            << key;
     }
 #else
-    GTEST_SKIP() << "no SSE4.2 on this target";
+    GTEST_SKIP() << "the crc32 instruction is x86-64 only";
 #endif
+}
+
+TEST(Hash, SoftwareCrcMatchesTheInstructionOnPinnedKeys) {
+    // Values read from _mm_crc32_u64, so targets without the instruction
+    // check the software table too.
+    EXPECT_EQ(detail::crc32c_sw(0xB2D05E13u, 1), 0x93236DB7u);
+    EXPECT_EQ(detail::crc32c_sw(0, 0x0123456789ABCDEFull), 0xE9986AA9u);
+    EXPECT_EQ(detail::crc32c_sw(0xFFFFFFFFu, ~std::uint64_t{0}), 0xB798B438u);
 }
 
 TEST(Hash, NoObviousCollisionsOnSequentialKeys) {
@@ -614,6 +638,37 @@ TEST(ConcurrentEdgeSet, RefillHoldsExactlyTheGivenKeys) {
     }
 }
 
+TEST(ConcurrentEdgeSet, PoolBuiltFromKeysHoldsExactlyTheKeys) {
+    // 100,000 keys size the table at 2^19 buckets (4 MiB): the huge-page
+    // path, first touched on 4 threads.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 100000; ++i) keys.push_back(1 + 3 * i);
+    ThreadPool pool(4);
+    ConcurrentEdgeSet built(keys, pool);
+    ConcurrentEdgeSet sized(keys.size());
+    for (const std::uint64_t k : keys) ASSERT_TRUE(sized.insert_unique(k));
+    ASSERT_EQ(built.bucket_count(), sized.bucket_count());
+    ASSERT_GE(built.bucket_count() * sizeof(std::uint64_t), detail::kHugePageBytes);
+
+    for (ConcurrentEdgeSet* set : {&built, &sized}) {
+        EXPECT_EQ(set->size(), keys.size());
+        for (const std::uint64_t k : keys) ASSERT_TRUE(set->contains(k));
+        EXPECT_FALSE(set->contains(2));
+        EXPECT_FALSE(set->needs_rebuild());
+        EXPECT_TRUE(set->erase_unique(keys.front()));
+        EXPECT_FALSE(set->contains(keys.front()));
+        EXPECT_TRUE(set->insert_unique(2));
+        EXPECT_TRUE(set->contains(2));
+        EXPECT_EQ(set->size(), keys.size());
+    }
+    std::vector<std::uint64_t> from_built, from_sized;
+    built.for_each([&](std::uint64_t k) { from_built.push_back(k); });
+    sized.for_each([&](std::uint64_t k) { from_sized.push_back(k); });
+    std::sort(from_built.begin(), from_built.end());
+    std::sort(from_sized.begin(), from_sized.end());
+    EXPECT_EQ(from_built, from_sized);
+}
+
 // ------------------------------------------------------ dependency table
 
 TEST(DependencyTable, EraseRegistrationAndLookup) {
@@ -718,6 +773,44 @@ TEST(DependencyTable, ConcurrentRegistrationIsComplete) {
     // Marking the minimum illegal exposes the next one (residue + 97).
     status[13].store(SwitchStatus::kIllegal);
     EXPECT_EQ(table.lookup_insert_min(14, status, 2), 13u + 97u);
+}
+
+TEST(DependencyTable, PoolBuiltHugeTableAnswersAsSerialBuilt) {
+    // 100,000 switches size the table at 2^20 slots (32 MiB): the huge-page
+    // path, first touched on 4 threads.
+    constexpr std::uint32_t switches = 100000;
+    constexpr std::uint64_t kMaxKey = 3 * std::uint64_t{switches} + 1;
+    ThreadPool pool(4);
+    DependencyTable pooled(switches, &pool);
+    DependencyTable serial(switches);
+    ASSERT_EQ(pooled.bucket_count(), serial.bucket_count());
+    ASSERT_GE(pooled.bucket_count() * 32, detail::kHugePageBytes);
+    std::vector<std::atomic<SwitchStatus>> status(switches);
+    for (auto& s : status) s.store(SwitchStatus::kUndecided);
+
+    for (std::uint64_t key = 1; key <= kMaxKey; ++key) {
+        ASSERT_EQ(pooled.find_slot(key), DependencyTable::kNoSlot) << key;
+    }
+    // Switch k erases key 3k+1 and inserts key 1 + (k * 7919) % 50021, so
+    // some keys take both roles and most inserted keys have several inserters.
+    for (DependencyTable* table : {&pooled, &serial}) {
+        table->begin_superstep(switches, pool);
+        pool.for_chunks(0, switches, [&](unsigned tid, std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t k = lo; k < hi; ++k) {
+                const auto idx = static_cast<std::uint32_t>(k);
+                table->register_erase(3 * k + 1, idx, tid);
+                table->register_insert(1 + (k * 7919) % 50021, idx, 0, tid);
+            }
+        });
+    }
+    for (std::uint64_t key = 1; key <= kMaxKey; ++key) {
+        ASSERT_EQ(pooled.lookup_erase(key), serial.lookup_erase(key)) << key;
+        ASSERT_EQ(pooled.lookup_insert_min(key, status, 1),
+                  serial.lookup_insert_min(key, status, 1))
+            << key;
+    }
+    EXPECT_EQ(pooled.lookup_erase(3 * 17 + 1), 17u);
+    EXPECT_EQ(pooled.lookup_insert_min(kMaxKey + 1, status, 1), DependencyTable::kNone);
 }
 
 TEST(DependencyTable, ConcurrentMixedRolesStress) {
