@@ -1,8 +1,8 @@
 /// \file bench_micro_hashset.cpp
 /// \brief Ablation bench for the §5.2 data-structure choices: hash
 /// functions, robin-hood vs concurrent vs std::unordered_set under a
-/// switch-like mixed workload, and the two edge-sampling strategies of
-/// §5.3 (auxiliary array vs sampling buckets from the hash set).
+/// switch-like mixed workload, and §5.3's edge sampling from the auxiliary
+/// array.
 ///
 /// `--bench-json=FILE` additionally writes the gesmc-bench-v1 aggregate
 /// the CI regression gate diffs against bench/baselines/BENCH_hashset.json.
@@ -11,6 +11,7 @@
 #include "hashing/concurrent_edge_set.hpp"
 #include "hashing/hash.hpp"
 #include "hashing/robin_set.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/bounded.hpp"
 #include "rng/mt19937_64.hpp"
 
@@ -72,14 +73,23 @@ void BM_RobinSetSwitchMix(benchmark::State& state) {
 }
 BENCHMARK(BM_RobinSetSwitchMix);
 
+/// The chains' one-writer operations; between switches the set holds
+/// exactly `keys`, so a refill from them compacts the tombstones.
 void BM_ConcurrentSetSwitchMix(benchmark::State& state) {
     const auto keys = make_keys(1 << 16, 2);
     ConcurrentEdgeSet set(keys.size());
     for (const auto k : keys) set.insert_unique(k);
+    struct OneWriter { // adapts the set's unique operations to the workload
+        ConcurrentEdgeSet& set;
+        bool contains(std::uint64_t k) const { return set.contains(k); }
+        void erase(std::uint64_t k) { set.erase_unique(k); }
+        void insert(std::uint64_t k) { set.insert_unique(k); }
+    } one_writer{set};
+    ThreadPool caller_only(1);
     std::uint64_t cursor = 0;
     for (auto _ : state) {
-        switch_workload(set, keys, cursor);
-        if (set.needs_rebuild()) set.rebuild();
+        switch_workload(one_writer, keys, cursor);
+        if (set.needs_rebuild()) set.refill(keys, caller_only);
     }
 }
 BENCHMARK(BM_ConcurrentSetSwitchMix);
@@ -113,7 +123,8 @@ void BM_RobinSetPreparedContains(benchmark::State& state) {
 }
 BENCHMARK(BM_RobinSetPreparedContains);
 
-/// §5.3 option 1: sample a uniform edge from the auxiliary array.
+/// §5.3: sample a uniform edge from the auxiliary array (the paper measured
+/// it up to 30% faster overall than probing random hash-set buckets).
 void BM_SampleEdgeFromArray(benchmark::State& state) {
     const auto keys = make_keys(1 << 16, 5);
     Mt19937_64 gen(6);
@@ -122,37 +133,6 @@ void BM_SampleEdgeFromArray(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SampleEdgeFromArray);
-
-/// §5.3 option 2: sample by probing random hash-set buckets; favors high
-/// load factors, conflicting with fast queries — the paper measured the
-/// array variant up to 30% faster overall.
-void BM_SampleEdgeFromHashSet(benchmark::State& state) {
-    const auto keys = make_keys(1 << 16, 7);
-    ConcurrentEdgeSet set(keys.size());
-    for (const auto k : keys) set.insert_unique(k);
-    Mt19937_64 gen(8);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(set.sample_uniform(gen));
-    }
-}
-BENCHMARK(BM_SampleEdgeFromHashSet);
-
-/// Worst case for bucket sampling: 7/8 of the keys erased with no rebuild,
-/// so random draws mostly hit tombs and the bounded-draw fallback carries
-/// part of the load.  Regression bench for the sample_uniform probe cap.
-void BM_SampleEdgeTombstoneFlood(benchmark::State& state) {
-    const auto keys = make_keys(1 << 16, 9);
-    ConcurrentEdgeSet set(keys.size());
-    for (const auto k : keys) set.insert_unique(k);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (i % 8 != 0) set.erase(keys[i]);
-    }
-    Mt19937_64 gen(10);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(set.sample_uniform(gen));
-    }
-}
-BENCHMARK(BM_SampleEdgeTombstoneFlood);
 
 } // namespace
 

@@ -6,6 +6,7 @@
 /// `--bench-json=FILE` additionally writes the gesmc-bench-v1 aggregate
 /// the CI regression gate diffs against bench/baselines/BENCH_switching.json.
 #include "bench_util/gbench_json.hpp"
+#include "bench_util/naive_par_es.hpp"
 #include "core/chain.hpp"
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
@@ -85,9 +86,18 @@ void BM_ParGlobalES_SkewedDegrees(benchmark::State& state) {
 }
 BENCHMARK(BM_ParGlobalES_SkewedDegrees)->Arg(1)->Arg(2);
 
+/// The inexact §5.1 baseline (bench_util/naive_par_es.hpp).  It keeps
+/// degrees and simplicity on any thread count; the run is an error if not.
 void BM_NaiveParES(benchmark::State& state) {
-    run_chain_bench(state, ChainAlgorithm::kNaiveParES,
-                    static_cast<unsigned>(state.range(0)), true, bench_graph());
+    ChainConfig config;
+    config.seed = 1;
+    config.threads = static_cast<unsigned>(state.range(0));
+    NaiveParES chain(bench_graph(), config);
+    for (auto _ : state) chain.run_supersteps(1);
+    state.SetItemsProcessed(static_cast<std::int64_t>(chain.stats().attempted));
+    if (!chain.graph().is_simple() || chain.graph().degrees() != bench_graph().degrees()) {
+        state.SkipWithError("NaiveParES broke degrees or simplicity");
+    }
 }
 BENCHMARK(BM_NaiveParES)->Arg(1)->Arg(2);
 

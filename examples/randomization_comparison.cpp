@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     TextTable verdicts({"chain", "non-indep @k=1", "non-indep @k=2", "non-indep @k=8"});
 
     for (const auto algo : {ChainAlgorithm::kSeqES, ChainAlgorithm::kSeqGlobalES,
-                            ChainAlgorithm::kParGlobalES, ChainAlgorithm::kNaiveParES}) {
+                            ChainAlgorithm::kParGlobalES}) {
         ChainConfig config;
         config.seed = 17;
         config.threads = hardware_threads();

@@ -16,12 +16,10 @@ docs/static_analysis.md for the rationale behind each):
                 locking goes through CheckedMutex so the Clang
                 thread-safety analysis and the lock-rank detector see it.
 
-  spinlock      `std::atomic_flag` is banned outside src/check/ and
-                src/hashing/: it is the raw material of hand-rolled
-                spinlocks that neither the thread-safety analysis nor the
-                lock-rank detector can see.  The hashing layer's bucket
-                words embed their own spin protocols (audited there); any
-                other spinning belongs behind a CheckedMutex.
+  spinlock      `std::atomic_flag` is banned outside src/check/: it is
+                the raw material of hand-rolled spinlocks that neither the
+                thread-safety analysis nor the lock-rank detector can see.
+                Any spinning belongs behind a CheckedMutex.
 
   iostream      `#include <iostream>` is banned in library code (src/
                 except src/bench_util): it drags in static constructors
@@ -92,7 +90,6 @@ def check_file(root: pathlib.Path, path: pathlib.Path, findings: list) -> None:
     rel = path.relative_to(root).as_posix()
     in_deterministic = rel.startswith(DETERMINISTIC_DIRS)
     in_check = rel.startswith("src/check/")
-    in_hashing = rel.startswith("src/hashing/")
     in_bench_util = rel.startswith("src/bench_util/")
     in_library = rel.startswith("src/")
 
@@ -115,8 +112,7 @@ def check_file(root: pathlib.Path, path: pathlib.Path, findings: list) -> None:
                  "use CheckedMutex/CheckedLockGuard (src/check/): "
                  + raw.strip()))
 
-        if not in_check and not in_hashing \
-                and SPINLOCK_PATTERN.search(line) \
+        if not in_check and SPINLOCK_PATTERN.search(line) \
                 and not suppressed(raw, "spinlock"):
             findings.append(
                 (rel, lineno, "spinlock",

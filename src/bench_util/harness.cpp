@@ -3,7 +3,6 @@
 #include "parallel/thread_pool.hpp"
 #include "pipeline/report.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 #include <sys/utsname.h>
 
@@ -18,22 +17,9 @@ namespace gesmc {
 BenchMeasurement time_chain(ChainAlgorithm algo, const EdgeList& initial,
                             const ChainConfig& config, std::uint64_t supersteps,
                             double timeout_s) {
-    BenchMeasurement m;
-    Timer timer;
+    const Timer timer;
     const auto chain = make_chain(algo, initial, config);
-    for (std::uint64_t step = 0; step < supersteps; ++step) {
-        if (timer.elapsed_s() > timeout_s) {
-            m.seconds = timer.elapsed_s();
-            m.stats = chain->stats();
-            return m; // finished stays false
-        }
-        chain->run_supersteps(1);
-        ++m.supersteps_done;
-    }
-    m.seconds = timer.elapsed_s();
-    m.finished = true;
-    m.stats = chain->stats();
-    return m;
+    return detail::run_timed(timer, *chain, supersteps, timeout_s);
 }
 
 std::string format_cell(const BenchMeasurement& m) {

@@ -10,6 +10,7 @@
 
 #include "core/chain.hpp"
 #include "util/format.hpp"
+#include "util/timer.hpp"
 
 #include <iosfwd>
 #include <optional>
@@ -26,11 +27,40 @@ struct BenchMeasurement {
     ChainStats stats;
 };
 
+namespace detail {
+/// The timing loop of both time_chain overloads: advances a chain built
+/// since `timer` started, one superstep at a time, until `supersteps` are
+/// done or `timeout_s` is exceeded.
+template <typename C>
+BenchMeasurement run_timed(const Timer& timer, C& chain, std::uint64_t supersteps,
+                           double timeout_s) {
+    BenchMeasurement m;
+    for (; m.supersteps_done < supersteps; ++m.supersteps_done) {
+        if (timer.elapsed_s() > timeout_s) break;
+        chain.run_supersteps(1);
+    }
+    m.seconds = timer.elapsed_s();
+    m.finished = m.supersteps_done == supersteps;
+    m.stats = chain.stats();
+    return m;
+}
+} // namespace detail
+
 /// Times chain construction + `supersteps` supersteps; aborts between
 /// supersteps once `timeout_s` is exceeded.
 BenchMeasurement time_chain(ChainAlgorithm algo, const EdgeList& initial,
                             const ChainConfig& config, std::uint64_t supersteps,
                             double timeout_s = 1e30);
+
+/// The same measurement for a chain outside make_chain's list, built as
+/// `C(initial, config)`: NaiveParES (naive_par_es.hpp).
+template <typename C>
+BenchMeasurement time_chain(const EdgeList& initial, const ChainConfig& config,
+                            std::uint64_t supersteps, double timeout_s = 1e30) {
+    const Timer timer;
+    C chain(initial, config);
+    return detail::run_timed(timer, chain, supersteps, timeout_s);
+}
 
 /// "1.23" or the DNF dash, mirroring the paper's table.
 std::string format_cell(const BenchMeasurement& m);

@@ -1,7 +1,6 @@
 #include "core/chain.hpp"
 
 #include "core/adj_list_es.hpp"
-#include "core/naive_par_es.hpp"
 #include "core/par_es.hpp"
 #include "core/par_global_es.hpp"
 #include "core/seq_es.hpp"
@@ -24,8 +23,6 @@ std::string to_string(ChainAlgorithm algo) {
         return "ParES";
     case ChainAlgorithm::kParGlobalES:
         return "ParGlobalES";
-    case ChainAlgorithm::kNaiveParES:
-        return "NaiveParES";
     case ChainAlgorithm::kAdjListES:
         return "AdjListES";
     }
@@ -38,7 +35,6 @@ const std::vector<std::pair<std::string, ChainAlgorithm>>& chain_algorithm_names
         {"seq-global-es", ChainAlgorithm::kSeqGlobalES},
         {"par-es", ChainAlgorithm::kParES},
         {"par-global-es", ChainAlgorithm::kParGlobalES},
-        {"naive-par-es", ChainAlgorithm::kNaiveParES},
         {"adj-list-es", ChainAlgorithm::kAdjListES},
     };
     return names;
@@ -57,7 +53,12 @@ ChainAlgorithm chain_algorithm_from_string(const std::string& name) {
         if (n == name) return algo;
         valid += valid.empty() ? n : " | " + n;
     }
-    throw Error("unknown chain algorithm: \"" + name + "\" (expected " + valid + ")");
+    std::string message = "unknown chain algorithm: \"" + name + "\" (expected " + valid + ")";
+    if (name == "naive-par-es") {
+        message += "; the inexact §5.1 baseline runs only in bench_fig4_runtime_table "
+                   "and bench_micro_switching";
+    }
+    throw Error(message);
 }
 
 void validate(const ChainConfig& config) {
@@ -95,8 +96,6 @@ std::unique_ptr<SwitchingChain> build_chain(ChainAlgorithm algo, const EdgeList&
         return std::make_unique<ParES>(initial, config);
     case ChainAlgorithm::kParGlobalES:
         return std::make_unique<ParGlobalES>(initial, config);
-    case ChainAlgorithm::kNaiveParES:
-        return std::make_unique<NaiveParES>(initial, config);
     case ChainAlgorithm::kAdjListES:
         return std::make_unique<AdjListES>(initial, config);
     }
@@ -154,7 +153,7 @@ namespace {
 
 /// Folds the superstep's ChainStats delta into the chain.* counters.  Every
 /// driven run of every chain algorithm passes through the one superstep
-/// loop, so this one seam instruments all six chains (and resumed chains:
+/// loop, so this one seam instruments all five chains (and resumed chains:
 /// the delta starts at the restored stats, never re-counting checkpointed
 /// work).
 void count_chain_progress(const ChainStats& before, const ChainStats& after) {

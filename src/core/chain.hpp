@@ -13,7 +13,7 @@
 /// captures that state as a ChainState value; make_chain(state, config)
 /// reconstructs a chain that continues the identical trajectory — the
 /// restored run is byte-for-byte the uninterrupted run.  SwitchingChain
-/// owns that state and the superstep loop for all six algorithms, which
+/// owns that state and the superstep loop for all five algorithms, which
 /// add only their own structures and one superstep.  RunObserver lets
 /// long runs stream progress (and, driven by the pipeline, checkpoints and
 /// finished replicates) instead of being fire-and-forget.
@@ -90,7 +90,6 @@ enum class ChainAlgorithm {
     kSeqGlobalES,  ///< sequential G-ES-MC (§5)
     kParES,        ///< exact parallel ES-MC (Algorithm 2)
     kParGlobalES,  ///< exact parallel G-ES-MC (Algorithm 3)
-    kNaiveParES,   ///< inexact parallel baseline (§5.1)
     kAdjListES,    ///< adjacency-list reference implementation (stand-in for
                    ///< NetworKit/Gengraph-class comparators, see DESIGN.md §4)
 };
@@ -98,10 +97,8 @@ enum class ChainAlgorithm {
 /// A serializable snapshot of a running chain.  Because every chain draws
 /// its randomness from counter-based streams, this value is *complete*:
 /// make_chain(state, config) continues the chain exactly where snapshot()
-/// left it, producing the same graphs and counters as an uninterrupted run
-/// (exception: NaiveParES, whose thread partition is part of the process —
-/// its resumes reproduce only under a fixed thread count, and only with one
-/// thread exactly).  Persisted as the GESB chain-state section (graph/io).
+/// left it, producing the same graphs and counters as an uninterrupted run.
+/// Persisted as the GESB chain-state section (graph/io).
 struct ChainState {
     ChainAlgorithm algorithm = ChainAlgorithm::kSeqES;
     std::uint64_t seed = 0;
@@ -228,7 +225,7 @@ void validate(const ChainConfig& config);
     return config;
 }
 
-/// The skeleton of the six algorithms: it owns the ChainState fields and
+/// The skeleton of the five algorithms: it owns the ChainState fields and
 /// implements snapshot() and the superstep loop, so an algorithm adds only
 /// its own structures, has_edge and advance().  make_chain(state, config)
 /// builds the chain from the snapshot's keys and then resume()s it.

@@ -4,7 +4,7 @@
 /// The k-th switch of a run is a pure function of (seed, k): indices i != j
 /// uniform over [m]^2 and an unbiased direction bit, drawn from a
 /// counter-based SplitMix64 stream with Lemire rejection.  SeqES, ParES and
-/// NaiveParES all consume this same stream, which makes
+/// the benches' NaiveParES all consume this same stream, which makes
 /// ParES(seed) == SeqES(seed) testable as graph equality (the exactness
 /// property of Algorithm 2) independent of the thread count.
 #pragma once

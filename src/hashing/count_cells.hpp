@@ -1,17 +1,19 @@
 /// \file count_cells.hpp
 /// \brief Per-thread live/tombstone counts of the concurrent edge set.
 ///
-/// Every insert and erase changes a set's live and tombstone counts.  With
-/// one shared atomic pair, each op of the chains' parallel apply passes was
-/// an RMW on a line bounced between all threads, and the passes did not
-/// scale.  Here each thread adds to its own cache-line cell, picked by its
+/// Every insert_unique and erase_unique changes a set's live and tombstone
+/// counts, and refill() resets them.  With one shared atomic pair, each op
+/// of the chains' parallel apply passes was an RMW on a line bounced
+/// between all threads, and the passes did not scale.  Here each thread adds to its own cache-line cell, picked by its
 /// thread_ordinal() (two threads may share a cell: slower, never wrong),
 /// and readers sum the cells.  The sums are exact only at quiescent points
 /// — no writer running — which is where size() and needs_rebuild() are
 /// asked.  A read touches every cell's line, so kCells stays at the
 /// metrics registry's shard count: on a 4-core Xeon VM, 64 cells made a
 /// needs_rebuild() check after every op (bench_micro_hashset's SwitchMix
-/// rows) about 25% slower than one shared pair; 16 stay within its noise.
+/// row, measured when it still ran the general locked insert/erase, since
+/// removed) about 25% slower than one shared pair; 16 stay within its
+/// noise.
 #pragma once
 
 #include "util/cache_padded.hpp"

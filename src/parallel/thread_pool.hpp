@@ -2,7 +2,7 @@
 /// \brief Persistent worker pool with fork-join parallel loops.
 ///
 /// All parallel algorithms in the library (ParallelSuperstep, ParES,
-/// ParGlobalES, NaiveParES, the parallel permutation sampler, generators)
+/// ParGlobalES, the parallel permutation sampler, generators)
 /// run on this pool.  A pool with P threads executes jobs with thread ids
 /// 0..P-1 where id 0 is the calling thread, so a pool with num_threads()==1
 /// never context-switches — important for the sequential baselines to be

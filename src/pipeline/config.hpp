@@ -244,9 +244,10 @@ PipelineConfig read_pipeline_config_string(const std::string& text);
 /// errors regardless of how the config will be run.
 void validate_input_sources(const PipelineConfig& config);
 
-/// Validates cross-field constraints (input present, counts positive, ...)
-/// for a *single-graph* run.  Throws Error with an actionable message;
-/// corpus configs are rejected here (expand them with plan_corpus).
+/// Validates the algorithm name and the cross-field constraints (input
+/// present, counts positive, ...) for a *single-graph* run.  Throws Error
+/// with an actionable message alone; corpus configs are rejected here
+/// (expand them with plan_corpus).
 void validate(const PipelineConfig& config);
 
 } // namespace gesmc

@@ -551,11 +551,6 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
              << ", budget = " << executor.threads() << " threads, per-graph schedule = "
              << to_string(schedule.policy) << " (" << schedule.max_concurrent << " x "
              << schedule.chain_threads << ")\n";
-        if (plan.base.algorithm == "naive-par-es") {
-            *log << "corpus: warning: naive-par-es outputs depend on the schedule's "
-                    "chain-threads (inexact chain); only exact chains are "
-                    "byte-reproducible across corpus and standalone runs\n";
-        }
     }
 
     CheckedMutex log_mutex{LockRank::kCorpusLog, "corpus.log"};

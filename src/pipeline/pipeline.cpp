@@ -48,8 +48,8 @@ struct InterruptReplicate {
 };
 
 EdgeList realize_degree_sequence(const DegreeSequence& seq, const PipelineConfig& config) {
-    GESMC_CHECK(seq.degree_sum() % 2 == 0, "degree sum must be even");
-    GESMC_CHECK(seq.is_graphical(), "degree sequence is not graphical");
+    require(seq.degree_sum() % 2 == 0, "degree sum must be even");
+    require(seq.is_graphical(), "degree sequence is not graphical");
     switch (config.init) {
     case InitMethod::kHavelHakimi:
         return havel_hakimi(seq);
@@ -248,8 +248,8 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
 
     Timer total_timer;
     const EdgeList initial = materialize_input(config);
-    GESMC_CHECK(initial.num_edges() >= 2,
-                "input graph needs at least two edges to run a switching chain");
+    require(initial.num_edges() >= 2,
+            "input graph needs at least two edges to run a switching chain");
     const DegreeSequence degrees = degree_sequence_of(initial);
     report.input_nodes = initial.num_nodes();
     report.input_edges = initial.num_edges();
@@ -288,11 +288,6 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
     report.chain_threads = schedule.chain_threads;
     report.max_concurrent = schedule.max_concurrent;
 
-    if (log != nullptr && algo == ChainAlgorithm::kNaiveParES) {
-        *log << "pipeline: warning: naive-par-es outputs depend on the schedule's "
-                "chain-threads (inexact chain, paper §5.1); only exact chains "
-                "are byte-reproducible across (K, T) points\n";
-    }
     if (log != nullptr) {
         *log << "pipeline: n = " << initial.num_nodes() << ", m = " << initial.num_edges()
              << ", max degree = " << report.input_max_degree << "\n"
@@ -344,11 +339,11 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                 prev.output_dir = config.resume_from;
                 outputs_complete = std::filesystem::exists(replicate_output_path(prev, r));
             }
-            GESMC_CHECK(outputs_complete,
-                        "resume-from \"" + config.resume_from +
-                            "\" has neither matching checkpoints nor a complete "
-                            "set of outputs (wrong directory, output-prefix or "
-                            "replicate count?)");
+            require(outputs_complete,
+                    "resume-from \"" + config.resume_from +
+                        "\" has neither matching checkpoints nor a complete "
+                        "set of outputs (wrong directory, output-prefix or "
+                        "replicate count?)");
             if (log != nullptr) {
                 *log << "pipeline: resume-from " << config.resume_from
                      << " holds a completed run (checkpoints cleaned); "
@@ -430,26 +425,26 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                     checkpoint_path(config.resume_from, config, index);
                 if (std::filesystem::exists(prev)) {
                     ChainState state = read_chain_state_file(prev);
-                    GESMC_CHECK(state.algorithm == algo,
-                                "checkpoint " + prev + " was written by " +
-                                    to_string(state.algorithm) +
-                                    ", not the configured algorithm");
-                    GESMC_CHECK(state.seed == out.seed,
-                                "checkpoint " + prev +
-                                    " does not match this run's seed derivation "
-                                    "(different master seed or replicate count?)");
+                    require(state.algorithm == algo,
+                            "checkpoint " + prev + " was written by " +
+                                to_string(state.algorithm) +
+                                ", not the configured algorithm");
+                    require(state.seed == out.seed,
+                            "checkpoint " + prev +
+                                " does not match this run's seed derivation "
+                                "(different master seed or replicate count?)");
                     // pl is part of the G-ES trajectory; a resume config
                     // that changes it would mix distributions across
                     // resumed and fresh replicates.
-                    GESMC_CHECK((algo != ChainAlgorithm::kSeqGlobalES &&
-                                 algo != ChainAlgorithm::kParGlobalES) ||
-                                    state.pl == config.pl,
-                                "checkpoint " + prev + " was written with pl = " +
-                                    std::to_string(state.pl) +
-                                    ", not the configured pl");
-                    GESMC_CHECK(state.stats.supersteps <= target_supersteps,
-                                "checkpoint " + prev +
-                                    " is ahead of the configured supersteps");
+                    require((algo != ChainAlgorithm::kSeqGlobalES &&
+                             algo != ChainAlgorithm::kParGlobalES) ||
+                                state.pl == config.pl,
+                            "checkpoint " + prev + " was written with pl = " +
+                                std::to_string(state.pl) +
+                                ", not the configured pl");
+                    require(state.stats.supersteps <= target_supersteps,
+                            "checkpoint " + prev +
+                                " is ahead of the configured supersteps");
                     // Adaptive resumes additionally need the estimator
                     // sidecar — the stop verdict is a function of the whole
                     // stream, so a chain state alone cannot continue it.  A

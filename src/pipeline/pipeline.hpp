@@ -20,8 +20,6 @@
 /// Replicate results are a pure function of (config, seed): the chains use
 /// counter-based randomness, so neither the thread count nor the schedule
 /// policy changes any output byte — asserted by tests/test_pipeline.cpp.
-/// Exception: naive-par-es (thread partition is part of the process, paper
-/// §5.1) is only reproducible for a fixed policy and thread count.
 ///
 /// Failure model: a replicate that throws (IO error, invariant violation)
 /// records its message in ReplicateReport::error; the remaining replicates

@@ -23,13 +23,10 @@
 ///     that realizes it (T = 1 → kReplicates, T >= P → kIntraChain, else
 ///     kHybrid with K = ⌊P/T⌋); unpinned, it picks kReplicates iff R >= P.
 ///
-/// Replicate outputs are identical under every (K, T) point for the *exact*
-/// chains (SeqES, ParES, SeqGlobalES, ParGlobalES, AdjListES): they draw
-/// all randomness from counter-based streams keyed by their (derived) seed,
-/// so results depend neither on the thread count nor on execution order.
-/// The one exception is NaiveParES, whose partition onto threads is part of
-/// the process (paper §5.1) — its outputs change with the chain's thread
-/// count T, and hence with the policy.  run_pipeline logs a warning for it.
+/// Replicate outputs are identical under every (K, T) point: every chain
+/// is exact and draws all randomness from counter-based streams keyed by
+/// its (derived) seed, so results depend neither on the thread count nor
+/// on execution order.
 #pragma once
 
 #include "pipeline/config.hpp"

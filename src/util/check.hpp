@@ -14,6 +14,13 @@ public:
     explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Check on outside input (config values, input graphs, checkpoints):
+/// throws Error with `message` alone.  GESMC_CHECK guards the library's own
+/// invariants, and its message carries the expression and source location.
+inline void require(bool ok, const std::string& message) {
+    if (!ok) throw Error(message);
+}
+
 namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file, int line,
                                              const std::string& msg) {

@@ -3,6 +3,7 @@
 // the calibration kernel, and the gesmc-bench-v1 JSON aggregates the CI
 // regression gate consumes.
 #include "bench_util/harness.hpp"
+#include "bench_util/naive_par_es.hpp"
 #include "gen/gnp.hpp"
 #include "service/json.hpp"
 
@@ -20,12 +21,14 @@ TEST(Harness, TimesInitPlusSupersteps) {
     const EdgeList g = generate_gnp(500, 0.02, 1);
     ChainConfig config;
     config.seed = 1;
-    const auto m = time_chain(ChainAlgorithm::kSeqES, g, config, 3);
-    EXPECT_TRUE(m.finished);
-    EXPECT_EQ(m.supersteps_done, 3u);
-    EXPECT_GT(m.seconds, 0.0);
-    EXPECT_EQ(m.stats.supersteps, 3u);
-    EXPECT_EQ(m.stats.attempted, 3 * (g.num_edges() / 2));
+    for (const auto& m : {time_chain(ChainAlgorithm::kSeqES, g, config, 3),
+                          time_chain<NaiveParES>(g, config, 3)}) {
+        EXPECT_TRUE(m.finished);
+        EXPECT_EQ(m.supersteps_done, 3u);
+        EXPECT_GT(m.seconds, 0.0);
+        EXPECT_EQ(m.stats.supersteps, 3u);
+        EXPECT_EQ(m.stats.attempted, 3 * (g.num_edges() / 2));
+    }
 }
 
 TEST(Harness, TimeoutMarksDnf) {

@@ -144,6 +144,29 @@ TEST(ChainStateIo, RejectsTruncationAndBadVersions) {
     EXPECT_THROW(read_chain_state(not_state), Error);
 }
 
+TEST(ChainStateIo, RefusesNaiveParESWithTheValidNames) {
+    // NaiveParES, the inexact §5.1 baseline, lives in the benches and has no
+    // checkpoints: a .gesc naming it is refused with the message alone.
+    std::stringstream ss;
+    write_chain_state(ss, sample_state());
+    const std::string full = ss.str();
+    const std::string name = "par-global-es";
+    ASSERT_EQ(full.substr(6, 1 + name.size()), char(name.size()) + name);
+    std::stringstream naive(full.substr(0, 6) + char(12) + "naive-par-es" +
+                            full.substr(7 + name.size()));
+    try {
+        (void)read_chain_state(naive);
+        FAIL() << "naive-par-es was accepted";
+    } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("unknown chain algorithm: \"naive-par-es\" "
+                                              "(expected seq-es | seq-global-es | par-es | "
+                                              "par-global-es | adj-list-es)",
+                                              0),
+                  0u)
+            << e.what();
+    }
+}
+
 TEST(ChainStateIo, RejectsDuplicateEdgeKeys) {
     ChainState state = sample_state();
     state.keys[3] = state.keys[7]; // corrupt: two slots, one edge
@@ -325,15 +348,9 @@ TEST(CheckpointRoundTrip, SplitRunEqualsUninterruptedRunForEveryAlgorithm) {
     ASSERT_NE(kPl, ChainState{}.pl);
 
     for (const auto& [name, algo] : chain_algorithm_names()) {
-        // Fixed-policy caveat: NaiveParES's thread partition is part of the
-        // process, so its split-vs-uninterrupted equality only holds for a
-        // deterministic single-thread schedule.  The exact chains are
-        // reproducible for any thread count; their round counts only on
-        // one thread.
-        const std::vector<unsigned> thread_counts =
-            algo == ChainAlgorithm::kNaiveParES ? std::vector<unsigned>{1}
-                                                : std::vector<unsigned>{1, 2};
-        for (const unsigned threads : thread_counts) {
+        // Every chain is reproducible for any thread count; round counts
+        // only on one thread.
+        for (const unsigned threads : {1u, 2u}) {
             ChainConfig config;
             config.seed = 77;
             config.threads = threads;

@@ -2,6 +2,7 @@
 // exactness of ParallelSuperstep / ParES / ParGlobalES vs their sequential
 // counterparts, invariants of every chain, and chi-square uniformity of the
 // stationary distribution on fully enumerated state spaces (Theorem 1).
+#include "bench_util/naive_par_es.hpp"
 #include "core/adj_list_es.hpp"
 #include "core/chain.hpp"
 #include "core/edge_switch.hpp"
@@ -268,8 +269,7 @@ TEST(ChainInvariants, AllAlgorithmsPreserveDegreesAndSimplicity) {
     const EdgeList gnp = generate_gnp(600, 0.02, 6);
     for (const auto algo :
          {ChainAlgorithm::kSeqES, ChainAlgorithm::kSeqGlobalES, ChainAlgorithm::kParES,
-          ChainAlgorithm::kParGlobalES, ChainAlgorithm::kNaiveParES,
-          ChainAlgorithm::kAdjListES}) {
+          ChainAlgorithm::kParGlobalES, ChainAlgorithm::kAdjListES}) {
         expect_chain_invariants(algo, pl, 2, 3);
         expect_chain_invariants(algo, gnp, 4, 3);
     }
@@ -279,8 +279,8 @@ TEST(ChainInvariants, AttemptedCountMatchesSuperstepAccounting) {
     // ES-type chains: attempted == supersteps * (m/2).
     const EdgeList g = generate_gnp(400, 0.03, 7);
     const std::uint64_t m = g.num_edges();
-    for (const auto algo : {ChainAlgorithm::kSeqES, ChainAlgorithm::kParES,
-                            ChainAlgorithm::kNaiveParES, ChainAlgorithm::kAdjListES}) {
+    for (const auto algo :
+         {ChainAlgorithm::kSeqES, ChainAlgorithm::kParES, ChainAlgorithm::kAdjListES}) {
         ChainConfig config;
         config.threads = 2;
         const auto chain = make_chain(algo, g, config);
@@ -293,6 +293,57 @@ TEST(ChainInvariants, AttemptedCountMatchesSuperstepAccounting) {
     chain->run_supersteps(4);
     EXPECT_NEAR(static_cast<double>(chain->stats().attempted), 4.0 * (m / 2),
                 0.05 * 4 * (m / 2));
+}
+
+// ------------------------------------------- NaiveParES (the §5.1 baseline)
+
+TEST(NaiveParES, OneThreadRunsTheSeqESChain) {
+    // On one thread the baseline decides and applies the switch stream in
+    // order, so it must leave SeqES's edge array, identity-case slot swaps
+    // included.
+    std::vector<EdgeList> graphs = {generate_powerlaw_graph(3000, 2.2, 7),
+                                    generate_gnp(60, 0.3, 11)};
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) graphs.push_back(generate_gnp(300, 0.03, seed));
+    for (const EdgeList& g : graphs) {
+        ChainConfig config;
+        config.seed = 7;
+        NaiveParES naive(g, config);
+        const auto seq = make_chain(ChainAlgorithm::kSeqES, g, config);
+        naive.run_supersteps(20);
+        seq->run_supersteps(20);
+        ASSERT_EQ(naive.graph().keys(), seq->graph().keys()) << "m=" << g.num_edges();
+        EXPECT_EQ(naive.stats().accepted, seq->stats().accepted);
+        EXPECT_EQ(naive.stats().rejected_loop, seq->stats().rejected_loop);
+        EXPECT_EQ(naive.stats().rejected_edge, seq->stats().rejected_edge);
+    }
+}
+
+TEST(NaiveParES, FourThreadsKeepDegreesSimplicityAndTheSet) {
+    // Hammer for the ticket try-locks: on a small dense graph most
+    // switches of a superstep touch hub edges that other threads hold.
+    // Whatever the interleaving, degrees and simplicity hold, and the
+    // edge set equals the edge list after every superstep.
+    const EdgeList g = generate_gnp(60, 0.3, 12);
+    const auto degrees = g.degrees();
+    ChainConfig config;
+    config.seed = 3;
+    config.threads = 4;
+    NaiveParES chain(g, config);
+    for (int step = 1; step <= 30; ++step) {
+        chain.run_supersteps(1);
+        const EdgeList& now = chain.graph();
+        ASSERT_TRUE(now.is_simple()) << "superstep " << step;
+        ASSERT_EQ(now.degrees(), degrees) << "superstep " << step;
+        std::vector<edge_key_t> in_set;
+        chain.edge_set().for_each([&](std::uint64_t k) { in_set.push_back(k); });
+        std::sort(in_set.begin(), in_set.end());
+        ASSERT_EQ(in_set, now.sorted_keys()) << "superstep " << step;
+        ASSERT_EQ(chain.edge_set().size(), g.num_edges()) << "superstep " << step;
+    }
+    const ChainStats& st = chain.stats();
+    EXPECT_EQ(st.attempted, 30 * (g.num_edges() / 2));
+    EXPECT_EQ(st.attempted, st.accepted + st.rejected_loop + st.rejected_edge);
+    EXPECT_GT(st.accepted, 0u);
 }
 
 // --------------------------------------------------------- exactness: par == seq

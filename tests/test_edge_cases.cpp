@@ -30,8 +30,8 @@ EdgeList complete_graph(node_t n) {
 }
 
 const ChainAlgorithm kAllAlgos[] = {
-    ChainAlgorithm::kSeqES,      ChainAlgorithm::kSeqGlobalES, ChainAlgorithm::kParES,
-    ChainAlgorithm::kParGlobalES, ChainAlgorithm::kNaiveParES,  ChainAlgorithm::kAdjListES,
+    ChainAlgorithm::kSeqES,       ChainAlgorithm::kSeqGlobalES, ChainAlgorithm::kParES,
+    ChainAlgorithm::kParGlobalES, ChainAlgorithm::kAdjListES,
 };
 
 TEST(EdgeCases, MinimumTwoEdgeGraphRuns) {

@@ -1,5 +1,5 @@
 // Tests for the hashing substrate: hash functions, sequential robin-hood
-// set, concurrent edge set (incl. ticket semantics), dependency table.
+// set, concurrent edge set, dependency table.
 #include "hashing/concurrent_edge_set.hpp"
 #include "hashing/dependency_table.hpp"
 #include "hashing/hash.hpp"
@@ -195,53 +195,50 @@ TEST(RobinSet, ClearEmptiesTheSet) {
 
 // --------------------------------------------------- concurrent edge set
 
+/// The set's live keys, sorted.  Callers are quiescent.
+std::vector<std::uint64_t> live_keys(const ConcurrentEdgeSet& set) {
+    std::vector<std::uint64_t> keys;
+    set.for_each([&](std::uint64_t k) { keys.push_back(k); });
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
+
 TEST(ConcurrentEdgeSet, SequentialSemantics) {
     ConcurrentEdgeSet set(1024);
-    EXPECT_TRUE(set.insert(5));
-    EXPECT_FALSE(set.insert(5));
+    EXPECT_TRUE(set.insert_unique(5));
+    EXPECT_FALSE(set.insert_unique(5));
     EXPECT_TRUE(set.contains(5));
     EXPECT_FALSE(set.contains(6));
-    EXPECT_TRUE(set.erase(5));
-    EXPECT_FALSE(set.erase(5));
+    EXPECT_TRUE(set.erase_unique(5));
+    EXPECT_FALSE(set.erase_unique(5));
     EXPECT_EQ(set.size(), 0u);
 }
 
 TEST(ConcurrentEdgeSet, RejectsOutOfDomainKeys) {
-    // Inserts throw on keys outside (0, kTomb).  Lookups, erases and
-    // tickets report 0 and kTomb absent and leave the table alone: the
-    // probe loops once matched key 0 on the first empty bucket, so each
-    // erase of 0 tombstoned an empty bucket and dropped size(), and
-    // try_lock(0) left owner bits there on which later inserts spun.
+    // The insert throws on keys outside (0, kTomb).  Lookups and erases
+    // report 0 and kTomb absent and leave the table alone: the probe loops
+    // once matched key 0 on the first empty bucket, so each erase of 0
+    // tombstoned an empty bucket and dropped size().
     ConcurrentEdgeSet set(16);
     ASSERT_EQ(set.bucket_count(), 64u);
-    EXPECT_THROW(set.insert(0), Error);
-    EXPECT_THROW(set.insert(ConcurrentEdgeSet::kTomb), Error);
-    EXPECT_THROW(set.insert(1ULL << 60), Error);
     EXPECT_THROW(set.insert_unique(0), Error);
-    std::uint64_t slot = 0;
-    EXPECT_THROW(set.try_insert_and_lock(0, 0, slot), Error);
+    EXPECT_THROW(set.insert_unique(ConcurrentEdgeSet::kTomb), Error);
+    EXPECT_THROW(set.insert_unique(1ULL << 60), Error);
 
     // Keys 1-4, plus a tombstone on kTomb's probe chain: a key with the
     // same home bucket (the top 6 hash bits of a 64-bucket table),
     // inserted and erased.
-    for (std::uint64_t k = 1; k <= 4; ++k) ASSERT_TRUE(set.insert(k));
+    for (std::uint64_t k = 1; k <= 4; ++k) ASSERT_TRUE(set.insert_unique(k));
     std::uint64_t twin = 5;
     while ((edge_hash(twin) >> 58) != (edge_hash(ConcurrentEdgeSet::kTomb) >> 58)) ++twin;
-    ASSERT_TRUE(set.insert(twin));
-    ASSERT_TRUE(set.erase(twin));
+    ASSERT_TRUE(set.insert_unique(twin));
+    ASSERT_TRUE(set.erase_unique(twin));
 
-    const auto live = [&] {
-        std::uint64_t n = 0;
-        set.for_each([&](std::uint64_t) { ++n; });
-        return n;
-    };
     for (const std::uint64_t bad : {ConcurrentEdgeSet::kEmpty, ConcurrentEdgeSet::kTomb}) {
         ASSERT_FALSE(set.contains(bad)) << bad;
-        ASSERT_FALSE(set.erase(bad)) << bad;
         ASSERT_FALSE(set.erase_unique(bad)) << bad;
-        ASSERT_FALSE(set.try_lock(bad, 0).has_value()) << bad;
         ASSERT_EQ(set.size(), 4u) << bad;
-        ASSERT_EQ(live(), 4u) << bad;
+        ASSERT_EQ(live_keys(set).size(), 4u) << bad;
     }
     // The instrumented lookup path agrees.
     obs::set_metrics_enabled(true);
@@ -250,28 +247,32 @@ TEST(ConcurrentEdgeSet, RejectsOutOfDomainKeys) {
     EXPECT_TRUE(set.contains(1));
     obs::set_metrics_enabled(false);
 
-    // No bucket kept owner bits: the table fills up to its sizing.
-    for (std::uint64_t k = 100; k < 112; ++k) ASSERT_TRUE(set.insert(k));
+    // The table still fills up to its sizing.
+    for (std::uint64_t k = 100; k < 112; ++k) ASSERT_TRUE(set.insert_unique(k));
     EXPECT_EQ(set.size(), 16u);
-    EXPECT_EQ(live(), 16u);
+    EXPECT_EQ(live_keys(set).size(), 16u);
 }
 
 TEST(ConcurrentEdgeSet, TombstoneChurnKeepsProbesBounded) {
     ConcurrentEdgeSet set(256);
+    ThreadPool caller_only(1);
     Mt19937_64 gen(9);
-    std::unordered_set<std::uint64_t> ref;
+    std::set<std::uint64_t> ref;
     // Long insert/erase churn at constant live size; without tombstone
-    // reclamation via rebuild this would exhaust the table.
+    // reclamation via refill this would exhaust the table.
     for (int round = 0; round < 30000; ++round) {
         const std::uint64_t key = 1 + uniform_below(gen, 1024);
         if (ref.count(key)) {
-            EXPECT_TRUE(set.erase(key));
+            EXPECT_TRUE(set.erase_unique(key));
             ref.erase(key);
         } else if (ref.size() < 256) {
-            EXPECT_TRUE(set.insert(key));
+            EXPECT_TRUE(set.insert_unique(key));
             ref.insert(key);
         }
-        set.maybe_rebuild();
+        if (set.needs_rebuild()) {
+            const std::vector<std::uint64_t> live(ref.begin(), ref.end());
+            set.refill(live, caller_only);
+        }
         ASSERT_EQ(set.size(), ref.size());
     }
     for (const auto key : ref) EXPECT_TRUE(set.contains(key));
@@ -279,64 +280,16 @@ TEST(ConcurrentEdgeSet, TombstoneChurnKeepsProbesBounded) {
 
 TEST(ConcurrentEdgeSet, ForEachEnumeratesExactlyLiveKeys) {
     ConcurrentEdgeSet set(64);
-    std::set<std::uint64_t> expect;
+    std::vector<std::uint64_t> expect;
     for (std::uint64_t k = 10; k < 50; ++k) {
-        set.insert(k);
+        set.insert_unique(k);
         if (k % 3 == 0) {
-            set.erase(k);
+            set.erase_unique(k);
         } else {
-            expect.insert(k);
+            expect.push_back(k);
         }
     }
-    std::set<std::uint64_t> got;
-    set.for_each([&](std::uint64_t k) { got.insert(k); });
-    EXPECT_EQ(got, expect);
-}
-
-TEST(ConcurrentEdgeSet, SampleUniformChiSquare) {
-    ConcurrentEdgeSet set(64);
-    for (std::uint64_t k = 1; k <= 10; ++k) set.insert(k);
-    Mt19937_64 gen(10);
-    std::vector<int> counts(11, 0);
-    constexpr int draws = 100000;
-    for (int i = 0; i < draws; ++i) ++counts[set.sample_uniform(gen)];
-    const double expect = draws / 10.0;
-    double chi2 = 0;
-    for (std::uint64_t k = 1; k <= 10; ++k)
-        chi2 += (counts[k] - expect) * (counts[k] - expect) / expect;
-    EXPECT_LT(chi2, 27.9); // 9 dof, 99.9%
-}
-
-/// URBG wrapper counting invocations — the regression instrument for the
-/// sample_uniform probe cap.
-struct CountingGen {
-    using result_type = std::uint64_t;
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type max() { return ~0ULL; }
-    Mt19937_64 inner{123};
-    std::uint64_t calls = 0;
-    result_type operator()() {
-        ++calls;
-        return inner();
-    }
-};
-
-TEST(ConcurrentEdgeSet, SampleUniformBoundedWorkUnderTombstoneFlood) {
-    // 255 of 256 keys erased with rebuild deliberately deferred: random
-    // bucket draws hit the one live key with p = 1/1024.  The unbounded
-    // rejection sampler needed ~2000 RNG calls per draw here; the capped
-    // sampler must stay under kMaxSampleDraws + the fallback's one index
-    // draw (with a small rejection-sampling allowance).
-    ConcurrentEdgeSet set(256);
-    for (std::uint64_t k = 1; k <= 256; ++k) ASSERT_TRUE(set.insert(k));
-    for (std::uint64_t k = 1; k <= 255; ++k) ASSERT_TRUE(set.erase(k));
-    ASSERT_EQ(set.size(), 1u);
-    CountingGen gen;
-    constexpr int kSamples = 50;
-    for (int i = 0; i < kSamples; ++i) {
-        EXPECT_EQ(set.sample_uniform(gen), 256u);
-    }
-    EXPECT_LT(gen.calls, kSamples * 200u);
+    EXPECT_EQ(live_keys(set), expect);
 }
 
 TEST(ConcurrentEdgeSet, ConcurrentDistinctKeyInsertsAllLand) {
@@ -353,132 +306,31 @@ TEST(ConcurrentEdgeSet, ConcurrentDistinctKeyInsertsAllLand) {
     for (std::uint64_t k = 1; k <= p * per_thread; ++k) ASSERT_TRUE(set.contains(k));
 }
 
-TEST(ConcurrentEdgeSet, ConcurrentSameKeyInsertsNeverDuplicate) {
-    // All threads hammer the same small key set with contended inserts;
-    // exactly one insert per key must win per round.
-    constexpr unsigned p = 4;
-    ConcurrentEdgeSet set(512);
-    ThreadPool pool(p);
-    for (int round = 0; round < 200; ++round) {
-        std::atomic<int> winners{0};
-        pool.run([&](unsigned) {
-            for (std::uint64_t key = 1; key <= 64; ++key) {
-                if (set.insert(key)) winners.fetch_add(1);
-            }
-        });
-        EXPECT_EQ(winners.load(), 64);
-        EXPECT_EQ(set.size(), 64u);
-        std::atomic<int> erasers{0};
-        pool.run([&](unsigned) {
-            for (std::uint64_t key = 1; key <= 64; ++key) {
-                if (set.erase(key)) erasers.fetch_add(1);
-            }
-        });
-        EXPECT_EQ(erasers.load(), 64);
-        EXPECT_EQ(set.size(), 0u);
-        set.maybe_rebuild();
-    }
-}
-
-TEST(ConcurrentEdgeSet, TicketLockingProtocol) {
-    ConcurrentEdgeSet set(64);
-    set.insert(100);
-    auto slot = set.try_lock(100, /*tid=*/0);
-    ASSERT_TRUE(slot.has_value());
-    // A second locker must fail while the ticket is held.
-    EXPECT_FALSE(set.try_lock(100, 1).has_value());
-    // The key is still visible to lock-free readers.
-    EXPECT_TRUE(set.contains(100));
-    set.unlock(*slot);
-    auto slot2 = set.try_lock(100, 1);
-    ASSERT_TRUE(slot2.has_value());
-    set.erase_locked(*slot2);
-    EXPECT_FALSE(set.contains(100));
-    EXPECT_EQ(set.size(), 0u);
-}
-
-TEST(ConcurrentEdgeSet, TryLockAbsentKeyFails) {
-    ConcurrentEdgeSet set(64);
-    EXPECT_FALSE(set.try_lock(7, 0).has_value());
-}
-
-TEST(ConcurrentEdgeSet, InsertAndLockSemantics) {
-    ConcurrentEdgeSet set(64);
-    std::uint64_t slot = 0;
-    EXPECT_EQ(set.try_insert_and_lock(9, 0, slot), ConcurrentEdgeSet::InsertLock::kInserted);
-    // Inserted-and-locked: visible, but not lockable by others.
-    EXPECT_TRUE(set.contains(9));
-    std::uint64_t other = 0;
-    EXPECT_EQ(set.try_insert_and_lock(9, 1, other),
-              ConcurrentEdgeSet::InsertLock::kExistsLocked);
-    EXPECT_FALSE(set.try_lock(9, 1).has_value());
-    set.unlock(slot);
-    EXPECT_EQ(set.try_insert_and_lock(9, 1, other), ConcurrentEdgeSet::InsertLock::kExists);
-}
-
-TEST(ConcurrentEdgeSet, EraseWaitingOnATicketLosesToItsHoldersErase) {
-    // An erase that finds its key locked spins until the ticket is gone.
-    // When the holder erases the key meanwhile, the spinning erase must
-    // report "absent": it once CASed the holder's tombstone and counted a
-    // second erase (the MultiWriterHammer flake).
-    ConcurrentEdgeSet set(64);
-    ASSERT_TRUE(set.insert(100));
-    const auto slot = set.try_lock(100, /*tid=*/0);
-    ASSERT_TRUE(slot.has_value());
-    std::atomic<bool> erased{true};
-    std::thread eraser([&] { erased = set.erase(100); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20)); // let it spin
-    set.erase_locked(*slot);
-    eraser.join();
-    EXPECT_FALSE(erased.load());
-    EXPECT_EQ(set.size(), 0u);
-    EXPECT_FALSE(set.contains(100));
-}
-
-TEST(ConcurrentEdgeSet, ConcurrentTicketContention) {
-    // p threads repeatedly try to grab the ticket for one key, mutate a
-    // guarded counter, and release. The counter must never tear.
-    constexpr unsigned p = 4;
-    ConcurrentEdgeSet set(64);
-    set.insert(5);
-    ThreadPool pool(p);
-    std::uint64_t guarded = 0; // protected by the key-5 ticket
-    std::atomic<std::uint64_t> acquisitions{0};
-    pool.run([&](unsigned tid) {
-        for (int i = 0; i < 20000;) {
-            auto slot = set.try_lock(5, tid);
-            if (!slot) {
-                std::this_thread::yield();
-                continue;
-            }
-            guarded += 1;
-            acquisitions.fetch_add(1);
-            set.unlock(*slot);
-            ++i;
-        }
-    });
-    EXPECT_EQ(guarded, acquisitions.load());
-    EXPECT_EQ(guarded, 4 * 20000u);
-}
-
 TEST(ConcurrentEdgeSet, ParallelInsertEraseChurnDistinctRanges) {
-    // Each thread owns a disjoint key range and churns inserts/erases with
-    // the unique API; sizes must reconcile at the end.  Rounds mirror chain
-    // supersteps: tombstones are compacted by maybe_rebuild() at the
-    // quiescent point between rounds, where the chains compact them.
+    // The one writer model under real parallelism: each thread owns a
+    // disjoint key range and churns inserts/erases there, so its inserts
+    // recycle tombstones other threads' erases left, while every thread
+    // also looks up keys that are never written.  Rounds mirror chain
+    // supersteps: tombstones are compacted by a refill at the quiescent
+    // point between rounds, where the chains compact them; inserts recycle
+    // enough tombstones here that the threshold is rarely crossed, so every
+    // 8th round refills regardless.
     constexpr unsigned p = 4;
-    ConcurrentEdgeSet set(4 * 4096);
+    constexpr std::uint64_t range = 4096;
+    constexpr std::uint64_t stable = 2048; // keys 1..stable, never written
+    ConcurrentEdgeSet set(p * range + stable);
+    for (std::uint64_t k = 1; k <= stable; ++k) ASSERT_TRUE(set.insert_unique(k));
     ThreadPool pool(p);
-    std::vector<std::vector<bool>> present(p, std::vector<bool>(4096, false));
+    std::vector<std::vector<bool>> present(p, std::vector<bool>(range, false));
     std::vector<Mt19937_64> gens;
     for (unsigned tid = 0; tid < p; ++tid) gens.emplace_back(tid);
     for (int round = 0; round < 40; ++round) {
         pool.run([&](unsigned tid) {
             auto& mine = present[tid];
             auto& gen = gens[tid];
-            const std::uint64_t base = 1 + tid * 4096;
+            const std::uint64_t base = 1 + stable + tid * range;
             for (int op = 0; op < 2500; ++op) {
-                const std::uint64_t off = uniform_below(gen, 4096);
+                const std::uint64_t off = uniform_below(gen, range);
                 if (mine[off]) {
                     ASSERT_TRUE(set.erase_unique(base + off));
                     mine[off] = false;
@@ -486,62 +338,23 @@ TEST(ConcurrentEdgeSet, ParallelInsertEraseChurnDistinctRanges) {
                     ASSERT_TRUE(set.insert_unique(base + off));
                     mine[off] = true;
                 }
+                ASSERT_EQ(set.contains(base + off), mine[off]);
+                ASSERT_TRUE(set.contains(1 + uniform_below(gen, stable)));
             }
         });
-        set.maybe_rebuild();
+        std::uint64_t live = stable;
+        for (const auto& mine : present) {
+            live += static_cast<std::uint64_t>(std::count(mine.begin(), mine.end(), true));
+        }
+        ASSERT_EQ(set.size(), live) << "round " << round;
+        if (set.needs_rebuild() || round % 8 == 7) set.refill(live_keys(set), pool);
     }
+    for (std::uint64_t k = 1; k <= stable; ++k) ASSERT_TRUE(set.contains(k));
     for (unsigned tid = 0; tid < p; ++tid) {
-        const std::uint64_t base = 1 + tid * 4096;
-        for (std::uint64_t off = 0; off < 4096; ++off) {
+        const std::uint64_t base = 1 + stable + tid * range;
+        for (std::uint64_t off = 0; off < range; ++off) {
             ASSERT_EQ(set.contains(base + off), present[tid][off]);
         }
-    }
-}
-
-TEST(ConcurrentEdgeSet, MultiWriterHammer) {
-    // TSan workhorse: p threads mix contended inserts, erases, lookups and
-    // ticket ops over one small key universe.  The only invariant a racy
-    // history must preserve: size() equals successful inserts minus
-    // successful erases.  Rounds are separated by pool.run barriers so the
-    // main thread can rebuild at quiescent points, like a chain superstep.
-    constexpr unsigned p = 4;
-    ConcurrentEdgeSet set(512);
-    ThreadPool pool(p);
-    std::atomic<std::int64_t> net{0};
-    for (int round = 0; round < 40; ++round) {
-        pool.run([&](unsigned tid) {
-            Mt19937_64 gen(round * p + tid);
-            for (int op = 0; op < 300; ++op) {
-                const std::uint64_t key = 1 + uniform_below(gen, 512);
-                switch (uniform_below(gen, 4)) {
-                case 0:
-                    if (set.insert(key)) net.fetch_add(1);
-                    break;
-                case 1:
-                    if (set.erase(key)) net.fetch_sub(1);
-                    break;
-                case 2: {
-                    auto slot = set.try_lock(key, tid);
-                    if (slot) {
-                        if (op % 2 == 0) {
-                            set.erase_locked(*slot);
-                            net.fetch_sub(1);
-                        } else {
-                            set.unlock(*slot);
-                        }
-                    }
-                    break;
-                }
-                default: {
-                    const bool hit = set.contains(key);
-                    (void)hit;
-                }
-                }
-            }
-        });
-        ASSERT_EQ(set.size(), static_cast<std::uint64_t>(net.load()))
-            << "round " << round;
-        set.maybe_rebuild();
     }
 }
 
@@ -557,13 +370,14 @@ TEST(ConcurrentEdgeSet, CountCellsMatchSerialReplay) {
     // counts flip needs_rebuild().
     constexpr unsigned p = 4;
     constexpr std::uint64_t max_live = 8192; // 32768 buckets: rebuild above 8192 tombstones
-    constexpr std::uint64_t base = 4200;     // live throughout; keeps rebuilds from shrinking
+    constexpr std::uint64_t base = 4200;     // live throughout; keeps refills from shrinking
     constexpr std::uint64_t batch = 2074;    // inserted per thread and wave
     constexpr std::uint64_t keep = 10;       // survivors per thread and wave
     constexpr int waves = 20;
     static_assert(p * (batch - keep) == max_live + 64);
     ConcurrentEdgeSet set(max_live);
     ConcurrentEdgeSet replay(max_live);
+    ThreadPool caller_only(1);
     const auto key_of = [](int wave, unsigned tid, std::uint64_t i) {
         return base + 1 + (static_cast<std::uint64_t>(wave) * p + tid) * batch + i;
     };
@@ -598,8 +412,10 @@ TEST(ConcurrentEdgeSet, CountCellsMatchSerialReplay) {
         ASSERT_EQ(set.size(), replay.size()) << "wave " << wave;
         ASSERT_TRUE(replay.needs_rebuild()) << "wave " << wave;
         ASSERT_EQ(set.needs_rebuild(), replay.needs_rebuild()) << "wave " << wave;
-        set.rebuild();
-        replay.rebuild();
+        const std::vector<std::uint64_t> live = live_keys(set);
+        ASSERT_EQ(live, live_keys(replay)) << "wave " << wave;
+        set.refill(live, caller_only);
+        replay.refill(live, caller_only);
         ASSERT_EQ(set.size(), replay.size()) << "wave " << wave;
         ASSERT_FALSE(set.needs_rebuild()) << "wave " << wave;
     }
@@ -610,10 +426,10 @@ TEST(ConcurrentEdgeSet, RefillHoldsExactlyTheGivenKeys) {
         ThreadPool pool(p);
         constexpr std::uint64_t max_live = 4096;
         ConcurrentEdgeSet set(max_live);
-        // A tombstone-heavy table, rebuild deliberately deferred: 4096
-        // keys in, 3500 out.
-        for (std::uint64_t k = 1; k <= max_live; ++k) ASSERT_TRUE(set.insert(k));
-        for (std::uint64_t k = 1; k <= 3500; ++k) ASSERT_TRUE(set.erase(k));
+        // A tombstone-heavy table, refill deliberately deferred: 4096 keys
+        // in, 3500 out.
+        for (std::uint64_t k = 1; k <= max_live; ++k) ASSERT_TRUE(set.insert_unique(k));
+        for (std::uint64_t k = 1; k <= 3500; ++k) ASSERT_TRUE(set.erase_unique(k));
         ASSERT_EQ(set.size(), max_live - 3500);
 
         // Half of the refill keys were live, half are new.
@@ -623,10 +439,7 @@ TEST(ConcurrentEdgeSet, RefillHoldsExactlyTheGivenKeys) {
 
         EXPECT_EQ(set.size(), keys.size()) << "p=" << p;
         EXPECT_FALSE(set.needs_rebuild()) << "p=" << p;
-        std::vector<std::uint64_t> seen;
-        set.for_each([&](std::uint64_t k) { seen.push_back(k); });
-        std::sort(seen.begin(), seen.end());
-        EXPECT_EQ(seen, keys) << "p=" << p;
+        EXPECT_EQ(live_keys(set), keys) << "p=" << p;
         for (const std::uint64_t k : keys) ASSERT_TRUE(set.contains(k)) << "p=" << p;
         for (std::uint64_t k = 3501; k <= 3800; ++k) ASSERT_FALSE(set.contains(k)) << "p=" << p;
 
@@ -661,12 +474,7 @@ TEST(ConcurrentEdgeSet, PoolBuiltFromKeysHoldsExactlyTheKeys) {
         EXPECT_TRUE(set->contains(2));
         EXPECT_EQ(set->size(), keys.size());
     }
-    std::vector<std::uint64_t> from_built, from_sized;
-    built.for_each([&](std::uint64_t k) { from_built.push_back(k); });
-    sized.for_each([&](std::uint64_t k) { from_sized.push_back(k); });
-    std::sort(from_built.begin(), from_built.end());
-    std::sort(from_sized.begin(), from_sized.end());
-    EXPECT_EQ(from_built, from_sized);
+    EXPECT_EQ(live_keys(built), live_keys(sized));
 }
 
 // ------------------------------------------------------ dependency table

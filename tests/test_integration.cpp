@@ -147,8 +147,7 @@ TEST(Pipeline, HasEdgeConsistentAcrossAllChains) {
     const EdgeList initial = generate_powerlaw_graph(200, 2.5, 5);
     for (const auto algo :
          {ChainAlgorithm::kSeqES, ChainAlgorithm::kSeqGlobalES, ChainAlgorithm::kParES,
-          ChainAlgorithm::kParGlobalES, ChainAlgorithm::kNaiveParES,
-          ChainAlgorithm::kAdjListES}) {
+          ChainAlgorithm::kParGlobalES, ChainAlgorithm::kAdjListES}) {
         ChainConfig config;
         config.seed = 2;
         config.threads = 2;

@@ -105,8 +105,7 @@ std::vector<ConservationParam> conservation_grid() {
              {ChainAlgorithm::kSeqES, ChainAlgorithm::kSeqGlobalES, ChainAlgorithm::kAdjListES}) {
             grid.push_back({g, algo, 1});
         }
-        for (const auto algo : {ChainAlgorithm::kParES, ChainAlgorithm::kParGlobalES,
-                                ChainAlgorithm::kNaiveParES}) {
+        for (const auto algo : {ChainAlgorithm::kParES, ChainAlgorithm::kParGlobalES}) {
             grid.push_back({g, algo, 1});
             grid.push_back({g, algo, 3});
         }

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -415,6 +416,19 @@ TEST(JobManager, RejectsInvalidConfigsAtSubmit) {
     JobManager manager(1, 1);
     PipelineConfig bad; // no input at all
     EXPECT_THROW((void)manager.submit(bad, nullptr), Error);
+    // Unknown algorithm names, the benches' naive-par-es among them, are
+    // refused at submit instead of failing the accepted job.
+    for (const char* algorithm : {"bogus-es", "naive-par-es"}) {
+        PipelineConfig unknown = job_config(scratch_dir("jm_unknown_algo"), 1);
+        unknown.algorithm = algorithm;
+        try {
+            (void)manager.submit(unknown, nullptr);
+            FAIL() << algorithm << " was accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("(expected seq-es |"), std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_TRUE(manager.jobs().empty());
 }
 
@@ -595,6 +609,47 @@ TEST(SharedExecutor, AdmitsAWideChainAndNarrowReplicatesConcurrently) {
     });
     wide_job.join();
     EXPECT_TRUE(narrow_ran_during_wide.load());
+}
+
+TEST(SharedExecutor, InterleavesTheReplicatesOfConcurrentRuns) {
+    // Three runs of 8 width-1 replicates on a budget of 2.  Until all three
+    // runs are registered every body waits (at most 10 s), so the record
+    // below is the ring's pop order, not the order in which the host
+    // happened to start the three calling threads.
+    SharedExecutor executor(2);
+    std::atomic<bool> all_registered{false};
+    std::mutex mutex;
+    std::vector<int> completions;
+    const auto body_of = [&](int run) {
+        return [&, run](const ReplicateSlot&) {
+            const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!all_registered.load() && std::chrono::steady_clock::now() < deadline) {
+                if (executor.stats().active_runs == 3) all_registered.store(true);
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            const std::lock_guard<std::mutex> lock(mutex);
+            completions.push_back(run);
+        };
+    };
+    std::vector<std::thread> runs;
+    for (int run = 0; run < 3; ++run) {
+        runs.emplace_back([&, run] {
+            executor.run(8, ScheduleRequest{SchedulePolicy::kReplicates, 0, 0}, body_of(run));
+        });
+    }
+    for (std::thread& t : runs) t.join();
+    EXPECT_TRUE(all_registered.load());
+    ASSERT_EQ(completions.size(), 24u);
+
+    std::size_t switches = 0;
+    for (std::size_t i = 1; i < completions.size(); ++i) {
+        if (completions[i] != completions[i - 1]) ++switches;
+    }
+    // Round-robin popping alternates runs nearly every task (~22 of 23
+    // transitions); serial execution would give exactly 2.  A low bar keeps
+    // the assertion robust to scheduling jitter while still ruling out any
+    // serial ordering.
+    EXPECT_GE(switches, 6u) << "completion order looks serial per run";
 }
 
 TEST(SharedExecutor, MixedWidthStressNeverOversubscribesTheBudget) {

@@ -38,7 +38,7 @@ Input (one of):
 
 Options:
   --algo NAME         seq-es | seq-global-es | par-es | par-global-es |
-                      naive-par-es | adj-list-es        [par-global-es]
+                      adj-list-es                       [par-global-es]
   --supersteps K      supersteps to run (1 superstep ~ m/2 switches)  [20]
   --seed S            random seed                                     [1]
   --threads P         worker threads, 0 = hardware concurrency        [0]

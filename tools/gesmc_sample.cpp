@@ -62,7 +62,7 @@ Shortcuts (equivalent to --set):
   --corpus SPEC       synthetic corpus: test | bench |
                       "powerlaw n=.. gamma=.. count=.." | "gnp n=.. m=.. count=.."
   --algo NAME         seq-es | seq-global-es | par-es | par-global-es |
-                      naive-par-es | adj-list-es
+                      adj-list-es
   --replicates R      independent replicates to sample
   --supersteps K      supersteps per replicate, or "adaptive" to stop each
                       replicate once its mixing estimate clears the target
