@@ -79,12 +79,7 @@ void BM_ConcurrentSetSwitchMix(benchmark::State& state) {
     const auto keys = make_keys(1 << 16, 2);
     ConcurrentEdgeSet set(keys.size());
     for (const auto k : keys) set.insert_unique(k);
-    struct OneWriter { // adapts the set's unique operations to the workload
-        ConcurrentEdgeSet& set;
-        bool contains(std::uint64_t k) const { return set.contains(k); }
-        void erase(std::uint64_t k) { set.erase_unique(k); }
-        void insert(std::uint64_t k) { set.insert_unique(k); }
-    } one_writer{set};
+    OneWriterSet one_writer{set};
     ThreadPool caller_only(1);
     std::uint64_t cursor = 0;
     for (auto _ : state) {

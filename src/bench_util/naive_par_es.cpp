@@ -2,7 +2,6 @@
 
 #include "core/switch_stream.hpp"
 #include "hashing/hash.hpp"
-#include "util/check.hpp"
 
 #include <array>
 #include <thread>
@@ -57,11 +56,10 @@ private:
     unsigned count_ = 0;
 };
 
+/// `initial`, after the config and graph checks every chain makes.
 const EdgeList& checked(const EdgeList& initial, const ChainConfig& config) {
     validate(config);
-    GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
-    GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
-    return initial;
+    return checked_initial_graph(initial);
 }
 
 } // namespace
@@ -119,6 +117,7 @@ SwitchOutcome NaiveParES::perform_switch(const Switch& sw) {
         }
 
         const auto [t3, t4] = switch_targets(edge_from_key(k1), edge_from_key(k2), sw.g != 0);
+        // A loop proposal needs no target tickets.
         if (t3.is_loop() || t4.is_loop()) return SwitchOutcome::kRejectedLoop;
         const edge_key_t k3 = edge_key(t3);
         const edge_key_t k4 = edge_key(t4);
@@ -127,9 +126,10 @@ SwitchOutcome NaiveParES::perform_switch(const Switch& sw) {
             if (++conflicts < kMaxConflictRetries) continue;
             return SwitchOutcome::kRejectedEdge;
         }
-        const bool identity = k3 == k1 || k3 == k2; // see edge_switch.hpp
-        if (!identity) {
-            if (set_.contains(k3) || set_.contains(k4)) return SwitchOutcome::kRejectedEdge;
+        const SwitchOutcome outcome =
+            decide_switch(k1, k2, t3, t4, [this](edge_key_t k) { return set_.contains(k); });
+        if (outcome != SwitchOutcome::kAccepted) return outcome;
+        if (k3 != k1 && k3 != k2) { // identity no-op needs no set updates
             set_.erase_unique(k1);
             set_.erase_unique(k2);
             set_.insert_unique(k3);

@@ -73,16 +73,13 @@ void validate(const ChainConfig& config) {
     }
 }
 
-namespace {
-
-/// `initial`, checked before the chain copies it, so that the copy can reuse
-/// the memory of is_simple's sorted scratch: every chain switches a simple
-/// graph of at least two edges.
-const EdgeList& checked(const EdgeList& initial) {
+const EdgeList& checked_initial_graph(const EdgeList& initial) {
     GESMC_CHECK(initial.num_edges() >= 2, "need at least two edges to switch");
     GESMC_CHECK(initial.is_simple(), "initial graph must be simple");
     return initial;
 }
+
+namespace {
 
 std::unique_ptr<SwitchingChain> build_chain(ChainAlgorithm algo, const EdgeList& initial,
                                             const ChainConfig& config) {
@@ -107,7 +104,7 @@ std::unique_ptr<SwitchingChain> build_chain(ChainAlgorithm algo, const EdgeList&
 
 SwitchingChain::SwitchingChain(ChainAlgorithm algorithm, const EdgeList& initial,
                                const ChainConfig& config)
-    : edges_(checked(initial)),
+    : edges_(checked_initial_graph(initial)),
       seed_(config.seed),
       pl_(algorithm == ChainAlgorithm::kSeqGlobalES ||
                   algorithm == ChainAlgorithm::kParGlobalES

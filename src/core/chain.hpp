@@ -207,6 +207,12 @@ chain_algorithm_names();
 /// by both make_chain overloads.
 void validate(const ChainConfig& config);
 
+/// `initial`, checked to be a graph a chain can switch: simple, with at
+/// least two edges; throws Error otherwise.  Returned so that a chain can
+/// check its input before it copies it, and the copy can reuse the memory
+/// of is_simple's sorted scratch.
+[[nodiscard]] const EdgeList& checked_initial_graph(const EdgeList& initial);
+
 /// Resolved hardware concurrency, never 0 — what callers assign to
 /// ChainConfig::threads when they want "all the machine has" (make_chain
 /// itself rejects 0, see validate).

@@ -5,19 +5,6 @@
 
 namespace gesmc {
 
-namespace {
-
-/// The §7 base case's view of the edge set: one writer, so the sequential
-/// step's erase/insert are the *_unique operations.
-struct OneWriterSet {
-    ConcurrentEdgeSet& set;
-    [[nodiscard]] bool contains(edge_key_t key) const { return set.contains(key); }
-    void erase(edge_key_t key) { set.erase_unique(key); }
-    void insert(edge_key_t key) { set.insert_unique(key); }
-};
-
-} // namespace
-
 ParGlobalES::ParGlobalES(const EdgeList& initial, const ChainConfig& config)
     : SwitchingChain(ChainAlgorithm::kParGlobalES, initial, config),
       small_graph_cutoff_(config.small_graph_cutoff),

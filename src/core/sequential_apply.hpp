@@ -16,7 +16,7 @@ namespace gesmc {
 
 /// Decides sw against the current state and applies it if legal.
 /// `EdgeSet` answers contains(key) and applies erase(key) / insert(key):
-/// a RobinSet, a one-writer view of a ConcurrentEdgeSet or AdjListES's
+/// a RobinSet, a OneWriterSet over a ConcurrentEdgeSet or AdjListES's
 /// neighbor vectors.  Returns the outcome; updates accepted/rejected
 /// counters in `stats`.
 template <typename EdgeSet>

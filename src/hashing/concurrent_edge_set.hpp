@@ -124,4 +124,14 @@ private:
     std::atomic<std::uint64_t> psl_max_{0}; // feeds the hashset.psl_max gauge
 };
 
+/// The set behind the contains/erase/insert interface of
+/// apply_switch_sequential (core/sequential_apply.hpp), for a caller that
+/// is its only writer: erase and insert are the *_unique operations.
+struct OneWriterSet {
+    ConcurrentEdgeSet& set;
+    [[nodiscard]] bool contains(std::uint64_t key) const { return set.contains(key); }
+    void erase(std::uint64_t key) { set.erase_unique(key); }
+    void insert(std::uint64_t key) { set.insert_unique(key); }
+};
+
 } // namespace gesmc

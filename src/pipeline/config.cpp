@@ -228,9 +228,10 @@ PipelineConfig read_pipeline_config(std::istream& is) {
         const std::string stripped = trim(line);
         if (stripped.empty() || stripped[0] == '#' || stripped[0] == '%') continue;
         const std::size_t eq = stripped.find('=');
-        require(eq != std::string::npos,
-                "config line " + std::to_string(line_no) + ": expected \"key = value\", got \"" +
-                    stripped + "\"");
+        if (eq == std::string::npos) {
+            throw Error("config line " + std::to_string(line_no) +
+                        ": expected \"key = value\", got \"" + stripped + "\"");
+        }
         try {
             apply_config_entry(config, stripped.substr(0, eq), stripped.substr(eq + 1));
         } catch (const Error& e) {
@@ -244,7 +245,7 @@ PipelineConfig read_pipeline_config(std::istream& is) {
 
 PipelineConfig read_pipeline_config_file(const std::string& path) {
     std::ifstream is(path);
-    require(is.good(), "cannot open config: " + path);
+    if (!is.good()) throw Error("cannot open config: " + path);
     return read_pipeline_config(is);
 }
 
@@ -257,9 +258,10 @@ std::string pipeline_config_to_string(const PipelineConfig& config) {
     const PipelineConfig defaults;
     std::ostringstream os;
     const auto put = [&os](const char* key, const std::string& value) {
-        require(value.find('\n') == std::string::npos,
-                std::string("config key \"") + key +
-                    "\" cannot be rendered: value contains a newline");
+        if (value.find('\n') != std::string::npos) {
+            throw Error(std::string("config key \"") + key +
+                        "\" cannot be rendered: value contains a newline");
+        }
         os << key << " = " << value << "\n";
     };
     const auto put_u64 = [&put](const char* key, std::uint64_t v) {
@@ -364,8 +366,9 @@ std::vector<std::string> split_input_list(const std::string& value) {
         std::string token;
         if (value[i] == '"') {
             const std::size_t close = value.find('"', i + 1);
-            require(close != std::string::npos,
-                    "config key \"input\": unterminated quote in \"" + value + "\"");
+            if (close == std::string::npos) {
+                throw Error("config key \"input\": unterminated quote in \"" + value + "\"");
+            }
             token = value.substr(i + 1, close - i - 1);
             i = close + 1;
         } else {
@@ -373,8 +376,9 @@ std::vector<std::string> split_input_list(const std::string& value) {
             while (i < value.size() && !is_space(value[i])) ++i;
             token = value.substr(start, i - start);
         }
-        require(!token.empty(),
-                "config key \"input\": empty (quoted) path in \"" + value + "\"");
+        if (token.empty()) {
+            throw Error("config key \"input\": empty (quoted) path in \"" + value + "\"");
+        }
         tokens.push_back(std::move(token));
     }
     return tokens;
@@ -383,9 +387,10 @@ std::vector<std::string> split_input_list(const std::string& value) {
 std::string single_input_path(const PipelineConfig& config) {
     const std::vector<std::string> tokens = split_input_list(config.input_path);
     if (tokens.empty()) return "";
-    require(tokens.size() == 1,
-            "config key \"input\" lists " + std::to_string(tokens.size()) +
-                " paths where a single input is expected");
+    if (tokens.size() != 1) {
+        throw Error("config key \"input\" lists " + std::to_string(tokens.size()) +
+                    " paths where a single input is expected");
+    }
     return tokens[0];
 }
 
@@ -424,53 +429,58 @@ void validate_input_sources(const PipelineConfig& config) {
 void validate(const PipelineConfig& config) {
     (void)chain_algorithm_from_string(config.algorithm); // lists the valid names
     validate_input_sources(config);
-    require(!is_corpus_config(config),
-            "this config names a corpus of inputs; expand it with "
-            "plan_corpus — gesmc_sample does so automatically, and "
-            "gesmc_submit --corpus fans it out as per-graph jobs "
-            "(run_pipeline and plain service submission handle single "
-            "graphs only)");
-    require(config.replicates > 0, "replicates must be >= 1");
-    require(config.supersteps > 0, "supersteps must be >= 1");
+    if (is_corpus_config(config)) {
+        throw Error("this config names a corpus of inputs; expand it with "
+                    "plan_corpus — gesmc_sample does so automatically, and "
+                    "gesmc_submit --corpus fans it out as per-graph jobs "
+                    "(run_pipeline and plain service submission handle single "
+                    "graphs only)");
+    }
+    if (config.replicates == 0) throw Error("replicates must be >= 1");
+    if (config.supersteps == 0) throw Error("supersteps must be >= 1");
     if (config.adaptive) {
-        require(config.min_supersteps >= 1, "min-supersteps must be >= 1");
-        require(config.max_supersteps >= config.min_supersteps,
-                "max-supersteps must be >= min-supersteps");
-        require(config.check_every >= 1, "check-every must be >= 1");
-        require(config.ess_target > 0, "ess-target must be > 0");
-        require(config.mixing_tau >= 0 && config.mixing_tau <= 1,
-                "mixing-tau must be in [0, 1]");
+        if (config.min_supersteps < 1) throw Error("min-supersteps must be >= 1");
+        if (config.max_supersteps < config.min_supersteps) {
+            throw Error("max-supersteps must be >= min-supersteps");
+        }
+        if (config.check_every < 1) throw Error("check-every must be >= 1");
+        if (!(config.ess_target > 0)) throw Error("ess-target must be > 0");
+        if (!(config.mixing_tau >= 0 && config.mixing_tau <= 1)) {
+            throw Error("mixing-tau must be in [0, 1]");
+        }
     }
-    require(config.pl > 0 && config.pl < 1, "pl must be in (0, 1)");
+    if (!(config.pl > 0 && config.pl < 1)) throw Error("pl must be in (0, 1)");
     if (config.input_kind == InputKind::kGenerator) {
-        require(!config.generator.empty(),
-                "input-kind = generator requires the \"generator\" key");
-        require(config.generator == "powerlaw" || config.generator == "gnp" ||
-                    config.generator == "grid" || config.generator == "regular",
-                "generator must be powerlaw|gnp|grid|regular, got \"" +
-                    config.generator + "\"");
-    } else {
-        require(!config.input_path.empty(),
-                "an \"input\" path is required (or set input-kind = generator)");
+        if (config.generator.empty()) {
+            throw Error("input-kind = generator requires the \"generator\" key");
+        }
+        if (config.generator != "powerlaw" && config.generator != "gnp" &&
+            config.generator != "grid" && config.generator != "regular") {
+            throw Error("generator must be powerlaw|gnp|grid|regular, got \"" +
+                        config.generator + "\"");
+        }
+    } else if (config.input_path.empty()) {
+        throw Error("an \"input\" path is required (or set input-kind = generator)");
     }
-    require(config.checkpoint_every == 0 || !config.output_dir.empty(),
-            "checkpoint-every requires an output-dir to hold the checkpoints");
+    if (config.checkpoint_every != 0 && config.output_dir.empty()) {
+        throw Error("checkpoint-every requires an output-dir to hold the checkpoints");
+    }
     // policy = replicates *means* T = 1; silently dropping a pinned wider
     // chain-threads would run single-threaded chains behind the user's
     // back.  (auto and hybrid honor the pin; intra-chain uses it as the
     // one chain's width.)
-    require(config.policy != SchedulePolicy::kReplicates || config.chain_threads <= 1,
-            "policy = replicates runs single-threaded chains; use policy = "
-            "hybrid (or auto) to combine chain-threads = " +
-                std::to_string(config.chain_threads) +
-                " with concurrent replicates");
+    if (config.policy == SchedulePolicy::kReplicates && config.chain_threads > 1) {
+        throw Error("policy = replicates runs single-threaded chains; use policy = "
+                    "hybrid (or auto) to combine chain-threads = " +
+                    std::to_string(config.chain_threads) + " with concurrent replicates");
+    }
     // Mirror image: intra-chain *means* K = 1, so a wider max-concurrent
     // pin would be silently ignored.
-    require(config.policy != SchedulePolicy::kIntraChain || config.max_concurrent <= 1,
-            "policy = intra-chain runs one replicate at a time; use policy = "
-            "hybrid (or auto) to combine max-concurrent = " +
-                std::to_string(config.max_concurrent) +
-                " with intra-chain parallelism");
+    if (config.policy == SchedulePolicy::kIntraChain && config.max_concurrent > 1) {
+        throw Error("policy = intra-chain runs one replicate at a time; use policy = "
+                    "hybrid (or auto) to combine max-concurrent = " +
+                    std::to_string(config.max_concurrent) + " with intra-chain parallelism");
+    }
 }
 
 } // namespace gesmc

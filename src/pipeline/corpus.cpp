@@ -78,13 +78,14 @@ std::string stem_name(const std::string& path) {
 }
 
 void check_graph_name(const std::string& name, const std::string& origin) {
-    GESMC_CHECK(!name.empty() && name != "." && name != "..",
-                "corpus graph from " + origin + " has an unusable name \"" + name +
+    if (name.empty() || name == "." || name == "..") {
+        throw Error("corpus graph from " + origin + " has an unusable name \"" + name +
                     "\" (names become output subdirectories)");
-    GESMC_CHECK(name.find('/') == std::string::npos &&
-                    name.find('\\') == std::string::npos,
-                "corpus graph name \"" + name + "\" (from " + origin +
+    }
+    if (name.find('/') != std::string::npos || name.find('\\') != std::string::npos) {
+        throw Error("corpus graph name \"" + name + "\" (from " + origin +
                     ") must not contain path separators");
+    }
 }
 
 /// A path as it appears in an `input` list entry: double-quoted when it
@@ -95,8 +96,9 @@ std::string quoted_input_entry(const std::string& path) {
         return std::isspace(c) != 0;
     });
     if (!spaced) return path;
-    GESMC_CHECK(path.find('"') == std::string::npos,
-                "input path contains both spaces and a double quote: " + path);
+    if (path.find('"') != std::string::npos) {
+        throw Error("input path contains both spaces and a double quote: " + path);
+    }
     return '"' + path + '"';
 }
 
@@ -121,20 +123,21 @@ std::vector<CorpusInput> expand_glob(const std::string& pattern) {
     const fs::path dir = as_path.parent_path().empty() ? fs::path(".")
                                                        : as_path.parent_path();
     const std::string file_pattern = as_path.filename().string();
-    GESMC_CHECK(dir.string().find('*') == std::string::npos &&
-                    dir.string().find('?') == std::string::npos,
-                "input-glob \"" + pattern +
+    if (dir.string().find_first_of("*?") != std::string::npos) {
+        throw Error("input-glob \"" + pattern +
                     "\": wildcards are supported in the filename component only");
-    GESMC_CHECK(fs::is_directory(dir),
-                "input-glob \"" + pattern + "\": directory " + dir.string() +
+    }
+    if (!fs::is_directory(dir)) {
+        throw Error("input-glob \"" + pattern + "\": directory " + dir.string() +
                     " does not exist");
+    }
     std::vector<std::string> matches;
     for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
         if (!entry.is_regular_file()) continue;
         const std::string name = entry.path().filename().string();
         if (glob_match(file_pattern, name)) matches.push_back(entry.path().string());
     }
-    GESMC_CHECK(!matches.empty(), "input-glob \"" + pattern + "\" matched no files");
+    if (matches.empty()) throw Error("input-glob \"" + pattern + "\" matched no files");
     // Sorted expansion: directory iteration order is filesystem-dependent,
     // and the match order decides the per-graph seed indices.
     std::sort(matches.begin(), matches.end());
@@ -148,7 +151,7 @@ std::vector<CorpusInput> expand_glob(const std::string& pattern) {
 
 std::vector<CorpusInput> expand_manifest(const std::string& manifest_path) {
     std::ifstream is(manifest_path);
-    GESMC_CHECK(is.good(), "cannot open corpus-manifest: " + manifest_path);
+    if (!is.good()) throw Error("cannot open corpus-manifest: " + manifest_path);
     return parse_corpus_manifest(is, manifest_path,
                                  fs::path(manifest_path).parent_path().string());
 }
@@ -182,12 +185,15 @@ std::vector<CorpusInput> parse_corpus_manifest(std::istream& is,
         if (sep != std::string::npos) {
             path = trim(stripped.substr(0, sep));
             name = trim(stripped.substr(sep + 2));
-            GESMC_CHECK(!name.empty(), "corpus-manifest " + manifest_path + " line " +
-                                           std::to_string(line_no) +
-                                           ": empty name after \"::\"");
+            if (name.empty()) {
+                throw Error("corpus-manifest " + manifest_path + " line " +
+                            std::to_string(line_no) + ": empty name after \"::\"");
+            }
         }
-        GESMC_CHECK(!path.empty(), "corpus-manifest " + manifest_path + " line " +
-                                       std::to_string(line_no) + ": empty path");
+        if (path.empty()) {
+            throw Error("corpus-manifest " + manifest_path + " line " +
+                        std::to_string(line_no) + ": empty path");
+        }
         // Relative entries resolve against the manifest's own directory, so
         // a manifest travels with its data set.
         if (fs::path(path).is_relative() && !base_dir.empty()) {
@@ -196,7 +202,7 @@ std::vector<CorpusInput> parse_corpus_manifest(std::istream& is,
         if (name.empty()) name = stem_name(path);
         graphs.push_back(CorpusInput{std::move(name), std::move(path)});
     }
-    GESMC_CHECK(!graphs.empty(), "corpus-manifest " + manifest_path + " lists no inputs");
+    if (graphs.empty()) throw Error("corpus-manifest " + manifest_path + " lists no inputs");
     return graphs;
 }
 
@@ -206,10 +212,10 @@ std::uint64_t spec_u64(const std::string& spec, const std::string& key,
                        const std::string& value) {
     std::istringstream is(value);
     std::uint64_t v = 0;
-    GESMC_CHECK(value.find('-') == std::string::npos &&
-                    static_cast<bool>(is >> v) && is.eof(),
-                "corpus spec \"" + spec + "\": " + key +
+    if (value.find('-') != std::string::npos || !(is >> v) || !is.eof()) {
+        throw Error("corpus spec \"" + spec + "\": " + key +
                     " expects a non-negative integer, got \"" + value + "\"");
+    }
     return v;
 }
 
@@ -217,9 +223,10 @@ double spec_double(const std::string& spec, const std::string& key,
                    const std::string& value) {
     std::istringstream is(value);
     double v = 0;
-    GESMC_CHECK(static_cast<bool>(is >> v) && is.eof(),
-                "corpus spec \"" + spec + "\": " + key + " expects a number, got \"" +
+    if (!(is >> v) || !is.eof()) {
+        throw Error("corpus spec \"" + spec + "\": " + key + " expects a number, got \"" +
                     value + "\"");
+    }
     return v;
 }
 
@@ -238,18 +245,20 @@ std::string padded(std::uint64_t index, std::uint64_t count) {
 /// re-planning on resume is safe.
 std::vector<CorpusInput> expand_synthetic(const PipelineConfig& config) {
     const std::string& spec = config.corpus_spec;
-    GESMC_CHECK(!config.output_dir.empty(),
-                "corpus = \"" + spec +
+    if (config.output_dir.empty()) {
+        throw Error("corpus = \"" + spec +
                     "\" requires an output-dir to hold the materialized member "
                     "graphs (corpus-inputs/)");
+    }
     const std::vector<std::string> tokens = split_tokens(spec);
-    GESMC_CHECK(!tokens.empty(), "empty corpus spec");
+    if (tokens.empty()) throw Error("empty corpus spec");
     const std::string& kind = tokens[0];
 
     std::vector<std::pair<std::string, EdgeList>> members;
     if (kind == "test" || kind == "bench") {
-        GESMC_CHECK(tokens.size() == 1,
-                    "corpus spec \"" + spec + "\": " + kind + " takes no parameters");
+        if (tokens.size() != 1) {
+            throw Error("corpus spec \"" + spec + "\": " + kind + " takes no parameters");
+        }
         // The fixed seeded corpora from src/gen/corpus — the in-repo
         // stand-in for the paper's NetRep sample.  Their generation seeds
         // are fixed (identical across runs and master seeds); only the
@@ -262,9 +271,10 @@ std::vector<CorpusInput> expand_synthetic(const PipelineConfig& config) {
         double gamma = 2.2;
         for (std::size_t i = 1; i < tokens.size(); ++i) {
             const std::size_t eq = tokens[i].find('=');
-            GESMC_CHECK(eq != std::string::npos, "corpus spec \"" + spec +
-                                                     "\": expected key=value, got \"" +
-                                                     tokens[i] + "\"");
+            if (eq == std::string::npos) {
+                throw Error("corpus spec \"" + spec + "\": expected key=value, got \"" +
+                            tokens[i] + "\"");
+            }
             const std::string key = tokens[i].substr(0, eq);
             const std::string value = tokens[i].substr(eq + 1);
             if (key == "n") n = spec_u64(spec, key, value);
@@ -276,7 +286,7 @@ std::vector<CorpusInput> expand_synthetic(const PipelineConfig& config) {
                 throw Error("corpus spec \"" + spec + "\": unknown parameter \"" + key +
                             "\" for " + kind);
         }
-        GESMC_CHECK(count >= 1, "corpus spec \"" + spec + "\": count must be >= 1");
+        if (count == 0) throw Error("corpus spec \"" + spec + "\": count must be >= 1");
         for (std::uint64_t g = 0; g < count; ++g) {
             const std::uint64_t gen_seed = corpus_gen_seed(config.seed, g);
             EdgeList graph =
@@ -309,9 +319,10 @@ std::vector<CorpusInput> expand_synthetic(const PipelineConfig& config) {
 
 CorpusPlan plan_corpus(const PipelineConfig& config) {
     validate_input_sources(config);
-    GESMC_CHECK(is_corpus_config(config),
-                "config does not name a corpus: give several inputs, an "
-                "input-glob, a corpus-manifest, or a corpus spec");
+    if (!is_corpus_config(config)) {
+        throw Error("config does not name a corpus: give several inputs, an "
+                    "input-glob, a corpus-manifest, or a corpus spec");
+    }
     CorpusPlan plan;
     plan.base = config;
     if (!config.corpus_spec.empty()) {
@@ -331,12 +342,13 @@ CorpusPlan plan_corpus(const PipelineConfig& config) {
     for (const CorpusInput& graph : plan.graphs) {
         check_graph_name(graph.name, graph.path);
         const auto [it, inserted] = seen.emplace(graph.name, graph.path);
-        GESMC_CHECK(inserted,
-                    "duplicate corpus graph name \"" + graph.name + "\": both " +
+        if (!inserted) {
+            throw Error("duplicate corpus graph name \"" + graph.name + "\": both " +
                         it->second + " and " + graph.path +
                         " would write into the same per-graph output directory; "
                         "rename an input or give explicit names in a "
                         "corpus-manifest (\"path :: name\")");
+        }
     }
 
     // Field-level validation through the shards themselves — each shard is
@@ -566,8 +578,9 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
         const std::string rows_path =
             (fs::path(plan.base.output_dir) / "corpus_rows.ndjson").string();
         rows_stream.open(rows_path, std::ios::trunc);
-        GESMC_CHECK(rows_stream.good(),
-                    "cannot open corpus row stream for writing: " + rows_path);
+        if (!rows_stream.good()) {
+            throw Error("cannot open corpus row stream for writing: " + rows_path);
+        }
     }
 
     // Bounded coordinator pool: a coordinator only materializes its graph's
@@ -868,7 +881,7 @@ void write_corpus_json(std::ostream& os, const CorpusReport& report) {
 
 void write_corpus_json_file(const std::string& path, const CorpusReport& report) {
     std::ofstream os(path);
-    GESMC_CHECK(os.good(), "cannot open corpus report for writing: " + path);
+    if (!os.good()) throw Error("cannot open corpus report for writing: " + path);
     write_corpus_json(os, report);
 }
 

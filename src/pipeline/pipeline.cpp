@@ -48,8 +48,8 @@ struct InterruptReplicate {
 };
 
 EdgeList realize_degree_sequence(const DegreeSequence& seq, const PipelineConfig& config) {
-    require(seq.degree_sum() % 2 == 0, "degree sum must be even");
-    require(seq.is_graphical(), "degree sequence is not graphical");
+    if (seq.degree_sum() % 2 != 0) throw Error("degree sum must be even");
+    if (!seq.is_graphical()) throw Error("degree sequence is not graphical");
     switch (config.init) {
     case InitMethod::kHavelHakimi:
         return havel_hakimi(seq);
@@ -248,8 +248,9 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
 
     Timer total_timer;
     const EdgeList initial = materialize_input(config);
-    require(initial.num_edges() >= 2,
-            "input graph needs at least two edges to run a switching chain");
+    if (initial.num_edges() < 2) {
+        throw Error("input graph needs at least two edges to run a switching chain");
+    }
     const DegreeSequence degrees = degree_sequence_of(initial);
     report.input_nodes = initial.num_nodes();
     report.input_edges = initial.num_edges();
@@ -339,11 +340,12 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                 prev.output_dir = config.resume_from;
                 outputs_complete = std::filesystem::exists(replicate_output_path(prev, r));
             }
-            require(outputs_complete,
-                    "resume-from \"" + config.resume_from +
-                        "\" has neither matching checkpoints nor a complete "
-                        "set of outputs (wrong directory, output-prefix or "
-                        "replicate count?)");
+            if (!outputs_complete) {
+                throw Error("resume-from \"" + config.resume_from +
+                            "\" has neither matching checkpoints nor a complete "
+                            "set of outputs (wrong directory, output-prefix or "
+                            "replicate count?)");
+            }
             if (log != nullptr) {
                 *log << "pipeline: resume-from " << config.resume_from
                      << " holds a completed run (checkpoints cleaned); "
@@ -425,26 +427,29 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
                     checkpoint_path(config.resume_from, config, index);
                 if (std::filesystem::exists(prev)) {
                     ChainState state = read_chain_state_file(prev);
-                    require(state.algorithm == algo,
-                            "checkpoint " + prev + " was written by " +
-                                to_string(state.algorithm) +
-                                ", not the configured algorithm");
-                    require(state.seed == out.seed,
-                            "checkpoint " + prev +
-                                " does not match this run's seed derivation "
-                                "(different master seed or replicate count?)");
+                    if (state.algorithm != algo) {
+                        throw Error("checkpoint " + prev + " was written by " +
+                                    to_string(state.algorithm) +
+                                    ", not the configured algorithm");
+                    }
+                    if (state.seed != out.seed) {
+                        throw Error("checkpoint " + prev +
+                                    " does not match this run's seed derivation "
+                                    "(different master seed or replicate count?)");
+                    }
                     // pl is part of the G-ES trajectory; a resume config
                     // that changes it would mix distributions across
                     // resumed and fresh replicates.
-                    require((algo != ChainAlgorithm::kSeqGlobalES &&
-                             algo != ChainAlgorithm::kParGlobalES) ||
-                                state.pl == config.pl,
-                            "checkpoint " + prev + " was written with pl = " +
-                                std::to_string(state.pl) +
-                                ", not the configured pl");
-                    require(state.stats.supersteps <= target_supersteps,
-                            "checkpoint " + prev +
-                                " is ahead of the configured supersteps");
+                    if ((algo == ChainAlgorithm::kSeqGlobalES ||
+                         algo == ChainAlgorithm::kParGlobalES) &&
+                        state.pl != config.pl) {
+                        throw Error("checkpoint " + prev + " was written with pl = " +
+                                    std::to_string(state.pl) + ", not the configured pl");
+                    }
+                    if (state.stats.supersteps > target_supersteps) {
+                        throw Error("checkpoint " + prev +
+                                    " is ahead of the configured supersteps");
+                    }
                     // Adaptive resumes additionally need the estimator
                     // sidecar — the stop verdict is a function of the whole
                     // stream, so a chain state alone cannot continue it.  A

@@ -302,7 +302,7 @@ void write_json_report(std::ostream& os, const RunReport& report) {
 
 void write_json_report_file(const std::string& path, const RunReport& report) {
     std::ofstream os(path);
-    GESMC_CHECK(os.good(), "cannot open report for writing: " + path);
+    if (!os.good()) throw Error("cannot open report for writing: " + path);
     write_json_report(os, report);
 }
 

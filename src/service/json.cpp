@@ -22,8 +22,7 @@ public:
     JsonValue parse_document() {
         JsonValue v = parse_value(0);
         skip_whitespace();
-        GESMC_CHECK(pos_ == text_.size(),
-                    "JSON: trailing content at byte " + std::to_string(pos_));
+        if (pos_ != text_.size()) fail("trailing content");
         return v;
     }
 
@@ -289,23 +288,24 @@ const JsonValue* JsonValue::find(const std::string& key) const noexcept {
 
 const std::string& JsonValue::string_member(const std::string& key) const {
     const JsonValue* v = find(key);
-    GESMC_CHECK(v != nullptr, "JSON: missing member \"" + key + "\"");
-    GESMC_CHECK(v->is_string(), "JSON: member \"" + key + "\" is not a string");
+    if (v == nullptr) throw Error("JSON: missing member \"" + key + "\"");
+    if (!v->is_string()) throw Error("JSON: member \"" + key + "\" is not a string");
     return v->string_value;
 }
 
 std::uint64_t JsonValue::uint_member(const std::string& key) const {
     const JsonValue* v = find(key);
-    GESMC_CHECK(v != nullptr, "JSON: missing member \"" + key + "\"");
-    GESMC_CHECK(v->is_number(), "JSON: member \"" + key + "\" is not a number");
+    if (v == nullptr) throw Error("JSON: missing member \"" + key + "\"");
+    if (!v->is_number()) throw Error("JSON: member \"" + key + "\" is not a number");
     // Integer-shaped input carries its exact value (64-bit seeds/ids do not
     // survive the double round-trip).
     if (v->has_uint) return v->uint_value;
     // The upper bound makes the cast defined (a double >= 2^63 would be
     // UB to convert); protocol integers are job/replicate ids, far below.
-    GESMC_CHECK(v->number_value >= 0 && std::floor(v->number_value) == v->number_value &&
-                    v->number_value < 9223372036854775808.0,
-                "JSON: member \"" + key + "\" is not a representable non-negative integer");
+    if (!(v->number_value >= 0 && std::floor(v->number_value) == v->number_value &&
+          v->number_value < 9223372036854775808.0)) {
+        throw Error("JSON: member \"" + key + "\" is not a representable non-negative integer");
+    }
     return static_cast<std::uint64_t>(v->number_value);
 }
 

@@ -14,13 +14,6 @@ public:
     explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Check on outside input (config values, input graphs, checkpoints):
-/// throws Error with `message` alone.  GESMC_CHECK guards the library's own
-/// invariants, and its message carries the expression and source location.
-inline void require(bool ok, const std::string& message) {
-    if (!ok) throw Error(message);
-}
-
 namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file, int line,
                                              const std::string& msg) {
@@ -34,6 +27,9 @@ namespace detail {
 } // namespace gesmc
 
 /// Precondition check that is always active (also in release builds).
+/// It guards the library's own invariants, and its message carries the
+/// expression and source location; checks on outside input (config values,
+/// input files, checkpoints) throw Error with the message alone.
 /// Usage: GESMC_CHECK(n > 0, "need at least one node");
 #define GESMC_CHECK(expr, ...)                                                             \
     do {                                                                                   \

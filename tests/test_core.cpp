@@ -15,6 +15,7 @@
 #include "core/switch_stream.hpp"
 #include "gen/corpus.hpp"
 #include "gen/gnp.hpp"
+#include "graph_cases.hpp"
 #include "hashing/dependency_table.hpp"
 #include "obs/trace.hpp"
 #include "rng/mt19937_64.hpp"
@@ -297,6 +298,30 @@ TEST(ChainInvariants, AttemptedCountMatchesSuperstepAccounting) {
 
 // ------------------------------------------- NaiveParES (the §5.1 baseline)
 
+/// `chain` conserves the degrees `degrees`, stays simple, has every
+/// attempted switch counted once, and its edge set holds exactly its edge
+/// list.
+void expect_naive_invariants(const NaiveParES& chain, const std::vector<std::uint32_t>& degrees,
+                             const std::string& where) {
+    const EdgeList& now = chain.graph();
+    EXPECT_TRUE(now.is_simple()) << where;
+    EXPECT_EQ(now.degrees(), degrees) << where;
+    const ChainStats& st = chain.stats();
+    EXPECT_EQ(st.attempted, st.accepted + st.rejected_loop + st.rejected_edge) << where;
+    std::vector<edge_key_t> in_set;
+    chain.edge_set().for_each([&](std::uint64_t k) { in_set.push_back(k); });
+    std::sort(in_set.begin(), in_set.end());
+    EXPECT_EQ(in_set, now.sorted_keys()) << where;
+    EXPECT_EQ(chain.edge_set().size(), now.num_edges()) << where;
+}
+
+EdgeList complete_graph(node_t n) {
+    std::vector<Edge> pairs;
+    for (node_t u = 0; u < n; ++u)
+        for (node_t v = u + 1; v < n; ++v) pairs.push_back(Edge{u, v});
+    return EdgeList::from_pairs(n, pairs);
+}
+
 TEST(NaiveParES, OneThreadRunsTheSeqESChain) {
     // On one thread the baseline decides and applies the switch stream in
     // order, so it must leave SeqES's edge array, identity-case slot swaps
@@ -331,19 +356,80 @@ TEST(NaiveParES, FourThreadsKeepDegreesSimplicityAndTheSet) {
     NaiveParES chain(g, config);
     for (int step = 1; step <= 30; ++step) {
         chain.run_supersteps(1);
-        const EdgeList& now = chain.graph();
-        ASSERT_TRUE(now.is_simple()) << "superstep " << step;
-        ASSERT_EQ(now.degrees(), degrees) << "superstep " << step;
-        std::vector<edge_key_t> in_set;
-        chain.edge_set().for_each([&](std::uint64_t k) { in_set.push_back(k); });
-        std::sort(in_set.begin(), in_set.end());
-        ASSERT_EQ(in_set, now.sorted_keys()) << "superstep " << step;
-        ASSERT_EQ(chain.edge_set().size(), g.num_edges()) << "superstep " << step;
+        expect_naive_invariants(chain, degrees, "superstep " + std::to_string(step));
+        ASSERT_FALSE(HasFailure());
     }
-    const ChainStats& st = chain.stats();
-    EXPECT_EQ(st.attempted, 30 * (g.num_edges() / 2));
-    EXPECT_EQ(st.attempted, st.accepted + st.rejected_loop + st.rejected_edge);
-    EXPECT_GT(st.accepted, 0u);
+    EXPECT_EQ(chain.stats().attempted, 30 * (g.num_edges() / 2));
+    EXPECT_GT(chain.stats().accepted, 0u);
+}
+
+TEST(NaiveParES, TwoEdgeGraphRunsOnMoreThreadsThanSwitches) {
+    // m = 2: one switch per superstep for two threads; both matchings of
+    // the four nodes are reachable.
+    const EdgeList g = EdgeList::from_pairs(4, {Edge{0, 1}, Edge{2, 3}});
+    ChainConfig config;
+    config.seed = 1;
+    config.threads = 2;
+    NaiveParES chain(g, config);
+    chain.run_supersteps(5);
+    EXPECT_EQ(chain.stats().attempted, 5u);
+    expect_naive_invariants(chain, g.degrees(), "m = 2");
+}
+
+TEST(NaiveParES, FrozenGraphsStayFrozenOnTwoThreads) {
+    // A path of three and a triangle propose only loops and identity
+    // switches; in K_6 every other target exists.  Each graph is the only
+    // realization of its degrees.
+    const std::pair<const char*, EdgeList> graphs[] = {
+        {"path of three", EdgeList::from_pairs(3, {Edge{0, 1}, Edge{1, 2}})},
+        {"triangle", complete_graph(3)},
+        {"K_6", complete_graph(6)},
+    };
+    for (const auto& [name, g] : graphs) {
+        ChainConfig config;
+        config.seed = 2;
+        config.threads = 2;
+        NaiveParES chain(g, config);
+        chain.run_supersteps(10);
+        EXPECT_TRUE(chain.graph().same_graph(g)) << name;
+        expect_naive_invariants(chain, g.degrees(), name);
+    }
+}
+
+TEST(NaiveParES, ZeroSuperstepsIsNoop) {
+    const EdgeList g = generate_gnp(100, 0.1, 5);
+    ChainConfig config;
+    config.threads = 2;
+    NaiveParES chain(g, config);
+    chain.run_supersteps(0);
+    EXPECT_TRUE(chain.graph().same_graph(g));
+    EXPECT_EQ(chain.stats().attempted, 0u);
+}
+
+TEST(NaiveParES, RejectsWhatNoChainCanRun) {
+    const EdgeList single = EdgeList::from_pairs(2, {Edge{0, 1}});
+    EXPECT_THROW(NaiveParES(single, ChainConfig{}), Error);
+    const EdgeList multi = EdgeList::from_keys(3, {edge_key(0, 1), edge_key(0, 1)});
+    EXPECT_THROW(NaiveParES(multi, ChainConfig{}), Error);
+    ChainConfig no_threads;
+    no_threads.threads = 0;
+    EXPECT_THROW(NaiveParES(generate_gnp(100, 0.1, 5), no_threads), Error);
+}
+
+TEST(NaiveParES, ThreeThreadsConserveOnEveryGraphFamily) {
+    for (const test::GraphCase& gc : test::kGraphCases) {
+        const EdgeList g = gc.make();
+        ChainConfig config;
+        config.seed = 77;
+        config.threads = 3;
+        NaiveParES chain(g, config);
+        for (int step = 1; step <= 3; ++step) {
+            chain.run_supersteps(1);
+            expect_naive_invariants(chain, g.degrees(),
+                                    std::string(gc.name) + ", superstep " + std::to_string(step));
+        }
+        EXPECT_EQ(chain.stats().attempted, 3 * (g.num_edges() / 2)) << gc.name;
+    }
 }
 
 // --------------------------------------------------------- exactness: par == seq

@@ -407,6 +407,15 @@ TEST(PipelineConfig, InputErrorsCarryTheMessageAlone) {
                             0),
               0u)
         << refused;
+    // The corpus planner and the service's JSON accessors check their
+    // input the same way.
+    PipelineConfig corpus;
+    corpus.corpus_spec = "gnp n=10 m=5 count=0";
+    corpus.output_dir = scratch_dir("message_alone").string();
+    EXPECT_EQ(error_of([&] { (void)plan_corpus(corpus); }),
+              "corpus spec \"gnp n=10 m=5 count=0\": count must be >= 1");
+    EXPECT_EQ(error_of([] { (void)parse_json("{\"a\": 1}").string_member("b"); }),
+              "JSON: missing member \"b\"");
 }
 
 TEST(PipelineConfig, NumericParsersAcceptOnlyOneNumberInRange) {

@@ -9,11 +9,7 @@
 #include "core/parallel_superstep.hpp"
 #include "core/sequential_apply.hpp"
 #include "core/switch_stream.hpp"
-#include "gen/configuration_model.hpp"
-#include "gen/corpus.hpp"
-#include "gen/gnp.hpp"
-#include "gen/powerlaw.hpp"
-#include "graph/degree_sequence.hpp"
+#include "graph_cases.hpp"
 #include "hashing/robin_set.hpp"
 #include "rng/mt19937_64.hpp"
 #include "rng/shuffle.hpp"
@@ -29,38 +25,8 @@ namespace {
 
 // ------------------------------------------------------------ test graphs
 
-struct GraphCase {
-    const char* name;
-    EdgeList (*make)();
-};
-
-EdgeList make_powerlaw_small() { return generate_powerlaw_graph(400, 2.1, 11); }
-EdgeList make_powerlaw_skewed() { return generate_powerlaw_graph(600, 2.01, 12); }
-EdgeList make_gnp_sparse() { return generate_gnp(500, gnp_probability_for_edges(500, 1500), 13); }
-EdgeList make_gnp_dense() { return generate_gnp(80, 0.6, 14); }
-EdgeList make_grid() { return generate_grid(20, 25); }
-EdgeList make_regular() { return generate_regular(300, 6); }
-EdgeList make_star_forest() {
-    // Extreme disassortative case: stars force loop rejections.
-    std::vector<Edge> pairs;
-    for (node_t s = 0; s < 5; ++s) {
-        for (node_t leaf = 0; leaf < 30; ++leaf) {
-            pairs.push_back(Edge{s, static_cast<node_t>(5 + s * 30 + leaf)});
-        }
-    }
-    return EdgeList::from_pairs(5 + 150, pairs);
-}
-EdgeList make_config_model() {
-    const DegreeSequence seq = sample_powerlaw_degrees(300, 2.4, 15);
-    return configuration_model_erased(seq, 16);
-}
-
-const GraphCase kGraphCases[] = {
-    {"powerlaw", make_powerlaw_small},   {"powerlaw-skewed", make_powerlaw_skewed},
-    {"gnp-sparse", make_gnp_sparse},     {"gnp-dense", make_gnp_dense},
-    {"grid", make_grid},                 {"regular", make_regular},
-    {"star-forest", make_star_forest},   {"config-model", make_config_model},
-};
+using test::GraphCase;
+using test::kGraphCases;
 
 std::string graph_case_name(const testing::TestParamInfo<GraphCase>& info) {
     std::string s = info.param.name;

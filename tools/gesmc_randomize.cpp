@@ -238,21 +238,23 @@ int main(int argc, char** argv) {
             // The snapshot decides the algorithm and seed; explicit flags
             // that disagree are a config error, not something to silently
             // override.
-            GESMC_CHECK(!opt->algo_set || opt->algo == state.algorithm,
-                        "--algo " + chain_algorithm_name(opt->algo) +
+            if (opt->algo_set && opt->algo != state.algorithm) {
+                throw Error("--algo " + chain_algorithm_name(opt->algo) +
                             " conflicts with the snapshot's " +
-                            chain_algorithm_name(state.algorithm) +
-                            " (drop --algo to resume)");
-            GESMC_CHECK(!opt->seed_set || opt->chain.seed == state.seed,
-                        "--seed conflicts with the snapshot's seed (drop --seed "
-                        "to resume)");
+                            chain_algorithm_name(state.algorithm) + " (drop --algo to resume)");
+            }
+            if (opt->seed_set && opt->chain.seed != state.seed) {
+                throw Error("--seed conflicts with the snapshot's seed (drop --seed "
+                            "to resume)");
+            }
             // pl only shapes the G-ES trajectory; ES snapshots leave the
             // placeholder default, which must not trip the conflict check.
             const bool pl_matters = state.algorithm == ChainAlgorithm::kSeqGlobalES ||
                                     state.algorithm == ChainAlgorithm::kParGlobalES;
-            GESMC_CHECK(!opt->pl_set || !pl_matters || opt->chain.pl == state.pl,
-                        "--pl conflicts with the snapshot's P_L (drop --pl to "
-                        "resume)");
+            if (opt->pl_set && pl_matters && opt->chain.pl != state.pl) {
+                throw Error("--pl conflicts with the snapshot's P_L (drop --pl to "
+                            "resume)");
+            }
             chain = make_chain(state, opt->chain);
             std::cerr << "resumed " << chain->name() << " at superstep "
                       << chain->stats().supersteps << " from " << opt->resume << "\n";
@@ -274,10 +276,11 @@ int main(int argc, char** argv) {
         const std::uint64_t already = chain->stats().supersteps;
         // A snapshot past the target would make the output a *more*
         // randomized graph silently mislabeled as the requested run.
-        GESMC_CHECK(already <= opt->supersteps,
-                    "snapshot is at superstep " + std::to_string(already) +
+        if (already > opt->supersteps) {
+            throw Error("snapshot is at superstep " + std::to_string(already) +
                         ", ahead of --supersteps " + std::to_string(opt->supersteps) +
                         " (--supersteps is the total target)");
+        }
         const std::uint64_t remaining = opt->supersteps - already;
         std::cerr << "running " << chain->name() << " for " << remaining
                   << " supersteps...\n";

@@ -231,18 +231,18 @@ int run_single_cli(const PipelineConfig& config, bool quiet, bool progress) {
 
 void write_metrics_snapshot_file(const std::string& path) {
     std::ofstream os(path);
-    GESMC_CHECK(os.good(), "cannot open metrics output for writing: " + path);
+    if (!os.good()) throw Error("cannot open metrics output for writing: " + path);
     JsonWriter w(os);
     obs::write_metrics_json(w, obs::MetricsRegistry::instance().snapshot());
     os << '\n';
-    GESMC_CHECK(os.good(), "writing metrics output failed: " + path);
+    if (!os.good()) throw Error("writing metrics output failed: " + path);
 }
 
 void write_metrics_prometheus_file(const std::string& path) {
     std::ofstream os(path);
-    GESMC_CHECK(os.good(), "cannot open Prometheus output for writing: " + path);
+    if (!os.good()) throw Error("cannot open Prometheus output for writing: " + path);
     obs::write_metrics_prometheus(os, obs::MetricsRegistry::instance().snapshot());
-    GESMC_CHECK(os.good(), "writing Prometheus output failed: " + path);
+    if (!os.good()) throw Error("writing Prometheus output failed: " + path);
 }
 
 } // namespace
