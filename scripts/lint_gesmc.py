@@ -37,6 +37,14 @@ docs/static_analysis.md for the rationale behind each):
                 chains' tables (alignment, the THP hint, unmapping) lives
                 in that one module.
 
+  hand-json     A string literal in src/ or tools/ that opens a JSON
+                object (`"{\\"key\\": ...`) or adds a member to one
+                (`", \\"key\\": ...`): JSON documents are written through
+                JsonWriter (util/json_writer.hpp), so each record has one
+                writer and one escaping.  The Chrome trace emitter
+                (src/obs/trace.cpp) is exempt: the benchmark matches its
+                exact text.
+
 Suppress a finding by appending `// lint: allow(<rule>)` to the line.
 """
 
@@ -72,6 +80,12 @@ STRTO_NULL_END_PATTERN = re.compile(
 PAGE_MEMORY_PATTERN = re.compile(r"(^|[^\w.])(mmap|munmap|madvise)\s*\(")
 
 PAGE_MEMORY_HOME = "src/util/table_storage.cpp"
+
+# A literal opening an object with a member, or continuing one: "{\"k\": or
+# ", \"k\": as spelled in C++ source.
+HAND_JSON_PATTERN = re.compile(r'"(\{|,\s*)\\"[^"\\]*\\"\s*:')
+
+HAND_JSON_EXEMPT = "src/obs/trace.cpp"
 
 ALLOW_PATTERN = re.compile(r"//\s*lint:\s*allow\((?P<rule>[\w-]+)\)")
 
@@ -133,6 +147,13 @@ def check_file(root: pathlib.Path, path: pathlib.Path, findings: list) -> None:
                 (rel, lineno, "page-memory",
                  "page-level memory calls belong in " + PAGE_MEMORY_HOME
                  + " (TableStorage): " + raw.strip()))
+
+        if rel != HAND_JSON_EXEMPT and HAND_JSON_PATTERN.search(line) \
+                and not suppressed(raw, "hand-json"):
+            findings.append(
+                (rel, lineno, "hand-json",
+                 "JSON pasted from string literals; write it with JsonWriter "
+                 "(util/json_writer.hpp): " + raw.strip()))
 
         if in_library and not in_bench_util \
                 and IOSTREAM_PATTERN.search(line) \

@@ -1,8 +1,8 @@
 #include "bench_util/harness.hpp"
 
 #include "parallel/thread_pool.hpp"
-#include "pipeline/report.hpp"
 #include "util/check.hpp"
+#include "util/json_writer.hpp"
 
 #include <sys/utsname.h>
 

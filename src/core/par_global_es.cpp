@@ -22,11 +22,8 @@ void ParGlobalES::advance() {
         for (const Switch& sw : switch_scratch_) {
             apply_switch_sequential(edges_.keys(), one_writer, sw, stats_);
         }
-        last_rounds_ = 0;
     } else {
-        const SuperstepResult result = runner_.run(*pool_, edges_.keys(), set_, switch_scratch_);
-        last_rounds_ = result.rounds;
-        add_superstep(stats_, result);
+        add_superstep(stats_, runner_.run(*pool_, edges_.keys(), set_, switch_scratch_));
     }
     // Between supersteps the edge list holds exactly the live keys, so the
     // set rebuilds from it on the pool.

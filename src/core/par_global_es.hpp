@@ -26,9 +26,6 @@ public:
 
     [[nodiscard]] bool has_edge(edge_key_t key) const override { return set_.contains(key); }
 
-    /// Rounds used by the most recent global switch (Fig. 9 driver).
-    [[nodiscard]] std::uint32_t last_rounds() const noexcept { return last_rounds_; }
-
 private:
     void advance() override;
 
@@ -38,7 +35,6 @@ private:
     SuperstepRunner runner_;
     std::vector<Switch> switch_scratch_;
     std::vector<std::uint32_t> perm_scratch_;
-    std::uint32_t last_rounds_ = 0;
 };
 
 } // namespace gesmc

@@ -2,12 +2,10 @@
 
 #include "check/checked_mutex.hpp"
 #include "obs/metrics.hpp"
-#include "pipeline/report.hpp"
+#include "util/json_writer.hpp"
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -17,7 +15,6 @@ namespace {
 
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
 std::atomic<bool> g_has_sink{false};
-std::atomic<bool> g_stderr_sink{false};
 
 /// The sink state.  Leaked singleton like the metrics registry: events can
 /// fire from static destructors of tools, so the sink must never die first.
@@ -30,17 +27,6 @@ struct Sink {
 Sink& sink() {
     static Sink* const s = new Sink();
     return *s;
-}
-
-void refresh_has_sink(bool file_open) noexcept {
-    g_has_sink.store(file_open || g_stderr_sink.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
-void append_escaped(std::string& out, std::string_view value) {
-    std::ostringstream os;
-    write_json_escaped(os, std::string(value));
-    out += os.str();
 }
 
 std::uint64_t now_ms() {
@@ -77,7 +63,7 @@ bool set_log_file(const std::string& path) {
     if (path.empty()) {
         if (s.file_open) s.file.close();
         s.file_open = false;
-        refresh_has_sink(false);
+        g_has_sink.store(false, std::memory_order_relaxed);
         return true;
     }
     std::ofstream next(path, std::ios::app);
@@ -85,103 +71,66 @@ bool set_log_file(const std::string& path) {
     if (s.file_open) s.file.close();
     s.file = std::move(next);
     s.file_open = true;
-    refresh_has_sink(true);
+    g_has_sink.store(true, std::memory_order_relaxed);
     return true;
 }
 
-void set_log_stderr(bool enabled) noexcept {
-    g_stderr_sink.store(enabled, std::memory_order_relaxed);
-    // file_open is only mutated under the sink mutex; for the cheap flag it
-    // is enough to OR in the stderr state — a racing set_log_file refreshes.
-    g_has_sink.store(enabled || g_has_sink.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    if (!enabled) {
-        Sink& s = sink();
-        CheckedLockGuard lock(s.mutex);
-        refresh_has_sink(s.file_open);
-    }
-}
-
 void close_log_sinks() {
-    g_stderr_sink.store(false, std::memory_order_relaxed);
     Sink& s = sink();
     CheckedLockGuard lock(s.mutex);
     if (s.file_open) s.file.close();
     s.file_open = false;
-    refresh_has_sink(false);
+    g_has_sink.store(false, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------- LogEvent
 
+struct LogEvent::Line {
+    std::ostringstream os;
+    JsonWriter w{os, JsonLayout::kLine};
+};
+
 LogEvent::LogEvent(LogLevel level, std::string_view component,
-                   std::string_view event)
-    : live_(log_enabled(level)) {
-    if (!live_) return;
-    line_.reserve(128);
-    line_ += "{\"ts_ms\": ";
-    line_ += std::to_string(now_ms());
-    line_ += ", \"level\": \"";
-    line_ += to_string(level);
-    line_ += "\", \"component\": ";
-    append_escaped(line_, component);
-    line_ += ", \"event\": ";
-    append_escaped(line_, event);
+                   std::string_view event) {
+    if (!log_enabled(level)) return;
+    line_ = std::make_unique<Line>();
+    line_->w.begin_object();
+    line_->w.kv("ts_ms", now_ms());
+    line_->w.kv("level", to_string(level));
+    line_->w.kv("component", component);
+    line_->w.kv("event", event);
 }
 
 LogEvent& LogEvent::str(std::string_view key, std::string_view value) {
-    if (!live_) return *this;
-    line_ += ", ";
-    append_escaped(line_, key);
-    line_ += ": ";
-    append_escaped(line_, value);
+    if (line_ != nullptr) line_->w.kv(key, value);
     return *this;
 }
 
 LogEvent& LogEvent::num(std::string_view key, std::uint64_t value) {
-    if (!live_) return *this;
-    line_ += ", ";
-    append_escaped(line_, key);
-    line_ += ": ";
-    line_ += std::to_string(value);
+    if (line_ != nullptr) line_->w.kv(key, value);
     return *this;
 }
 
 LogEvent& LogEvent::snum(std::string_view key, std::int64_t value) {
-    if (!live_) return *this;
-    line_ += ", ";
-    append_escaped(line_, key);
-    line_ += ": ";
-    line_ += std::to_string(value);
+    if (line_ != nullptr) line_->w.kv(key, value);
     return *this;
 }
 
 LogEvent& LogEvent::real(std::string_view key, double value) {
-    if (!live_) return *this;
-    line_ += ", ";
-    append_escaped(line_, key);
-    line_ += ": ";
-    if (std::isfinite(value)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        line_ += buf;
-    } else {
-        line_ += "null";
-    }
+    if (line_ != nullptr) line_->w.kv(key, value);
     return *this;
 }
 
 LogEvent& LogEvent::flag(std::string_view key, bool value) {
-    if (!live_) return *this;
-    line_ += ", ";
-    append_escaped(line_, key);
-    line_ += ": ";
-    line_ += value ? "true" : "false";
+    if (line_ != nullptr) line_->w.kv(key, value);
     return *this;
 }
 
 LogEvent::~LogEvent() {
-    if (!live_) return;
-    line_ += "}\n";
+    if (line_ == nullptr) return;
+    line_->w.end_object();
+    line_->os << '\n';
+    const std::string text = line_->os.str();
     if (metrics_enabled()) {
         struct LogCounters {
             Counter& lines = MetricsRegistry::instance().counter("obs.log.lines");
@@ -192,11 +141,8 @@ LogEvent::~LogEvent() {
     Sink& s = sink();
     CheckedLockGuard lock(s.mutex);
     if (s.file_open) {
-        s.file.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+        s.file.write(text.data(), static_cast<std::streamsize>(text.size()));
         s.file.flush();  // `tail -f`-able: one complete line per event
-    }
-    if (g_stderr_sink.load(std::memory_order_relaxed)) {
-        std::fwrite(line_.data(), 1, line_.size(), stderr);
     }
 }
 

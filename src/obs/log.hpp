@@ -6,8 +6,8 @@
 /// through one process-wide sink as machine-parseable JSON lines instead of
 /// ad-hoc stderr chatter:
 ///
-///   {"ts_ms":1722990000123,"level":"info","component":"pipeline",
-///    "event":"replicate_done","replicate":3,"seconds":0.42}
+///   {"ts_ms": 1722990000123, "level": "info", "component": "pipeline",
+///    "event": "replicate_done", "replicate": 3, "seconds": 0.42}
 ///
 /// Design constraints mirror the metrics registry:
 ///
@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -52,9 +53,6 @@ void set_log_level(LogLevel level) noexcept;
 /// file cannot be opened.
 bool set_log_file(const std::string& path);
 
-/// Routes events to stderr (in addition to a file sink if one is set).
-void set_log_stderr(bool enabled) noexcept;
-
 /// Closes every sink; subsequent emits are no-ops.  Used by tests.
 void close_log_sinks();
 
@@ -81,8 +79,8 @@ public:
     LogEvent& flag(std::string_view key, bool value);
 
 private:
-    bool live_;
-    std::string line_;
+    struct Line;
+    std::unique_ptr<Line> line_; ///< null when the event's level is filtered
 };
 
 } // namespace gesmc::obs

@@ -1,7 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include "check/checked_mutex.hpp"
-#include "pipeline/report.hpp"
+#include "util/json_writer.hpp"
 #include "util/thread_ordinal.hpp"
 
 #include <algorithm>
@@ -212,16 +212,7 @@ void write_metrics_json(JsonWriter& w, const MetricsSnapshot& snapshot) {
     w.end_object();
     w.key("gauges");
     w.begin_object();
-    for (const auto& [name, value] : snapshot.gauges) {
-        // JsonWriter has no signed overload; negative gauges (analysis
-        // z-scores, assortativity fixed-point) go through the double path,
-        // which is exact far beyond any gauge magnitude here.
-        if (value >= 0) {
-            w.kv(name, static_cast<std::uint64_t>(value));
-        } else {
-            w.kv(name, static_cast<double>(value));
-        }
-    }
+    for (const auto& [name, value] : snapshot.gauges) w.kv(name, value);
     w.end_object();
     w.key("histograms");
     w.begin_object();

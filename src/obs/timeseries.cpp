@@ -1,6 +1,6 @@
 #include "obs/timeseries.hpp"
 
-#include "pipeline/report.hpp"
+#include "util/json_writer.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -34,77 +34,6 @@ const HistogramSnapshot* histogram_at(const MetricsSnapshot& snap,
         if (h.name == name) return &h;
     }
     return nullptr;
-}
-
-void write_executor_json(JsonWriter& w, const ExecutorStats& e) {
-    w.begin_object();
-    w.kv("threads", e.threads);
-    w.kv("leased", e.leased);
-    w.kv("lease_waiters", e.lease_waiters);
-    w.kv("active_runs", e.active_runs);
-    w.kv("pending_replicates", e.pending_replicates);
-    w.kv("inflight_replicates", e.inflight_replicates);
-    w.end_object();
-}
-
-void write_tick_fields(JsonWriter& w, const TelemetryTick& tick) {
-    w.kv("seq", tick.sequence);
-    w.kv("ts_ms", tick.ts_ms);
-    w.kv("interval_s", tick.interval_s);
-    w.key("executor");
-    write_executor_json(w, tick.executor);
-    w.key("rates");
-    w.begin_object();
-    for (const auto& [name, rate] : tick.counter_rates) w.kv(name, rate);
-    w.end_object();
-    w.key("counters");
-    w.begin_object();
-    for (const auto& [name, total] : tick.counter_totals) w.kv(name, total);
-    w.end_object();
-    w.key("gauges");
-    w.begin_object();
-    for (const auto& [name, value] : tick.gauges) {
-        // JsonWriter has no signed overload; negative gauges (analysis
-        // z-scores, assortativity fixed-point) take the double path, which
-        // is exact far beyond any gauge magnitude here.
-        if (value >= 0) {
-            w.kv(name, static_cast<std::uint64_t>(value));
-        } else {
-            w.kv(name, static_cast<double>(value));
-        }
-    }
-    w.end_object();
-    w.key("histograms");
-    w.begin_object();
-    for (const TelemetryTick::HistogramWindow& h : tick.histograms) {
-        w.key(h.name);
-        w.begin_object();
-        w.kv("count", h.count);
-        w.kv("rate", h.rate);
-        w.kv("p50", h.p50);
-        w.kv("p90", h.p90);
-        w.kv("p99", h.p99);
-        w.kv("max", h.max);
-        w.end_object();
-    }
-    w.end_object();
-}
-
-/// JsonWriter pretty-prints; a telemetry row must be a single line (NDJSON,
-/// one `watch` frame per line when piped).  Every string value is
-/// JSON-escaped — no literal newline survives inside one — so a newline and
-/// the indentation after it are always formatting, safe to strip.
-std::string collapse_to_one_line(const std::string& pretty) {
-    std::string out;
-    out.reserve(pretty.size());
-    for (std::size_t i = 0; i < pretty.size(); ++i) {
-        if (pretty[i] != '\n') {
-            out.push_back(pretty[i]);
-            continue;
-        }
-        while (i + 1 < pretty.size() && pretty[i + 1] == ' ') ++i;
-    }
-    return out;
 }
 
 /// Prometheus metric names admit [a-zA-Z0-9_:] only; the registry's
@@ -193,23 +122,58 @@ TelemetryTick diff_snapshots(const MetricsSnapshot& previous,
 
 // ---------------------------------------------------------------- emitters
 
-std::string telemetry_tick_ndjson(const TelemetryTick& tick) {
-    std::ostringstream os;
-    JsonWriter w(os);
+void write_executor_json(JsonWriter& w, const ExecutorStats& e) {
     w.begin_object();
-    write_tick_fields(w, tick);
+    w.kv("threads", e.threads);
+    w.kv("leased", e.leased);
+    w.kv("lease_waiters", e.lease_waiters);
+    w.kv("active_runs", e.active_runs);
+    w.kv("pending_replicates", e.pending_replicates);
+    w.kv("inflight_replicates", e.inflight_replicates);
     w.end_object();
-    return collapse_to_one_line(os.str());
 }
 
-std::string telemetry_tick_frame_body(const TelemetryTick& tick) {
-    std::ostringstream os;
-    JsonWriter w(os);
+void write_telemetry_tick(JsonWriter& w, const TelemetryTick& tick) {
+    w.kv("seq", tick.sequence);
+    w.kv("ts_ms", tick.ts_ms);
+    w.kv("interval_s", tick.interval_s);
+    w.key("executor");
+    write_executor_json(w, tick.executor);
+    w.key("rates");
     w.begin_object();
-    w.kv("event", "telemetry");
-    write_tick_fields(w, tick);
+    for (const auto& [name, rate] : tick.counter_rates) w.kv(name, rate);
     w.end_object();
-    return collapse_to_one_line(os.str());
+    w.key("counters");
+    w.begin_object();
+    for (const auto& [name, total] : tick.counter_totals) w.kv(name, total);
+    w.end_object();
+    w.key("gauges");
+    w.begin_object();
+    for (const auto& [name, value] : tick.gauges) w.kv(name, value);
+    w.end_object();
+    w.key("histograms");
+    w.begin_object();
+    for (const TelemetryTick::HistogramWindow& h : tick.histograms) {
+        w.key(h.name);
+        w.begin_object();
+        w.kv("count", h.count);
+        w.kv("rate", h.rate);
+        w.kv("p50", h.p50);
+        w.kv("p90", h.p90);
+        w.kv("p99", h.p99);
+        w.kv("max", h.max);
+        w.end_object();
+    }
+    w.end_object();
+}
+
+std::string telemetry_tick_ndjson(const TelemetryTick& tick) {
+    std::ostringstream os;
+    JsonWriter w(os, JsonLayout::kLine);
+    w.begin_object();
+    write_telemetry_tick(w, tick);
+    w.end_object();
+    return os.str();
 }
 
 void write_metrics_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {

@@ -80,13 +80,17 @@ struct TelemetryTick {
                                            const MetricsSnapshot& current,
                                            double interval_s);
 
-/// Emits one tick as a single-line NDJSON row (no trailing newline) — the
-/// `--telemetry-out` schema (docs/observability.md).
-[[nodiscard]] std::string telemetry_tick_ndjson(const TelemetryTick& tick);
+/// Writes `e` as one JSON object: the executor member of telemetry rows,
+/// `watch` frames and the daemon's `metrics` frame.
+void write_executor_json(JsonWriter& w, const ExecutorStats& e);
 
-/// Emits one tick as the `watch` frame payload: the NDJSON row fields plus
-/// {"event": "telemetry"} so frame consumers can dispatch on it.
-[[nodiscard]] std::string telemetry_tick_frame_body(const TelemetryTick& tick);
+/// Writes the members of one tick into the object `w` has open — the
+/// `--telemetry-out` row schema (docs/observability.md), which the `watch`
+/// frame carries after its {"event": "telemetry"}.
+void write_telemetry_tick(JsonWriter& w, const TelemetryTick& tick);
+
+/// Emits one tick as a single-line NDJSON row (no trailing newline).
+[[nodiscard]] std::string telemetry_tick_ndjson(const TelemetryTick& tick);
 
 /// Renders a cumulative snapshot in Prometheus text exposition format
 /// v0.0.4: counters as `counter`, gauges as `gauge`, histograms as

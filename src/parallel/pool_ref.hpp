@@ -32,8 +32,6 @@ public:
     PoolRef(PoolRef&&) noexcept = default;
     PoolRef& operator=(PoolRef&&) noexcept = default;
 
-    [[nodiscard]] bool owns_pool() const noexcept { return owned_ != nullptr; }
-
     [[nodiscard]] ThreadPool& operator*() const noexcept { return *pool_; }
     [[nodiscard]] ThreadPool* operator->() const noexcept { return pool_; }
 

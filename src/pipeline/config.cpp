@@ -7,7 +7,10 @@
 #include <cctype>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace gesmc {
@@ -58,165 +61,197 @@ double parse_double(const std::string& what, const std::string& value) {
     return v;
 }
 
-std::string to_string(InputKind kind) {
-    switch (kind) {
-    case InputKind::kEdgeList:
-        return "edges";
-    case InputKind::kDegreeSequence:
-        return "degrees";
-    case InputKind::kGenerator:
-        return "generator";
+namespace {
+
+template <typename E>
+struct EnumName {
+    E value;
+    const char* name;
+};
+
+constexpr EnumName<InputKind> kInputKinds[] = {
+    {InputKind::kEdgeList, "edges"},
+    {InputKind::kDegreeSequence, "degrees"},
+    {InputKind::kGenerator, "generator"},
+};
+constexpr EnumName<InitMethod> kInitMethods[] = {
+    {InitMethod::kHavelHakimi, "havel-hakimi"},
+    {InitMethod::kConfigurationModel, "configuration-model"},
+};
+constexpr EnumName<SchedulePolicy> kSchedulePolicies[] = {
+    {SchedulePolicy::kAuto, "auto"},
+    {SchedulePolicy::kReplicates, "replicates"},
+    {SchedulePolicy::kIntraChain, "intra-chain"},
+    {SchedulePolicy::kHybrid, "hybrid"},
+};
+constexpr EnumName<OutputFormat> kOutputFormats[] = {
+    {OutputFormat::kText, "text"},
+    {OutputFormat::kBinary, "binary"},
+};
+
+constexpr const auto& names_of(InputKind) { return kInputKinds; }
+constexpr const auto& names_of(InitMethod) { return kInitMethods; }
+constexpr const auto& names_of(SchedulePolicy) { return kSchedulePolicies; }
+constexpr const auto& names_of(OutputFormat) { return kOutputFormats; }
+
+template <typename E>
+std::string enum_name(E value) {
+    for (const EnumName<E>& row : names_of(value)) {
+        if (row.value == value) return row.name;
     }
     return "unknown";
 }
 
-std::string to_string(InitMethod method) {
-    switch (method) {
-    case InitMethod::kHavelHakimi:
-        return "havel-hakimi";
-    case InitMethod::kConfigurationModel:
-        return "configuration-model";
+template <typename E>
+E parse_enum(const std::string& key, const std::string& value) {
+    std::string expected;
+    for (const EnumName<E>& row : names_of(E{})) {
+        if (value == row.name) return row.value;
+        if (!expected.empty()) expected += '|';
+        expected += row.name;
     }
-    return "unknown";
+    throw Error("config key \"" + key + "\": expected " + expected + ", got \"" + value +
+                "\"");
 }
 
-std::string to_string(SchedulePolicy policy) {
-    switch (policy) {
-    case SchedulePolicy::kAuto:
-        return "auto";
-    case SchedulePolicy::kReplicates:
-        return "replicates";
-    case SchedulePolicy::kIntraChain:
-        return "intra-chain";
-    case SchedulePolicy::kHybrid:
-        return "hybrid";
-    }
-    return "unknown";
+/// The `supersteps` key: a count, or `adaptive` (the count is then unused).
+struct SuperstepsField {
+    static constexpr const char* kAdaptive = "adaptive";
+};
+
+using Field = std::variant<std::string PipelineConfig::*, std::uint64_t PipelineConfig::*,
+                           unsigned PipelineConfig::*, double PipelineConfig::*,
+                           bool PipelineConfig::*, InputKind PipelineConfig::*,
+                           InitMethod PipelineConfig::*, SchedulePolicy PipelineConfig::*,
+                           OutputFormat PipelineConfig::*, SuperstepsField>;
+
+struct ConfigKey {
+    const char* name;
+    Field field;
+};
+
+/// Every config key, in the order pipeline_config_to_string renders them.
+/// The value type of the field decides how a value parses and renders.
+const ConfigKey kConfigKeys[] = {
+    {"input", &PipelineConfig::input_path},
+    {"input-glob", &PipelineConfig::input_glob},
+    {"corpus-manifest", &PipelineConfig::corpus_manifest},
+    {"corpus", &PipelineConfig::corpus_spec},
+    {"input-kind", &PipelineConfig::input_kind},
+    {"init", &PipelineConfig::init},
+    {"generator", &PipelineConfig::generator},
+    {"gen-n", &PipelineConfig::gen_n},
+    {"gen-m", &PipelineConfig::gen_m},
+    {"gen-gamma", &PipelineConfig::gen_gamma},
+    {"gen-rows", &PipelineConfig::gen_rows},
+    {"gen-cols", &PipelineConfig::gen_cols},
+    {"gen-degree", &PipelineConfig::gen_degree},
+    {"algorithm", &PipelineConfig::algorithm},
+    {"supersteps", SuperstepsField{}},
+    {"ess-target", &PipelineConfig::ess_target},
+    {"mixing-tau", &PipelineConfig::mixing_tau},
+    {"min-supersteps", &PipelineConfig::min_supersteps},
+    {"max-supersteps", &PipelineConfig::max_supersteps},
+    {"check-every", &PipelineConfig::check_every},
+    {"pl", &PipelineConfig::pl},
+    {"prefetch", &PipelineConfig::prefetch},
+    {"small-cutoff", &PipelineConfig::small_graph_cutoff},
+    {"replicates", &PipelineConfig::replicates},
+    {"seed", &PipelineConfig::seed},
+    {"threads", &PipelineConfig::threads},
+    {"policy", &PipelineConfig::policy},
+    {"chain-threads", &PipelineConfig::chain_threads},
+    {"max-concurrent", &PipelineConfig::max_concurrent},
+    {"checkpoint-every", &PipelineConfig::checkpoint_every},
+    {"resume-from", &PipelineConfig::resume_from},
+    {"keep-checkpoints", &PipelineConfig::keep_checkpoints},
+    {"output-dir", &PipelineConfig::output_dir},
+    {"output-prefix", &PipelineConfig::output_prefix},
+    {"output-format", &PipelineConfig::output_format},
+    {"report", &PipelineConfig::report_path},
+    {"metrics", &PipelineConfig::metrics},
+    {"verify", &PipelineConfig::verify},
+};
+
+/// `value` as a config value of `key`'s type, parsed into `config`.
+void parse_value(PipelineConfig& config, const ConfigKey& key, const std::string& value) {
+    const std::string name = key.name;
+    const std::string what = "config key \"" + name + "\"";
+    std::visit(
+        [&](auto field) {
+            if constexpr (std::is_same_v<decltype(field), SuperstepsField>) {
+                config.adaptive = value == SuperstepsField::kAdaptive;
+                if (!config.adaptive) config.supersteps = parse_u64(what, value);
+            } else {
+                auto& out = config.*field;
+                using T = std::remove_reference_t<decltype(out)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    out = value;
+                } else if constexpr (std::is_same_v<T, bool>) {
+                    out = parse_bool(name, value);
+                } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+                    out = parse_u64(what, value);
+                } else if constexpr (std::is_same_v<T, unsigned>) {
+                    out = parse_unsigned(what, value);
+                } else if constexpr (std::is_same_v<T, double>) {
+                    out = parse_double(what, value);
+                } else {
+                    out = parse_enum<T>(name, value);
+                }
+            }
+        },
+        key.field);
 }
 
-std::string to_string(OutputFormat format) {
-    switch (format) {
-    case OutputFormat::kText:
-        return "text";
-    case OutputFormat::kBinary:
-        return "binary";
-    }
-    return "unknown";
+/// `key`'s value in `config` as text, or nullopt when it equals the default.
+std::optional<std::string> render_value(const PipelineConfig& config, const ConfigKey& key) {
+    static const PipelineConfig defaults;
+    return std::visit(
+        [&](auto field) -> std::optional<std::string> {
+            if constexpr (std::is_same_v<decltype(field), SuperstepsField>) {
+                if (config.adaptive) return SuperstepsField::kAdaptive;
+                if (config.supersteps == defaults.supersteps) return std::nullopt;
+                return std::to_string(config.supersteps);
+            } else {
+                const auto& v = config.*field;
+                using T = std::remove_cvref_t<decltype(v)>;
+                if (v == defaults.*field) return std::nullopt;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    return v;
+                } else if constexpr (std::is_same_v<T, bool>) {
+                    return v ? "true" : "false";
+                } else if constexpr (std::is_same_v<T, double>) {
+                    std::ostringstream s;
+                    s.precision(17); // round-trippable, matching the JSON writer
+                    s << v;
+                    return s.str();
+                } else if constexpr (std::is_enum_v<T>) {
+                    return enum_name(v);
+                } else {
+                    return std::to_string(v);
+                }
+            }
+        },
+        key.field);
 }
+
+} // namespace
+
+std::string to_string(InputKind kind) { return enum_name(kind); }
+std::string to_string(InitMethod method) { return enum_name(method); }
+std::string to_string(SchedulePolicy policy) { return enum_name(policy); }
+std::string to_string(OutputFormat format) { return enum_name(format); }
 
 void apply_config_entry(PipelineConfig& config, const std::string& raw_key,
                         const std::string& raw_value) {
     const std::string key = trim(raw_key);
-    const std::string value = trim(raw_value);
-    const std::string what = "config key \"" + key + "\"";
-    if (key == "input") {
-        config.input_path = value;
-    } else if (key == "input-glob") {
-        config.input_glob = value;
-    } else if (key == "corpus-manifest") {
-        config.corpus_manifest = value;
-    } else if (key == "corpus") {
-        config.corpus_spec = value;
-    } else if (key == "input-kind") {
-        if (value == "edges") config.input_kind = InputKind::kEdgeList;
-        else if (value == "degrees") config.input_kind = InputKind::kDegreeSequence;
-        else if (value == "generator") config.input_kind = InputKind::kGenerator;
-        else throw Error("config key \"input-kind\": expected edges|degrees|generator, got \"" +
-                         value + "\"");
-    } else if (key == "init") {
-        if (value == "havel-hakimi") config.init = InitMethod::kHavelHakimi;
-        else if (value == "configuration-model")
-            config.init = InitMethod::kConfigurationModel;
-        else throw Error(
-            "config key \"init\": expected havel-hakimi|configuration-model, got \"" +
-            value + "\"");
-    } else if (key == "generator") {
-        config.generator = value;
-    } else if (key == "gen-n") {
-        config.gen_n = parse_u64(what, value);
-    } else if (key == "gen-m") {
-        config.gen_m = parse_u64(what, value);
-    } else if (key == "gen-gamma") {
-        config.gen_gamma = parse_double(what, value);
-    } else if (key == "gen-rows") {
-        config.gen_rows = parse_u64(what, value);
-    } else if (key == "gen-cols") {
-        config.gen_cols = parse_u64(what, value);
-    } else if (key == "gen-degree") {
-        config.gen_degree = parse_unsigned(what, value);
-    } else if (key == "algorithm") {
-        config.algorithm = value;
-    } else if (key == "supersteps") {
-        if (value == "adaptive") {
-            config.adaptive = true;
-        } else {
-            config.adaptive = false;
-            config.supersteps = parse_u64(what, value);
+    for (const ConfigKey& row : kConfigKeys) {
+        if (key == row.name) {
+            parse_value(config, row, trim(raw_value));
+            return;
         }
-    } else if (key == "ess-target") {
-        config.ess_target = parse_double(what, value);
-    } else if (key == "mixing-tau") {
-        config.mixing_tau = parse_double(what, value);
-    } else if (key == "min-supersteps") {
-        config.min_supersteps = parse_u64(what, value);
-    } else if (key == "max-supersteps") {
-        config.max_supersteps = parse_u64(what, value);
-    } else if (key == "check-every") {
-        config.check_every = parse_u64(what, value);
-    } else if (key == "pl") {
-        config.pl = parse_double(what, value);
-    } else if (key == "prefetch") {
-        config.prefetch = parse_bool(key, value);
-    } else if (key == "edge-set-backend") {
-        // Accepted for one release: "locked" names the only edge table.
-        if (value != "locked") {
-            throw Error("config key \"edge-set-backend\": the lock-free backend was removed; "
-                        "only \"locked\" is accepted, got \"" + value + "\"");
-        }
-    } else if (key == "small-cutoff") {
-        config.small_graph_cutoff = parse_u64(what, value);
-    } else if (key == "replicates") {
-        config.replicates = parse_u64(what, value);
-    } else if (key == "seed") {
-        config.seed = parse_u64(what, value);
-    } else if (key == "threads") {
-        config.threads = parse_unsigned(what, value);
-    } else if (key == "policy") {
-        if (value == "auto") config.policy = SchedulePolicy::kAuto;
-        else if (value == "replicates") config.policy = SchedulePolicy::kReplicates;
-        else if (value == "intra-chain") config.policy = SchedulePolicy::kIntraChain;
-        else if (value == "hybrid") config.policy = SchedulePolicy::kHybrid;
-        else throw Error(
-            "config key \"policy\": expected auto|replicates|intra-chain|hybrid, got \"" +
-            value + "\"");
-    } else if (key == "chain-threads") {
-        config.chain_threads = parse_unsigned(what, value);
-    } else if (key == "max-concurrent") {
-        config.max_concurrent = parse_unsigned(what, value);
-    } else if (key == "checkpoint-every") {
-        config.checkpoint_every = parse_u64(what, value);
-    } else if (key == "resume-from") {
-        config.resume_from = value;
-    } else if (key == "keep-checkpoints") {
-        config.keep_checkpoints = parse_bool(key, value);
-    } else if (key == "output-dir") {
-        config.output_dir = value;
-    } else if (key == "output-prefix") {
-        config.output_prefix = value;
-    } else if (key == "output-format") {
-        if (value == "text") config.output_format = OutputFormat::kText;
-        else if (value == "binary") config.output_format = OutputFormat::kBinary;
-        else throw Error("config key \"output-format\": expected text|binary, got \"" +
-                         value + "\"");
-    } else if (key == "report") {
-        config.report_path = value;
-    } else if (key == "metrics") {
-        config.metrics = parse_bool(key, value);
-    } else if (key == "verify") {
-        config.verify = parse_bool(key, value);
-    } else {
-        throw Error("unknown config key: \"" + key + "\"");
     }
+    throw Error("unknown config key: \"" + key + "\"");
 }
 
 PipelineConfig read_pipeline_config(std::istream& is) {
@@ -255,101 +290,17 @@ PipelineConfig read_pipeline_config_string(const std::string& text) {
 }
 
 std::string pipeline_config_to_string(const PipelineConfig& config) {
-    const PipelineConfig defaults;
-    std::ostringstream os;
-    const auto put = [&os](const char* key, const std::string& value) {
-        if (value.find('\n') != std::string::npos) {
-            throw Error(std::string("config key \"") + key +
+    std::string out;
+    for (const ConfigKey& row : kConfigKeys) {
+        const std::optional<std::string> value = render_value(config, row);
+        if (!value.has_value()) continue;
+        if (value->find('\n') != std::string::npos) {
+            throw Error(std::string("config key \"") + row.name +
                         "\" cannot be rendered: value contains a newline");
         }
-        os << key << " = " << value << "\n";
-    };
-    const auto put_u64 = [&put](const char* key, std::uint64_t v) {
-        put(key, std::to_string(v));
-    };
-    const auto put_double = [&put](const char* key, double v) {
-        std::ostringstream s;
-        s.precision(17); // round-trippable, matching the JSON report emitter
-        s << v;
-        put(key, s.str());
-    };
-    const auto put_bool = [&put](const char* key, bool v) {
-        put(key, v ? "true" : "false");
-    };
-
-    if (config.input_path != defaults.input_path) put("input", config.input_path);
-    if (config.input_glob != defaults.input_glob) put("input-glob", config.input_glob);
-    if (config.corpus_manifest != defaults.corpus_manifest) {
-        put("corpus-manifest", config.corpus_manifest);
+        out += std::string(row.name) + " = " + *value + "\n";
     }
-    if (config.corpus_spec != defaults.corpus_spec) put("corpus", config.corpus_spec);
-    if (config.input_kind != defaults.input_kind) {
-        put("input-kind", to_string(config.input_kind));
-    }
-    if (config.init != defaults.init) put("init", to_string(config.init));
-    if (config.generator != defaults.generator) put("generator", config.generator);
-    if (config.gen_n != defaults.gen_n) put_u64("gen-n", config.gen_n);
-    if (config.gen_m != defaults.gen_m) put_u64("gen-m", config.gen_m);
-    if (config.gen_gamma != defaults.gen_gamma) put_double("gen-gamma", config.gen_gamma);
-    if (config.gen_rows != defaults.gen_rows) put_u64("gen-rows", config.gen_rows);
-    if (config.gen_cols != defaults.gen_cols) put_u64("gen-cols", config.gen_cols);
-    if (config.gen_degree != defaults.gen_degree) put_u64("gen-degree", config.gen_degree);
-    if (config.algorithm != defaults.algorithm) put("algorithm", config.algorithm);
-    if (config.adaptive) {
-        // "supersteps = adaptive" plus the non-default stopping knobs; the
-        // numeric supersteps value is meaningless in this mode.
-        put("supersteps", "adaptive");
-        if (config.ess_target != defaults.ess_target) {
-            put_double("ess-target", config.ess_target);
-        }
-        if (config.mixing_tau != defaults.mixing_tau) {
-            put_double("mixing-tau", config.mixing_tau);
-        }
-        if (config.min_supersteps != defaults.min_supersteps) {
-            put_u64("min-supersteps", config.min_supersteps);
-        }
-        if (config.max_supersteps != defaults.max_supersteps) {
-            put_u64("max-supersteps", config.max_supersteps);
-        }
-        if (config.check_every != defaults.check_every) {
-            put_u64("check-every", config.check_every);
-        }
-    } else if (config.supersteps != defaults.supersteps) {
-        put_u64("supersteps", config.supersteps);
-    }
-    if (config.pl != defaults.pl) put_double("pl", config.pl);
-    if (config.prefetch != defaults.prefetch) put_bool("prefetch", config.prefetch);
-    if (config.small_graph_cutoff != defaults.small_graph_cutoff) {
-        put_u64("small-cutoff", config.small_graph_cutoff);
-    }
-    if (config.replicates != defaults.replicates) put_u64("replicates", config.replicates);
-    if (config.seed != defaults.seed) put_u64("seed", config.seed);
-    if (config.threads != defaults.threads) put_u64("threads", config.threads);
-    if (config.policy != defaults.policy) put("policy", to_string(config.policy));
-    if (config.chain_threads != defaults.chain_threads) {
-        put_u64("chain-threads", config.chain_threads);
-    }
-    if (config.max_concurrent != defaults.max_concurrent) {
-        put_u64("max-concurrent", config.max_concurrent);
-    }
-    if (config.checkpoint_every != defaults.checkpoint_every) {
-        put_u64("checkpoint-every", config.checkpoint_every);
-    }
-    if (config.resume_from != defaults.resume_from) put("resume-from", config.resume_from);
-    if (config.keep_checkpoints != defaults.keep_checkpoints) {
-        put_bool("keep-checkpoints", config.keep_checkpoints);
-    }
-    if (config.output_dir != defaults.output_dir) put("output-dir", config.output_dir);
-    if (config.output_prefix != defaults.output_prefix) {
-        put("output-prefix", config.output_prefix);
-    }
-    if (config.output_format != defaults.output_format) {
-        put("output-format", to_string(config.output_format));
-    }
-    if (config.report_path != defaults.report_path) put("report", config.report_path);
-    if (config.metrics != defaults.metrics) put_bool("metrics", config.metrics);
-    if (config.verify != defaults.verify) put_bool("verify", config.verify);
-    return os.str();
+    return out;
 }
 
 std::vector<std::string> split_input_list(const std::string& value) {

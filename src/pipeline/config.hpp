@@ -132,8 +132,7 @@ struct PipelineConfig {
     bool prefetch = true;                    ///< key: prefetch (true|false)
     std::uint64_t small_graph_cutoff = 0;    ///< key: small-cutoff
 
-    /// Unread stub (hashing/edge_set_backend.hpp).  The config key
-    /// edge-set-backend accepts only "locked" and leaves it untouched.
+    /// Unread stub (hashing/edge_set_backend.hpp); no config key sets it.
     EdgeSetBackend edge_set_backend = EdgeSetBackend::kLocked;
 
     // ------------------------------------------------------------- batch
@@ -186,6 +185,8 @@ struct PipelineConfig {
     std::string report_path;                       ///< key: report ("" = stdout only)
     bool metrics = true;                           ///< key: metrics (true|false)
     bool verify = true;                            ///< key: verify (true|false)
+
+    bool operator==(const PipelineConfig&) const = default;
 };
 
 [[nodiscard]] std::string to_string(InputKind kind);

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -742,19 +741,37 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
 
 namespace {
 
-/// Compact JSON double, matching JsonWriter's round-trippable precision and
-/// its null spelling for non-finite values.
-std::string ndjson_double(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string ndjson_quote(const std::string& s) {
-    std::ostringstream os;
-    write_json_escaped(os, s);
-    return os.str();
+/// One per-graph row: an element of the summary's `graphs` array and one
+/// line of corpus_rows.ndjson.
+void write_corpus_row(JsonWriter& w, const CorpusGraphRow& row) {
+    w.begin_object();
+    w.kv("name", row.name);
+    w.kv("input", row.input_path);
+    w.kv("seed", row.seed);
+    w.kv("nodes", row.input_nodes);
+    w.kv("edges", row.input_edges);
+    w.kv("replicates", row.replicates);
+    w.kv("failed", row.failed);
+    w.kv("interrupted", row.interrupted);
+    w.kv("seconds", row.seconds);
+    w.kv("switches_per_second", row.switches_per_second);
+    w.kv("acceptance_rate", row.acceptance_rate);
+    if (row.has_adaptive) {
+        w.kv("stopped_early", row.stopped_early);
+        w.kv("configured_supersteps", row.configured_supersteps);
+        w.kv("mean_realized_supersteps", row.mean_realized_supersteps);
+    }
+    if (!row.error.empty()) w.kv("error", row.error);
+    if (row.has_metrics) {
+        w.key("metrics");
+        w.begin_object();
+        w.kv("mean_triangles", row.mean_triangles);
+        w.kv("mean_global_clustering", row.mean_clustering);
+        w.kv("mean_assortativity", row.mean_assortativity);
+        w.kv("mean_components", row.mean_components);
+        w.end_object();
+    }
+    w.end_object();
 }
 
 /// min / median / max over the rows of one column.
@@ -813,34 +830,7 @@ void write_corpus_json(std::ostream& os, const CorpusReport& report) {
     bool all_metrics = !report.rows.empty();
     for (const CorpusGraphRow& row : report.rows) {
         all_metrics = all_metrics && row.has_metrics;
-        w.begin_object();
-        w.kv("name", row.name);
-        w.kv("input", row.input_path);
-        w.kv("seed", row.seed);
-        w.kv("nodes", row.input_nodes);
-        w.kv("edges", row.input_edges);
-        w.kv("replicates", row.replicates);
-        w.kv("failed", row.failed);
-        w.kv("interrupted", row.interrupted);
-        w.kv("seconds", row.seconds);
-        w.kv("switches_per_second", row.switches_per_second);
-        w.kv("acceptance_rate", row.acceptance_rate);
-        if (row.has_adaptive) {
-            w.kv("stopped_early", row.stopped_early);
-            w.kv("configured_supersteps", row.configured_supersteps);
-            w.kv("mean_realized_supersteps", row.mean_realized_supersteps);
-        }
-        if (!row.error.empty()) w.kv("error", row.error);
-        if (row.has_metrics) {
-            w.key("metrics");
-            w.begin_object();
-            w.kv("mean_triangles", row.mean_triangles);
-            w.kv("mean_global_clustering", row.mean_clustering);
-            w.kv("mean_assortativity", row.mean_assortativity);
-            w.kv("mean_components", row.mean_components);
-            w.end_object();
-        }
-        w.end_object();
+        write_corpus_row(w, row);
     }
     w.end_array();
 
@@ -886,34 +876,10 @@ void write_corpus_json_file(const std::string& path, const CorpusReport& report)
 }
 
 std::string corpus_row_ndjson(const CorpusGraphRow& row) {
-    std::string out = "{\"name\": " + ndjson_quote(row.name);
-    out += ", \"input\": " + ndjson_quote(row.input_path);
-    out += ", \"seed\": " + std::to_string(row.seed);
-    out += ", \"nodes\": " + std::to_string(row.input_nodes);
-    out += ", \"edges\": " + std::to_string(row.input_edges);
-    out += ", \"replicates\": " + std::to_string(row.replicates);
-    out += ", \"failed\": " + std::to_string(row.failed);
-    out += ", \"interrupted\": " + std::to_string(row.interrupted);
-    out += ", \"seconds\": " + ndjson_double(row.seconds);
-    out += ", \"switches_per_second\": " + ndjson_double(row.switches_per_second);
-    out += ", \"acceptance_rate\": " + ndjson_double(row.acceptance_rate);
-    if (row.has_adaptive) {
-        out += std::string(", \"stopped_early\": ") +
-               (row.stopped_early ? "true" : "false");
-        out += ", \"configured_supersteps\": " + std::to_string(row.configured_supersteps);
-        out += ", \"mean_realized_supersteps\": " +
-               ndjson_double(row.mean_realized_supersteps);
-    }
-    if (!row.error.empty()) out += ", \"error\": " + ndjson_quote(row.error);
-    if (row.has_metrics) {
-        out += ", \"metrics\": {\"mean_triangles\": " + ndjson_double(row.mean_triangles);
-        out += ", \"mean_global_clustering\": " + ndjson_double(row.mean_clustering);
-        out += ", \"mean_assortativity\": " + ndjson_double(row.mean_assortativity);
-        out += ", \"mean_components\": " + ndjson_double(row.mean_components);
-        out += "}";
-    }
-    out += "}";
-    return out;
+    std::ostringstream os;
+    JsonWriter w(os, JsonLayout::kLine);
+    write_corpus_row(w, row);
+    return os.str();
 }
 
 } // namespace gesmc

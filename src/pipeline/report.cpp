@@ -3,140 +3,10 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 namespace gesmc {
-
-// ------------------------------------------------------------- JsonWriter
-
-void JsonWriter::comma_and_indent() {
-    if (pending_key_) {
-        pending_key_ = false;
-        return; // value follows its key on the same line
-    }
-    if (!first_in_scope_.empty()) {
-        if (!first_in_scope_.back()) os_ << ',';
-        first_in_scope_.back() = false;
-        os_ << '\n';
-        for (std::size_t i = 0; i < first_in_scope_.size(); ++i) os_ << "  ";
-    }
-}
-
-JsonWriter& JsonWriter::begin_object() {
-    comma_and_indent();
-    os_ << '{';
-    first_in_scope_.push_back(true);
-    return *this;
-}
-
-JsonWriter& JsonWriter::end_object() {
-    GESMC_CHECK(!first_in_scope_.empty(), "JsonWriter: unbalanced end_object");
-    const bool empty = first_in_scope_.back();
-    first_in_scope_.pop_back();
-    if (!empty) {
-        os_ << '\n';
-        for (std::size_t i = 0; i < first_in_scope_.size(); ++i) os_ << "  ";
-    }
-    os_ << '}';
-    return *this;
-}
-
-JsonWriter& JsonWriter::begin_array() {
-    comma_and_indent();
-    os_ << '[';
-    first_in_scope_.push_back(true);
-    return *this;
-}
-
-JsonWriter& JsonWriter::end_array() {
-    GESMC_CHECK(!first_in_scope_.empty(), "JsonWriter: unbalanced end_array");
-    const bool empty = first_in_scope_.back();
-    first_in_scope_.pop_back();
-    if (!empty) {
-        os_ << '\n';
-        for (std::size_t i = 0; i < first_in_scope_.size(); ++i) os_ << "  ";
-    }
-    os_ << ']';
-    return *this;
-}
-
-JsonWriter& JsonWriter::key(const std::string& name) {
-    comma_and_indent();
-    write_escaped(name);
-    os_ << ": ";
-    pending_key_ = true;
-    return *this;
-}
-
-JsonWriter& JsonWriter::value(const std::string& v) {
-    comma_and_indent();
-    write_escaped(v);
-    return *this;
-}
-
-JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
-
-JsonWriter& JsonWriter::value(std::uint64_t v) {
-    comma_and_indent();
-    os_ << v;
-    return *this;
-}
-
-JsonWriter& JsonWriter::value(double v) {
-    comma_and_indent();
-    if (!std::isfinite(v)) {
-        // JSON has no Infinity/NaN; null is the conventional stand-in.
-        os_ << "null";
-        return *this;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os_ << buf;
-    return *this;
-}
-
-JsonWriter& JsonWriter::value(bool v) {
-    comma_and_indent();
-    os_ << (v ? "true" : "false");
-    return *this;
-}
-
-void JsonWriter::write_escaped(const std::string& s) { write_json_escaped(os_, s); }
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
 
 // -------------------------------------------------------------- RunReport
 

@@ -5,13 +5,11 @@
 /// effective configuration, and per-replicate results (timings, ChainStats
 /// counters, structural metrics).  Downstream null-model analyses consume
 /// the report instead of re-deriving statistics from the output graphs.
-/// The writer is a minimal hand-rolled emitter (no external dependency) —
-/// the schema is flat enough that correctness is easy to eyeball, and the
-/// tests parse the output back with string checks.
 #pragma once
 
 #include "core/chain.hpp"
 #include "pipeline/config.hpp"
+#include "util/json_writer.hpp"
 
 #include <cstdint>
 #include <iosfwd>
@@ -19,48 +17,6 @@
 #include <vector>
 
 namespace gesmc {
-
-/// Writes `s` double-quoted with RFC 8259 escaping to `os` — the one JSON
-/// string-escaping routine in the library (JsonWriter and the service's
-/// compact frame emitters both call it, so the wire never sees two
-/// escaping dialects).
-void write_json_escaped(std::ostream& os, const std::string& s);
-
-/// Minimal streaming JSON emitter: tracks nesting and comma placement,
-/// escapes strings, prints doubles round-trippably.
-class JsonWriter {
-public:
-    explicit JsonWriter(std::ostream& os) : os_(os) {}
-
-    JsonWriter& begin_object();
-    JsonWriter& end_object();
-    JsonWriter& begin_array();
-    JsonWriter& end_array();
-
-    /// Emits the key of the next member (object context only).
-    JsonWriter& key(const std::string& name);
-
-    JsonWriter& value(const std::string& v);
-    JsonWriter& value(const char* v);
-    JsonWriter& value(std::uint64_t v);
-    JsonWriter& value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
-    JsonWriter& value(double v);
-    JsonWriter& value(bool v);
-
-    template <typename T>
-    JsonWriter& kv(const std::string& name, const T& v) {
-        key(name);
-        return value(v);
-    }
-
-private:
-    void comma_and_indent();
-    void write_escaped(const std::string& s);
-
-    std::ostream& os_;
-    std::vector<bool> first_in_scope_;
-    bool pending_key_ = false;
-};
 
 /// Outcome of one replicate.
 struct ReplicateReport {

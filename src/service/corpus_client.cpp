@@ -13,7 +13,7 @@ namespace {
 
 const JsonValue& member(const JsonValue& doc, const std::string& key) {
     const JsonValue* value = doc.find(key);
-    GESMC_CHECK(value != nullptr, "shard report is missing \"" + key + "\"");
+    if (value == nullptr) throw Error("shard report is missing \"" + key + "\"");
     return *value;
 }
 
@@ -22,7 +22,7 @@ double number(const JsonValue& doc, const std::string& key) {
     // The report writer emits null for non-finite doubles (JSON has no
     // NaN/Infinity); map it back so client-side means match local ones.
     if (value.is_null()) return std::numeric_limits<double>::quiet_NaN();
-    GESMC_CHECK(value.is_number(), "shard report \"" + key + "\" is not a number");
+    if (!value.is_number()) throw Error("shard report \"" + key + "\" is not a number");
     return value.number_value;
 }
 
@@ -37,7 +37,7 @@ std::uint64_t uint(const JsonValue& doc, const std::string& key) {
 CorpusGraphRow corpus_row_from_report_json(const CorpusInput& input,
                                            const std::string& json_text) {
     const JsonValue doc = parse_json(json_text);
-    GESMC_CHECK(doc.is_object(), "shard report is not a JSON object");
+    if (!doc.is_object()) throw Error("shard report is not a JSON object");
 
     // Only the RunReport fields a corpus row reads; corpus_row_from_report
     // aggregates them, as it does for a local shard.
@@ -53,14 +53,16 @@ CorpusGraphRow corpus_row_from_report_json(const CorpusInput& input,
     report.total_seconds = number(doc, "total_seconds");
 
     const JsonValue& replicates = member(doc, "replicates");
-    GESMC_CHECK(replicates.is_array(), "shard report \"replicates\" is not an array");
+    if (!replicates.is_array()) throw Error("shard report \"replicates\" is not an array");
     for (const JsonValue& r : replicates.array_items) {
         ReplicateReport& rep = report.replicates.emplace_back();
         const JsonValue& stats = member(r, "stats");
         rep.stats.attempted = uint(stats, "attempted");
         rep.stats.accepted = uint(stats, "accepted");
         if (const JsonValue* error = r.find("error"); error != nullptr) {
-            GESMC_CHECK(error->is_string(), "shard report replicate error is not a string");
+            if (!error->is_string()) {
+                throw Error("shard report replicate error is not a string");
+            }
             rep.error = error->string_value;
         }
         if (r.find("realized_supersteps") != nullptr) {

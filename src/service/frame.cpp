@@ -1,9 +1,12 @@
 #include "service/frame.hpp"
 
-#include "pipeline/report.hpp"
 #include "service/json.hpp"
+#include "util/json_writer.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 namespace gesmc {
 
@@ -32,9 +35,10 @@ std::string encode_frame(FrameType type, std::string_view payload) {
     // conforming decoder something it must reject mid-stream.  Bulk data
     // (replicate graphs) never comes near this — it travels in
     // kGraphChunkBytes-bounded 'D' chunks.
-    GESMC_CHECK(payload.size() <= kMaxFramePayload,
-                "frame: payload of " + std::to_string(payload.size()) +
+    if (payload.size() > kMaxFramePayload) {
+        throw Error("frame: payload of " + std::to_string(payload.size()) +
                     " bytes exceeds the protocol maximum");
+    }
     std::string out;
     out.reserve(9 + payload.size());
     out.push_back(static_cast<char>(type));
@@ -48,24 +52,27 @@ std::optional<Frame> decode_frame(const char* data, std::size_t size,
     consumed = 0;
     if (size == 0) return std::nullopt;
     const unsigned char type = static_cast<unsigned char>(data[0]);
-    GESMC_CHECK(type == static_cast<unsigned char>(FrameType::kJson) ||
-                    type == static_cast<unsigned char>(FrameType::kGraph) ||
-                    type == static_cast<unsigned char>(FrameType::kGraphData),
-                "frame: unknown type byte " + std::to_string(type));
+    if (type != static_cast<unsigned char>(FrameType::kJson) &&
+        type != static_cast<unsigned char>(FrameType::kGraph) &&
+        type != static_cast<unsigned char>(FrameType::kGraphData)) {
+        throw Error("frame: unknown type byte " + std::to_string(type));
+    }
     if (size < 9) return std::nullopt;
     const std::uint64_t length = read_le(std::string_view(data, size), 1, 8);
-    GESMC_CHECK(length <= kMaxFramePayload,
-                "frame: payload length " + std::to_string(length) +
+    if (length > kMaxFramePayload) {
+        throw Error("frame: payload length " + std::to_string(length) +
                     " exceeds the protocol maximum");
+    }
     // Per-type cap, enforced from the 9-byte header alone: a 'D' chunk is
     // bounded by the protocol chunk size, so a hostile length prefix can
     // never make a receiver buffer gigabytes before GraphTransferState
     // gets a chance to reject it — the O(chunk) memory bound holds even
     // against a corrupt peer.
-    GESMC_CHECK(type != static_cast<unsigned char>(FrameType::kGraphData) ||
-                    length <= kGraphChunkBytes,
-                "frame: data chunk of " + std::to_string(length) +
+    if (type == static_cast<unsigned char>(FrameType::kGraphData) &&
+        length > kGraphChunkBytes) {
+        throw Error("frame: data chunk of " + std::to_string(length) +
                     " bytes exceeds the protocol chunk bound");
+    }
     if (size < 9 + length) return std::nullopt;
     Frame frame;
     frame.type = static_cast<FrameType>(type);
@@ -89,7 +96,7 @@ std::optional<Frame> FrameReader::next() {
 }
 
 std::string encode_graph_payload(const GraphFrame& graph) {
-    GESMC_CHECK(graph.name.size() <= 0xFFFFFFFFull, "graph frame: name too long");
+    if (graph.name.size() > 0xFFFFFFFFull) throw Error("graph frame: name too long");
     std::string out;
     out.reserve(20 + graph.name.size());
     append_le(out, graph.replicate, 8);
@@ -100,24 +107,28 @@ std::string encode_graph_payload(const GraphFrame& graph) {
 }
 
 GraphFrame decode_graph_payload(std::string_view payload) {
-    GESMC_CHECK(payload.size() >= 20, "graph frame: truncated header");
+    if (payload.size() < 20) throw Error("graph frame: truncated header");
     GraphFrame graph;
     graph.replicate = read_le(payload, 0, 8);
     const std::uint64_t name_len = read_le(payload, 8, 4);
-    GESMC_CHECK(12 + name_len + 8 == payload.size(),
-                "graph frame: inconsistent header length");
+    if (12 + name_len + 8 != payload.size()) {
+        throw Error("graph frame: inconsistent header length");
+    }
     graph.name.assign(payload.substr(12, name_len));
-    GESMC_CHECK(graph.name.find('/') == std::string::npos &&
-                    graph.name.find('\\') == std::string::npos &&
-                    graph.name != "." && graph.name != ".." && !graph.name.empty(),
-                "graph frame: name is not a plain basename");
+    if (graph.name.find('/') != std::string::npos ||
+        graph.name.find('\\') != std::string::npos || graph.name == "." ||
+        graph.name == ".." || graph.name.empty()) {
+        throw Error("graph frame: name is not a plain basename");
+    }
     graph.total_bytes = read_le(payload, 12 + name_len, 8);
     return graph;
 }
 
 bool GraphTransferState::begin(const GraphFrame& header) {
-    GESMC_CHECK(!open_, "graph transfer: header for \"" + header.name +
-                            "\" while \"" + header_.name + "\" is still open");
+    if (open_) {
+        throw Error("graph transfer: header for \"" + header.name + "\" while \"" +
+                    header_.name + "\" is still open");
+    }
     header_ = header;
     received_ = 0;
     open_ = header.total_bytes > 0;
@@ -125,14 +136,16 @@ bool GraphTransferState::begin(const GraphFrame& header) {
 }
 
 bool GraphTransferState::consume(std::uint64_t chunk_bytes) {
-    GESMC_CHECK(open_, "graph transfer: data chunk with no open transfer");
-    GESMC_CHECK(chunk_bytes > 0, "graph transfer: empty data chunk");
-    GESMC_CHECK(chunk_bytes <= kGraphChunkBytes,
-                "graph transfer: chunk of " + std::to_string(chunk_bytes) +
+    if (!open_) throw Error("graph transfer: data chunk with no open transfer");
+    if (chunk_bytes == 0) throw Error("graph transfer: empty data chunk");
+    if (chunk_bytes > kGraphChunkBytes) {
+        throw Error("graph transfer: chunk of " + std::to_string(chunk_bytes) +
                     " bytes exceeds the protocol chunk bound");
-    GESMC_CHECK(chunk_bytes <= remaining(),
-                "graph transfer: \"" + header_.name + "\" overflows its announced " +
+    }
+    if (chunk_bytes > remaining()) {
+        throw Error("graph transfer: \"" + header_.name + "\" overflows its announced " +
                     std::to_string(header_.total_bytes) + " bytes");
+    }
     received_ += chunk_bytes;
     if (received_ == header_.total_bytes) {
         open_ = false;
@@ -141,75 +154,63 @@ bool GraphTransferState::consume(std::uint64_t chunk_bytes) {
     return false;
 }
 
+namespace {
+
+constexpr std::pair<RequestKind, const char*> kRequestKinds[] = {
+    {RequestKind::kSubmit, "submit"},   {RequestKind::kStatus, "status"},
+    {RequestKind::kCancel, "cancel"},   {RequestKind::kMetrics, "metrics"},
+    {RequestKind::kWatch, "watch"},     {RequestKind::kProm, "prom"},
+    {RequestKind::kShutdown, "shutdown"},
+};
+
+} // namespace
+
 std::string to_string(RequestKind kind) {
-    switch (kind) {
-    case RequestKind::kSubmit:
-        return "submit";
-    case RequestKind::kStatus:
-        return "status";
-    case RequestKind::kCancel:
-        return "cancel";
-    case RequestKind::kMetrics:
-        return "metrics";
-    case RequestKind::kWatch:
-        return "watch";
-    case RequestKind::kProm:
-        return "prom";
-    case RequestKind::kShutdown:
-        return "shutdown";
+    for (const auto& [k, name] : kRequestKinds) {
+        if (k == kind) return name;
     }
     return "unknown";
 }
 
 std::string json_quote(std::string_view text) {
     std::ostringstream os;
-    write_json_escaped(os, std::string(text));
+    write_json_escaped(os, text);
     return os.str();
 }
 
 Request parse_request(const std::string& json_line) {
     const JsonValue doc = parse_json(json_line);
-    GESMC_CHECK(doc.is_object(), "request: not a JSON object");
+    if (!doc.is_object()) throw Error("request: not a JSON object");
     const std::string& type = doc.string_member("type");
-
+    const auto* row = std::find_if(std::begin(kRequestKinds), std::end(kRequestKinds),
+                                   [&](const auto& r) { return type == r.second; });
+    if (row == std::end(kRequestKinds)) {
+        throw Error("request: unknown type \"" + type + "\"");
+    }
     Request request;
-    if (type == "submit") {
-        request.kind = RequestKind::kSubmit;
+    request.kind = row->first;
+    if (request.kind == RequestKind::kSubmit) {
         request.config_text = doc.string_member("config");
-    } else if (type == "status") {
-        request.kind = RequestKind::kStatus;
-        if (doc.find("job") != nullptr) {
-            request.job = doc.uint_member("job");
-            request.has_job = true;
-        }
-    } else if (type == "cancel") {
-        request.kind = RequestKind::kCancel;
+    }
+    // A cancel names its job; a status request may.
+    if (request.kind == RequestKind::kCancel ||
+        (request.kind == RequestKind::kStatus && doc.find("job") != nullptr)) {
         request.job = doc.uint_member("job");
         request.has_job = true;
-    } else if (type == "metrics") {
-        request.kind = RequestKind::kMetrics;
-    } else if (type == "watch") {
-        request.kind = RequestKind::kWatch;
-    } else if (type == "prom") {
-        request.kind = RequestKind::kProm;
-    } else if (type == "shutdown") {
-        request.kind = RequestKind::kShutdown;
-    } else {
-        throw Error("request: unknown type \"" + type + "\"");
     }
     return request;
 }
 
 std::string make_request_line(const Request& request) {
-    std::string out = "{\"type\": " + json_quote(to_string(request.kind));
-    if (request.kind == RequestKind::kSubmit) {
-        out += ", \"config\": " + json_quote(request.config_text);
-    }
-    if (request.has_job) {
-        out += ", \"job\": " + std::to_string(request.job);
-    }
-    out += "}\n";
-    return out;
+    std::ostringstream os;
+    JsonWriter w(os, JsonLayout::kLine);
+    w.begin_object();
+    w.kv("type", to_string(request.kind));
+    if (request.kind == RequestKind::kSubmit) w.kv("config", request.config_text);
+    if (request.has_job) w.kv("job", request.job);
+    w.end_object();
+    os << '\n';
+    return os.str();
 }
 
 } // namespace gesmc

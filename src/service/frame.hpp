@@ -152,8 +152,8 @@ struct Request {
 /// Builds the NDJSON control line for `request`, trailing '\n' included.
 [[nodiscard]] std::string make_request_line(const Request& request);
 
-/// "text" JSON-escaped and double-quoted — shared by the compact one-line
-/// emitters here and the event payload builders in server.cpp.
+/// "text" JSON-escaped and double-quoted, for callers that assemble JSON
+/// text without a JsonWriter (util/json_writer.hpp).
 [[nodiscard]] std::string json_quote(std::string_view text);
 
 } // namespace gesmc

@@ -115,7 +115,7 @@ JobManager::submit(const PipelineConfig& config,
     job->config = config;
     {
         CheckedLockGuard lock(mutex_);
-        GESMC_CHECK(!draining_, "daemon is draining; not accepting jobs");
+        if (draining_) throw Error("daemon is draining; not accepting jobs");
         job->id = next_job_id_++;
         jobs_.emplace(job->id, job);
         prune_terminal_locked();

@@ -3,7 +3,7 @@
 ///
 /// The service's client->daemon control frames are newline-delimited JSON
 /// documents (docs/service_protocol.md); the daemon's streamed event frames
-/// carry JSON payloads built with pipeline/report.hpp's JsonWriter.  This
+/// carry JSON payloads built with util/json_writer.hpp's JsonWriter.  This
 /// is the matching reader: a strict, dependency-free recursive-descent
 /// parser covering exactly RFC 8259 — objects, arrays, strings (with
 /// \uXXXX escapes incl. surrogate pairs), numbers, true/false/null.

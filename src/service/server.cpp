@@ -6,9 +6,9 @@
 #include "obs/trace.hpp"
 #include "pipeline/config.hpp"
 #include "util/check.hpp"
+#include "util/json_writer.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -16,6 +16,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -27,35 +28,44 @@ namespace gesmc {
 
 namespace {
 
-std::string json_event_frame(const std::string& body) {
-    return encode_frame(FrameType::kJson, body);
+/// One 'J' frame on one line: {"event": <event>, ...the members `body`
+/// writes}.
+template <typename Body>
+std::string event_frame(std::string_view event, Body&& body) {
+    std::ostringstream os;
+    JsonWriter w(os, JsonLayout::kLine);
+    w.begin_object();
+    w.kv("event", event);
+    body(w);
+    w.end_object();
+    return encode_frame(FrameType::kJson, os.str());
 }
 
-std::string json_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
+std::string error_frame(std::string_view message) {
+    return event_frame("error", [&](JsonWriter& w) { w.kv("message", message); });
 }
 
-void append_job_info_json(std::string& out, const JobInfo& info) {
-    out += "{\"job\": " + std::to_string(info.id);
-    out += ", \"status\": " + json_quote(to_string(info.status));
-    out += ", \"algorithm\": " + json_quote(info.algorithm);
-    out += ", \"replicates\": " + std::to_string(info.replicates);
-    out += ", \"replicates_done\": " + std::to_string(info.replicates_done);
-    if (info.seconds > 0) {
-        out += ", \"seconds\": " + json_double(info.seconds);
-        out += ", \"switches_per_second\": " + json_double(info.switches_per_second);
-    }
+std::string telemetry_frame(const obs::TelemetryTick& tick) {
+    return event_frame("telemetry",
+                       [&](JsonWriter& w) { obs::write_telemetry_tick(w, tick); });
+}
+
+/// The members of one job: status rows, metrics rows and the done frame.
+void write_job_info(JsonWriter& w, const JobInfo& info) {
+    w.kv("job", info.id);
+    w.kv("status", to_string(info.status));
+    w.kv("algorithm", info.algorithm);
+    w.kv("replicates", info.replicates);
+    w.kv("replicates_done", info.replicates_done);
+    w.kv("seconds", info.seconds);
+    w.kv("attempted_switches", info.attempted_switches);
+    w.kv("switches_per_second", info.switches_per_second);
     if (info.adaptive) {
-        out += ", \"adaptive\": true";
-        out += ", \"realized_supersteps\": " + std::to_string(info.realized_supersteps);
+        w.kv("adaptive", true);
+        w.kv("realized_supersteps", info.realized_supersteps);
     }
-    if (!info.output_dir.empty()) {
-        out += ", \"output_dir\": " + json_quote(info.output_dir);
-    }
-    if (!info.error.empty()) out += ", \"error\": " + json_quote(info.error);
-    out += "}";
+    if (!info.output_dir.empty()) w.kv("output_dir", info.output_dir);
+    if (!info.error.empty()) w.kv("error", info.error);
 }
 
 /// Bytes/frames on the daemon->client direction, summed over connections.
@@ -73,57 +83,33 @@ WireCounters& wire_counters() {
 
 /// The daemon's `metrics` response: executor load, per-status job counts,
 /// per-job throughput rows, and the full registry snapshot.
-std::string metrics_event_body(const ServiceStats& stats) {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("event", "metrics");
+std::string metrics_frame(const ServiceStats& stats) {
+    return event_frame("metrics", [&](JsonWriter& w) {
+        w.key("executor");
+        obs::write_executor_json(w, stats.executor);
 
-    w.key("executor");
-    w.begin_object();
-    w.kv("threads", stats.executor.threads);
-    w.kv("leased_width", stats.executor.leased);
-    w.kv("lease_waiters", stats.executor.lease_waiters);
-    w.kv("active_runs", stats.executor.active_runs);
-    w.kv("pending_replicates", stats.executor.pending_replicates);
-    w.kv("inflight_replicates", stats.executor.inflight_replicates);
-    w.end_object();
-
-    w.key("jobs");
-    w.begin_object();
-    w.kv("queued", stats.jobs_queued);
-    w.kv("running", stats.jobs_running);
-    w.kv("succeeded", stats.jobs_succeeded);
-    w.kv("failed", stats.jobs_failed);
-    w.kv("cancelled", stats.jobs_cancelled);
-    w.kv("interrupted", stats.jobs_interrupted);
-    w.end_object();
-
-    w.key("per_job");
-    w.begin_array();
-    for (const JobInfo& info : stats.jobs) {
+        w.key("jobs");
         w.begin_object();
-        w.kv("job", info.id);
-        w.kv("status", to_string(info.status));
-        w.kv("algorithm", info.algorithm);
-        w.kv("replicates", info.replicates);
-        w.kv("replicates_done", info.replicates_done);
-        w.kv("seconds", info.seconds);
-        w.kv("attempted_switches", info.attempted_switches);
-        w.kv("switches_per_second", info.switches_per_second);
-        if (info.adaptive) {
-            w.kv("adaptive", true);
-            w.kv("realized_supersteps", info.realized_supersteps);
-        }
+        w.kv("queued", stats.jobs_queued);
+        w.kv("running", stats.jobs_running);
+        w.kv("succeeded", stats.jobs_succeeded);
+        w.kv("failed", stats.jobs_failed);
+        w.kv("cancelled", stats.jobs_cancelled);
+        w.kv("interrupted", stats.jobs_interrupted);
         w.end_object();
-    }
-    w.end_array();
 
-    w.key("registry");
-    obs::write_metrics_json(w, obs::MetricsRegistry::instance().snapshot());
+        w.key("per_job");
+        w.begin_array();
+        for (const JobInfo& info : stats.jobs) {
+            w.begin_object();
+            write_job_info(w, info);
+            w.end_object();
+        }
+        w.end_array();
 
-    w.end_object();
-    return os.str();
+        w.key("registry");
+        obs::write_metrics_json(w, obs::MetricsRegistry::instance().snapshot());
+    });
 }
 
 } // namespace
@@ -187,7 +173,7 @@ void SocketObserver::send_graph(std::uint64_t replicate, const std::string& path
     // and closed it before on_replicate_done fired), so its size is stable;
     // a short read mid-transfer is still treated as file trouble.
     std::ifstream is(path, std::ios::binary);
-    GESMC_CHECK(is.good(), "cannot open replicate output: " + path);
+    if (!is.good()) throw Error("cannot open replicate output: " + path);
     header.total_bytes = std::filesystem::file_size(path);
 
     bool just_broke = false;
@@ -207,8 +193,9 @@ void SocketObserver::send_graph(std::uint64_t replicate, const std::string& path
                     const std::uint64_t want =
                         std::min<std::uint64_t>(left, chunk_bytes_);
                     is.read(chunk.data(), static_cast<std::streamsize>(want));
-                    GESMC_CHECK(static_cast<std::uint64_t>(is.gcount()) == want,
-                                "replicate output truncated mid-stream: " + path);
+                    if (static_cast<std::uint64_t>(is.gcount()) != want) {
+                        throw Error("replicate output truncated mid-stream: " + path);
+                    }
                     if (!send_frame_locked(
                             FrameType::kGraphData,
                             std::string_view(chunk.data(),
@@ -236,41 +223,37 @@ void SocketObserver::send_graph(std::uint64_t replicate, const std::string& path
 }
 
 void SocketObserver::on_superstep(std::uint64_t replicate, const Chain& chain) {
-    send_frame(json_event_frame(
-        "{\"event\": \"superstep\", \"job\": " + std::to_string(job_id_) +
-        ", \"replicate\": " + std::to_string(replicate) +
-        ", \"superstep\": " + std::to_string(chain.stats().supersteps) + "}"));
+    send_frame(event_frame("superstep", [&](JsonWriter& w) {
+        w.kv("job", job_id_);
+        w.kv("replicate", replicate);
+        w.kv("superstep", chain.stats().supersteps);
+    }));
 }
 
 void SocketObserver::on_checkpoint(std::uint64_t replicate, const ChainState& state,
                                    const std::string& path) {
-    send_frame(json_event_frame(
-        "{\"event\": \"checkpoint\", \"job\": " + std::to_string(job_id_) +
-        ", \"replicate\": " + std::to_string(replicate) +
-        ", \"superstep\": " + std::to_string(state.stats.supersteps) +
-        ", \"path\": " + json_quote(path) + "}"));
+    send_frame(event_frame("checkpoint", [&](JsonWriter& w) {
+        w.kv("job", job_id_);
+        w.kv("replicate", replicate);
+        w.kv("superstep", state.stats.supersteps);
+        w.kv("path", path);
+    }));
 }
 
 void SocketObserver::on_replicate_done(const ReplicateReport& report) {
     // Report fragment first, then the graph bytes: a client that stops
     // after the fragment still knows the replicate's outcome.
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("event", "replicate");
-    w.kv("job", job_id_);
-    w.key("report");
-    write_replicate_json(w, report);
-    w.end_object();
-    send_frame(json_event_frame(os.str()));
+    send_frame(event_frame("replicate", [&](JsonWriter& w) {
+        w.kv("job", job_id_);
+        w.key("report");
+        write_replicate_json(w, report);
+    }));
 
     if (report.error.empty() && !report.output_path.empty()) {
         try {
             send_graph(report.index, report.output_path);
         } catch (const std::exception& e) {
-            send_frame(json_event_frame(
-                "{\"event\": \"error\", \"message\": " +
-                json_quote(std::string("graph stream failed: ") + e.what()) + "}"));
+            send_frame(error_frame(std::string("graph stream failed: ") + e.what()));
         }
     }
 }
@@ -295,11 +278,10 @@ obs::TelemetrySamplerConfig sampler_config(const ServerConfig& config,
 ServiceServer::ServiceServer(const ServerConfig& config)
     : config_(config), manager_(config.threads, std::max(1u, config.max_jobs)),
       sampler_(sampler_config(config_, manager_)) {
-    GESMC_CHECK(!config_.socket_path.empty(), "service: socket path is required");
+    if (config_.socket_path.empty()) throw Error("service: socket path is required");
     listen_fd_ = listen_unix(config_.socket_path);
     int pipe_fds[2];
-    GESMC_CHECK(::pipe(pipe_fds) == 0,
-                std::string("pipe: ") + std::strerror(errno));
+    if (::pipe(pipe_fds) != 0) throw Error(std::string("pipe: ") + std::strerror(errno));
     wake_read_ = FdHandle(pipe_fds[0]);
     wake_write_ = FdHandle(pipe_fds[1]);
     // Non-blocking on both ends: serve() drains the pipe without stalling,
@@ -307,8 +289,9 @@ ServiceServer::ServiceServer(const ServerConfig& config)
     // pipe already guarantees a pending wakeup.
     for (const int fd : pipe_fds) {
         const int flags = ::fcntl(fd, F_GETFL, 0);
-        GESMC_CHECK(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                    std::string("fcntl(wake pipe): ") + std::strerror(errno));
+        if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
+            throw Error(std::string("fcntl(wake pipe): ") + std::strerror(errno));
+        }
     }
     sampler_.start();
 }
@@ -466,9 +449,7 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
         request = parse_request(line);
     } catch (const std::exception& e) {
         GESMC_LOG_EVENT(Warn, "service", "bad_request").str("error", e.what());
-        write_all(fd,
-                  json_event_frame("{\"event\": \"error\", \"message\": " +
-                                   json_quote(e.what()) + "}"));
+        write_all(fd, error_frame(e.what()));
         return;
     }
 
@@ -477,29 +458,29 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
         {{"kind", static_cast<std::uint64_t>(request.kind)}});
 
     switch (request.kind) {
-    case RequestKind::kStatus: {
-        std::string body = "{\"event\": \"status\", \"jobs\": [";
-        bool first = true;
-        for (const JobInfo& info : manager_.jobs()) {
-            if (request.has_job && info.id != request.job) continue;
-            if (!first) body += ", ";
-            first = false;
-            append_job_info_json(body, info);
-        }
-        body += "]}";
-        write_all(fd, json_event_frame(body));
+    case RequestKind::kStatus:
+        write_all(fd, event_frame("status", [&](JsonWriter& w) {
+                      w.key("jobs");
+                      w.begin_array();
+                      for (const JobInfo& info : manager_.jobs()) {
+                          if (request.has_job && info.id != request.job) continue;
+                          w.begin_object();
+                          write_job_info(w, info);
+                          w.end_object();
+                      }
+                      w.end_array();
+                  }));
         return;
-    }
     case RequestKind::kCancel: {
         const bool ok = manager_.cancel(request.job);
-        write_all(fd, json_event_frame(
-                                "{\"event\": \"cancelled\", \"job\": " +
-                                std::to_string(request.job) +
-                                ", \"ok\": " + (ok ? "true" : "false") + "}"));
+        write_all(fd, event_frame("cancelled", [&](JsonWriter& w) {
+                      w.kv("job", request.job);
+                      w.kv("ok", ok);
+                  }));
         return;
     }
     case RequestKind::kMetrics:
-        write_all(fd, json_event_frame(metrics_event_body(manager_.stats())));
+        write_all(fd, metrics_frame(manager_.stats()));
         return;
     case RequestKind::kProm: {
         // The registry plus the daemon's live executor occupancy as
@@ -522,15 +503,14 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
             static_cast<std::int64_t>(exec.inflight_replicates));
         std::ostringstream os;
         obs::write_metrics_prometheus(os, snapshot);
-        write_all(fd, json_event_frame("{\"event\": \"prom\", \"exposition\": " +
-                                       json_quote(os.str()) + "}"));
+        write_all(fd, event_frame("prom", [&](JsonWriter& w) { w.kv("exposition", os.str()); }));
         return;
     }
     case RequestKind::kWatch:
         stream_telemetry(fd);
         return;
     case RequestKind::kShutdown:
-        write_all(fd, json_event_frame("{\"event\": \"shutting-down\"}"));
+        write_all(fd, event_frame("shutting-down", [](JsonWriter&) {}));
         GESMC_LOG_EVENT(Info, "service", "shutdown_requested");
         request_stop();
         return;
@@ -554,14 +534,12 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
             // registered (see JobManager::submit), so this blocking send
             // stalls no other request, and if it breaks the stream the
             // on_broken cancel above lands before the job is queued.
-            observer->send_frame(json_event_frame(
-                "{\"event\": \"accepted\", \"job\": " + std::to_string(job_id) + "}"));
+            observer->send_frame(
+                event_frame("accepted", [&](JsonWriter& w) { w.kv("job", job_id); }));
             return &*observer;
         });
     } catch (const std::exception& e) {
-        write_all(fd,
-                  json_event_frame("{\"event\": \"error\", \"message\": " +
-                                   json_quote(e.what()) + "}"));
+        write_all(fd, error_frame(e.what()));
         return;
     }
     if (log != nullptr) {
@@ -570,13 +548,7 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
     GESMC_LOG_EVENT(Info, "service", "job_accepted").num("job", id);
 
     const JobInfo info = manager_.wait(id);
-    std::string body = "{\"event\": \"done\", \"job\": " + std::to_string(id) +
-                       ", \"status\": " + json_quote(to_string(info.status)) +
-                       ", \"replicates\": " + std::to_string(info.replicates) +
-                       ", \"replicates_done\": " + std::to_string(info.replicates_done);
-    if (!info.error.empty()) body += ", \"error\": " + json_quote(info.error);
-    body += "}";
-    observer->send_frame(json_event_frame(body));
+    observer->send_frame(event_frame("done", [&](JsonWriter& w) { write_job_info(w, info); }));
     if (log != nullptr) {
         *log << "gesmc_serve: job " << id << " " << to_string(info.status) << "\n";
     }
@@ -595,7 +567,7 @@ void ServiceServer::stream_telemetry(int fd) {
     if (const auto tick = sampler_.latest(); tick.has_value()) {
         last = tick->sequence;
         try {
-            write_all(fd, json_event_frame(obs::telemetry_tick_frame_body(*tick)));
+            write_all(fd, telemetry_frame(*tick));
         } catch (const std::exception&) {
             return; // client gone before the first frame
         }
@@ -610,7 +582,7 @@ void ServiceServer::stream_telemetry(int fd) {
                                          // stop_ ends the loop next pass)
         last = tick->sequence;
         try {
-            write_all(fd, json_event_frame(obs::telemetry_tick_frame_body(*tick)));
+            write_all(fd, telemetry_frame(*tick));
             if (obs::metrics_enabled()) {
                 WireCounters& c = wire_counters();
                 c.frames.add(1);

@@ -23,16 +23,17 @@ std::string errno_text(const std::string& what) {
 sockaddr_un make_address(const std::string& path) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    GESMC_CHECK(path.size() < sizeof(addr.sun_path),
-                "socket path too long (" + std::to_string(path.size()) + " bytes, max " +
+    if (path.size() >= sizeof(addr.sun_path)) {
+        throw Error("socket path too long (" + std::to_string(path.size()) + " bytes, max " +
                     std::to_string(sizeof(addr.sun_path) - 1) + "): " + path);
+    }
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
     return addr;
 }
 
 FdHandle make_stream_socket() {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    GESMC_CHECK(fd >= 0, errno_text("socket(AF_UNIX)"));
+    if (fd < 0) throw Error(errno_text("socket(AF_UNIX)"));
     return FdHandle(fd);
 }
 
@@ -49,37 +50,40 @@ FdHandle listen_unix(const std::string& path, int backlog) {
     const sockaddr_un addr = make_address(path);
     FdHandle fd = make_stream_socket();
     if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-        GESMC_CHECK(errno == EADDRINUSE, errno_text("bind(" + path + ")"));
+        if (errno != EADDRINUSE) throw Error(errno_text("bind(" + path + ")"));
         // A file exists at the path.  Reclaim it only if it really is a
         // stale daemon socket (a previous daemon died without unlinking):
         // a live daemon -> refuse, and a non-socket file -> refuse too —
         // a typo'd --socket must never delete user data.
         struct stat st;
-        GESMC_CHECK(::lstat(path.c_str(), &st) == 0 && S_ISSOCK(st.st_mode),
-                    path + " exists and is not a socket; refusing to replace it");
+        if (::lstat(path.c_str(), &st) != 0 || !S_ISSOCK(st.st_mode)) {
+            throw Error(path + " exists and is not a socket; refusing to replace it");
+        }
         {
             FdHandle probe = make_stream_socket();
             const int connected = ::connect(
                 probe.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-            GESMC_CHECK(connected != 0,
-                        "socket " + path + " already has a live daemon listening");
+            if (connected == 0) {
+                throw Error("socket " + path + " already has a live daemon listening");
+            }
         }
-        GESMC_CHECK(::unlink(path.c_str()) == 0,
-                    errno_text("unlink stale socket " + path));
-        GESMC_CHECK(::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0,
-                    errno_text("bind(" + path + ")"));
+        if (::unlink(path.c_str()) != 0) {
+            throw Error(errno_text("unlink stale socket " + path));
+        }
+        if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+            throw Error(errno_text("bind(" + path + ")"));
+        }
     }
-    GESMC_CHECK(::listen(fd.get(), backlog) == 0, errno_text("listen(" + path + ")"));
+    if (::listen(fd.get(), backlog) != 0) throw Error(errno_text("listen(" + path + ")"));
     return fd;
 }
 
 FdHandle connect_unix(const std::string& path) {
     const sockaddr_un addr = make_address(path);
     FdHandle fd = make_stream_socket();
-    GESMC_CHECK(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                          sizeof(addr)) == 0,
-                errno_text("connect(" + path + ")"));
+    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+        throw Error(errno_text("connect(" + path + ")"));
+    }
     return fd;
 }
 
@@ -121,7 +125,7 @@ std::optional<Frame> read_frame(int fd, FrameReader& reader) {
 
 std::string read_file_bytes(const std::string& path) {
     std::ifstream is(path, std::ios::binary);
-    GESMC_CHECK(is.good(), "cannot open " + path);
+    if (!is.good()) throw Error("cannot open " + path);
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
@@ -135,7 +139,9 @@ bool read_line(int fd, std::string& buffer, std::string& line, std::size_t max_l
             buffer.erase(0, newline + 1);
             return true;
         }
-        GESMC_CHECK(buffer.size() <= max_line, "control line exceeds the protocol maximum");
+        if (buffer.size() > max_line) {
+            throw Error("control line exceeds the protocol maximum");
+        }
         if (!read_some(fd, buffer)) return false;
     }
 }

@@ -19,8 +19,6 @@ public:
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    [[nodiscard]] double elapsed_ms() const noexcept { return elapsed_s() * 1e3; }
-
 private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;

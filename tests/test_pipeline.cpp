@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -373,12 +374,30 @@ metrics     = false
 }
 
 TEST(PipelineConfig, RejectsUnknownKeysAndBadValues) {
-    PipelineConfig c;
-    EXPECT_THROW(apply_config_entry(c, "no-such-key", "1"), Error);
-    EXPECT_THROW(apply_config_entry(c, "replicates", "many"), Error);
-    EXPECT_THROW(apply_config_entry(c, "policy", "sideways"), Error);
-    EXPECT_THROW(apply_config_entry(c, "prefetch", "maybe"), Error);
-    EXPECT_THROW(apply_config_entry(c, "edge-set-backend", "waitfree"), Error);
+    const auto error_of = [](const std::string& key, const std::string& value) {
+        PipelineConfig c;
+        try {
+            apply_config_entry(c, key, value);
+        } catch (const Error& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(error_of("no-such-key", "1"), "unknown config key: \"no-such-key\"");
+    EXPECT_EQ(error_of("replicates", "many"),
+              "config key \"replicates\": expected a non-negative integer, got \"many\"");
+    EXPECT_EQ(error_of("prefetch", "maybe"),
+              "config key \"prefetch\": expected true/false, got \"maybe\"");
+    // Each enum key lists its names, in declaration order.
+    EXPECT_EQ(error_of("input-kind", "x"),
+              "config key \"input-kind\": expected edges|degrees|generator, got \"x\"");
+    EXPECT_EQ(error_of("init", "x"),
+              "config key \"init\": expected havel-hakimi|configuration-model, got \"x\"");
+    EXPECT_EQ(error_of("policy", "sideways"),
+              "config key \"policy\": expected auto|replicates|intra-chain|hybrid, got "
+              "\"sideways\"");
+    EXPECT_EQ(error_of("output-format", "x"),
+              "config key \"output-format\": expected text|binary, got \"x\"");
 }
 
 TEST(PipelineConfig, InputErrorsCarryTheMessageAlone) {
@@ -458,20 +477,14 @@ TEST(PipelineConfig, NumericParsersAcceptOnlyOneNumberInRange) {
     EXPECT_EQ(parse_double("--flag", "0.25"), 0.25);
 }
 
-TEST(PipelineConfig, EdgeSetBackendKeyAcceptsOnlyLocked) {
-    // One-release compatibility for the removed backend knob: "locked" is
-    // a no-op that is never written back; any other value is an error that
-    // says the lock-free backend was removed.
+TEST(PipelineConfig, EdgeSetBackendKeyIsUnknown) {
+    // The removed backend knob has no row in the key table.
     PipelineConfig c;
-    apply_config_entry(c, "edge-set-backend", "locked");
-    EXPECT_EQ(pipeline_config_to_string(c), pipeline_config_to_string(PipelineConfig{}));
     try {
-        apply_config_entry(c, "edge-set-backend", "lockfree");
-        FAIL() << "lockfree was accepted";
+        apply_config_entry(c, "edge-set-backend", "locked");
+        FAIL() << "edge-set-backend was accepted";
     } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("lock-free backend was removed"),
-                  std::string::npos)
-            << e.what();
+        EXPECT_STREQ(e.what(), "unknown config key: \"edge-set-backend\"");
     }
 }
 
@@ -523,51 +536,59 @@ TEST(PipelineConfig, ParseErrorsCarryTheLineNumberAndKey) {
 }
 
 TEST(PipelineConfig, RendersToParseableText) {
+    // Every key away from its default, so every key renders.
     PipelineConfig c;
     c.input_path = "graphs/a.txt";
+    c.input_glob = "graphs/*.txt";
+    c.corpus_manifest = "graphs/manifest.txt";
+    c.corpus_spec = "gnp n=100 m=300 count=2";
+    c.input_kind = InputKind::kDegreeSequence;
+    c.init = InitMethod::kConfigurationModel;
+    c.generator = "gnp";
+    c.gen_n = 123;
+    c.gen_m = 456;
+    c.gen_gamma = 2.5;
+    c.gen_rows = 7;
+    c.gen_cols = 9;
+    c.gen_degree = 4;
     c.algorithm = "seq-global-es";
-    c.supersteps = 7;
+    c.adaptive = true;
+    c.ess_target = 64.5;
+    c.mixing_tau = 0.1;
+    c.min_supersteps = 3;
+    c.max_supersteps = 50;
+    c.check_every = 4;
+    c.pl = 0.25;
+    c.prefetch = false;
+    c.small_graph_cutoff = 1000;
     c.replicates = 3;
     c.seed = 99;
     c.threads = 2;
     c.policy = SchedulePolicy::kHybrid;
     c.chain_threads = 2;
     c.max_concurrent = 1;
-    c.pl = 0.25;
-    c.prefetch = false;
     c.checkpoint_every = 5;
-    c.keep_checkpoints = true;
     c.resume_from = "prev";
+    c.keep_checkpoints = true;
     c.output_dir = "out";
     c.output_prefix = "sample";
     c.output_format = OutputFormat::kBinary;
     c.report_path = "out/r.json";
     c.metrics = false;
+    c.verify = false;
 
     const std::string text = pipeline_config_to_string(c);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 38) << text; // one line per key
     const PipelineConfig back = read_pipeline_config_string(text);
     // Rendering is a fixed point through a parse round-trip...
     EXPECT_EQ(pipeline_config_to_string(back), text);
     // ... and the round-tripped config is field-equal.
-    EXPECT_EQ(back.input_path, c.input_path);
-    EXPECT_EQ(back.algorithm, c.algorithm);
-    EXPECT_EQ(back.supersteps, c.supersteps);
-    EXPECT_EQ(back.replicates, c.replicates);
-    EXPECT_EQ(back.seed, c.seed);
-    EXPECT_EQ(back.threads, c.threads);
-    EXPECT_EQ(back.policy, c.policy);
-    EXPECT_EQ(back.chain_threads, c.chain_threads);
-    EXPECT_EQ(back.max_concurrent, c.max_concurrent);
-    EXPECT_EQ(back.pl, c.pl);
-    EXPECT_EQ(back.prefetch, c.prefetch);
-    EXPECT_EQ(back.checkpoint_every, c.checkpoint_every);
-    EXPECT_EQ(back.keep_checkpoints, c.keep_checkpoints);
-    EXPECT_EQ(back.resume_from, c.resume_from);
-    EXPECT_EQ(back.output_dir, c.output_dir);
-    EXPECT_EQ(back.output_prefix, c.output_prefix);
-    EXPECT_EQ(back.output_format, c.output_format);
-    EXPECT_EQ(back.report_path, c.report_path);
-    EXPECT_EQ(back.metrics, c.metrics);
+    EXPECT_TRUE(back == c) << text;
+
+    // A fixed budget renders as its count.
+    c.adaptive = false;
+    c.supersteps = 7;
+    EXPECT_TRUE(read_pipeline_config_string(pipeline_config_to_string(c)) == c);
     // A default config renders to nothing at all.
     EXPECT_EQ(pipeline_config_to_string(PipelineConfig{}), "");
 }
@@ -1486,6 +1507,66 @@ TEST(Corpus, MergedSummaryJsonIsWellFormedAndAggregated) {
         EXPECT_LE(min, median) << key;
         EXPECT_LE(median, max) << key;
     }
+}
+
+/// Same kind, value and members in the same order, recursively.
+bool json_equal(const JsonValue& a, const JsonValue& b) {
+    if (a.kind != b.kind || a.bool_value != b.bool_value || a.has_uint != b.has_uint ||
+        a.uint_value != b.uint_value || a.string_value != b.string_value ||
+        a.array_items.size() != b.array_items.size() ||
+        a.object_members.size() != b.object_members.size()) {
+        return false;
+    }
+    if (a.is_number() && a.number_value != b.number_value) return false;
+    for (std::size_t i = 0; i < a.array_items.size(); ++i) {
+        if (!json_equal(a.array_items[i], b.array_items[i])) return false;
+    }
+    for (std::size_t i = 0; i < a.object_members.size(); ++i) {
+        if (a.object_members[i].first != b.object_members[i].first ||
+            !json_equal(a.object_members[i].second, b.object_members[i].second)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(Corpus, NdjsonRowIsTheSummarysRowObject) {
+    // Every optional member present, a string that needs escaping and a
+    // non-finite mean (written as null).
+    CorpusGraphRow row;
+    row.name = "g \"one\"";
+    row.input_path = "in/g one.txt";
+    row.seed = 18446744073709551615ull;
+    row.input_nodes = 10;
+    row.input_edges = 20;
+    row.replicates = 4;
+    row.failed = 1;
+    row.interrupted = 1;
+    row.seconds = 0.25;
+    row.switches_per_second = 1e6;
+    row.acceptance_rate = 0.5;
+    row.has_adaptive = true;
+    row.stopped_early = true;
+    row.configured_supersteps = 200;
+    row.mean_realized_supersteps = 12.5;
+    row.error = "replicate 2: boom";
+    row.has_metrics = true;
+    row.mean_triangles = 3;
+    row.mean_clustering = 0.125;
+    row.mean_assortativity = std::numeric_limits<double>::quiet_NaN();
+    row.mean_components = 1;
+
+    CorpusReport report;
+    report.rows = {row};
+    std::ostringstream summary;
+    write_corpus_json(summary, report);
+    const JsonValue from_summary = parse_json(summary.str()).find("graphs")->array_items.at(0);
+
+    const std::string line = corpus_row_ndjson(row);
+    EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+    const JsonValue from_row = parse_json(line);
+    EXPECT_TRUE(json_equal(from_row, from_summary)) << line;
+    EXPECT_TRUE(from_row.find("metrics")->find("mean_assortativity")->is_null());
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -345,6 +346,28 @@ TEST(ServiceRequests, RejectsUnknownAndIncompleteRequests) {
     EXPECT_THROW((void)parse_request("{\"type\": \"cancel\"}"), Error);   // no job
     EXPECT_THROW((void)parse_request("{\"type\": \"cancel\", \"job\": -1}"), Error);
     EXPECT_THROW((void)parse_request("{\"type\": 42}"), Error);
+}
+
+TEST(ServiceErrors, OutsideInputErrorsCarryTheMessageAlone) {
+    // Client frames, sockets and shard reports are outside input: their
+    // errors are the message alone, with no check expression or source path.
+    const auto error_of = [](auto&& fn) -> std::string {
+        try {
+            fn();
+        } catch (const Error& e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    const std::string long_path = "/tmp/" + std::string(150, 'x') + ".sock";
+    EXPECT_EQ(error_of([&] { (void)connect_unix(long_path); }),
+              "socket path too long (160 bytes, max 107): " + long_path);
+    const char bad_type[] = {'X', 0, 0, 0, 0, 0, 0, 0, 0};
+    std::size_t consumed = 0;
+    EXPECT_EQ(error_of([&] { (void)decode_frame(bad_type, sizeof(bad_type), consumed); }),
+              "frame: unknown type byte 88");
+    EXPECT_EQ(error_of([] { (void)parse_request("[1, 2, 3]"); }),
+              "request: not a JSON object");
 }
 
 // ------------------------------------------------------------- JobManager
@@ -961,6 +984,7 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
     config_text << "input-kind = generator\ngenerator = powerlaw\ngen-n = 300\n"
                 << "algorithm = par-global-es\nsupersteps = 4\nreplicates = 3\n"
                 << "seed = 77\nmetrics = false\noutput-format = binary\n"
+                << "checkpoint-every = 2\n"
                 << "output-dir = " << job_dir.string() << "\n";
 
     // Submit and collect the full frame stream.
@@ -983,12 +1007,22 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
         }
     }
 
-    // First frame: accepted.  Last: done/succeeded.
+    // First frame: accepted.  Last: done/succeeded.  Every JSON frame of
+    // the stream is one line, and each event kind of a job shows up.
     ASSERT_GE(frames.size(), 3u);
     EXPECT_EQ(parse_json(frames.front().payload).string_member("event"), "accepted");
     const JsonValue done = parse_json(frames.back().payload);
     EXPECT_EQ(done.string_member("status"), "succeeded");
     EXPECT_EQ(done.uint_member("replicates_done"), 3u);
+    EXPECT_EQ(done.string_member("algorithm"), "par-global-es");
+    std::set<std::string> kinds;
+    for (const Frame& frame : frames) {
+        if (frame.type != FrameType::kJson) continue;
+        EXPECT_EQ(frame.payload.find('\n'), std::string::npos) << frame.payload;
+        kinds.insert(parse_json(frame.payload).string_member("event"));
+    }
+    EXPECT_EQ(kinds, (std::set<std::string>{"accepted", "superstep", "checkpoint",
+                                             "replicate", "done"}));
 
     // The streamed graph bytes — reassembled from chunked transfers —
     // equal a direct pipeline run's outputs.
@@ -1076,6 +1110,23 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
                   "succeeded");
     }
 
+    // Cancelling an unknown job answers ok: false.
+    {
+        const FdHandle fd = connect_unix(socket_path);
+        Request request;
+        request.kind = RequestKind::kCancel;
+        request.job = 999;
+        request.has_job = true;
+        write_all(fd.get(), make_request_line(request));
+        FrameReader reader;
+        const auto frame = read_frame(fd.get(), reader);
+        ASSERT_TRUE(frame.has_value());
+        const JsonValue cancelled = parse_json(frame->payload);
+        EXPECT_EQ(cancelled.string_member("event"), "cancelled");
+        EXPECT_EQ(cancelled.uint_member("job"), 999u);
+        EXPECT_FALSE(cancelled.find("ok")->bool_value);
+    }
+
     // A metrics request answers with one snapshot frame: executor occupancy,
     // per-status job counts, per-job throughput, and the metrics registry.
     {
@@ -1086,11 +1137,13 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
         FrameReader reader;
         const auto frame = read_frame(fd.get(), reader);
         ASSERT_TRUE(frame.has_value());
+        EXPECT_EQ(frame->payload.find('\n'), std::string::npos); // one line
         const JsonValue metrics = parse_json(frame->payload);
         EXPECT_EQ(metrics.string_member("event"), "metrics");
         const JsonValue* executor = metrics.find("executor");
         ASSERT_NE(executor, nullptr);
         EXPECT_EQ(executor->uint_member("threads"), 2u);
+        EXPECT_EQ(executor->uint_member("leased"), 0u);
         EXPECT_EQ(executor->uint_member("active_runs"), 0u);
         const JsonValue* jobs = metrics.find("jobs");
         ASSERT_NE(jobs, nullptr);

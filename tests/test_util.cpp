@@ -1,13 +1,16 @@
-// Unit tests for src/util: bit helpers, checks, formatting, timers.
+// Unit tests for src/util: bit helpers, checks, formatting, the JSON
+// writer, timers.
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
+#include "util/json_writer.hpp"
 #include "util/prefetch.hpp"
 #include "util/timer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -129,6 +132,65 @@ TEST(Format, Seconds) {
     EXPECT_EQ(fmt_seconds(2.0), "2 s");
     EXPECT_EQ(fmt_seconds(0.012), "12 ms");
     EXPECT_EQ(fmt_seconds(12e-6), "12 us");
+}
+
+/// One document with nesting, escapes, non-finite and signed values.
+void write_sample_document(JsonWriter& w) {
+    w.begin_object();
+    w.kv("name", "a \"quoted\"\nline\x01");
+    w.kv("neg", std::int64_t{-42});
+    w.kv("big", std::uint64_t{18446744073709551615ull});
+    w.kv("nan", std::numeric_limits<double>::quiet_NaN());
+    w.kv("inf", -std::numeric_limits<double>::infinity());
+    w.kv("half", 0.5);
+    w.kv("ok", true);
+    w.key("list");
+    w.begin_array();
+    w.value(std::uint64_t{1});
+    w.begin_object();
+    w.end_object();
+    w.begin_array();
+    w.end_array();
+    w.end_array();
+    w.key("nested");
+    w.begin_object();
+    w.kv("x", 1u);
+    w.end_object();
+    w.end_object();
+}
+
+TEST(JsonWriter, OneLineLayout) {
+    std::ostringstream os;
+    JsonWriter w(os, JsonLayout::kLine);
+    write_sample_document(w);
+    EXPECT_EQ(os.str(), "{\"name\": \"a \\\"quoted\\\"\\nline\\u0001\", \"neg\": -42, "
+                        "\"big\": 18446744073709551615, \"nan\": null, \"inf\": null, "
+                        "\"half\": 0.5, \"ok\": true, \"list\": [1, {}, []], "
+                        "\"nested\": {\"x\": 1}}");
+}
+
+TEST(JsonWriter, PrettyLayout) {
+    // The layout of report.json, corpus.json and the metrics file.
+    std::ostringstream os;
+    JsonWriter w(os);
+    write_sample_document(w);
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"name\": \"a \\\"quoted\\\"\\nline\\u0001\",\n"
+                        "  \"neg\": -42,\n"
+                        "  \"big\": 18446744073709551615,\n"
+                        "  \"nan\": null,\n"
+                        "  \"inf\": null,\n"
+                        "  \"half\": 0.5,\n"
+                        "  \"ok\": true,\n"
+                        "  \"list\": [\n"
+                        "    1,\n"
+                        "    {},\n"
+                        "    []\n"
+                        "  ],\n"
+                        "  \"nested\": {\n"
+                        "    \"x\": 1\n"
+                        "  }\n"
+                        "}");
 }
 
 TEST(Timer, MeasuresSleep) {

@@ -30,6 +30,7 @@
 #include "pipeline/report.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
+#include "util/json_writer.hpp"
 #include "util/signal_interrupt.hpp"
 
 #include <algorithm>
