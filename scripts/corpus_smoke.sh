@@ -4,9 +4,11 @@
 #   2. SIGKILL a checkpointing corpus run mid-way, resume it, and require
 #      every per-graph replicate to be byte-identical to the reference;
 #   3. sanity-check the merged corpus summary JSON (rows, aggregates);
-#   4. submit the same corpus to a live gesmc_serve daemon with
-#      `gesmc_submit --corpus` and byte-compare the daemon-side outputs and
-#      the client-merged summary against the reference.
+#   4. submit the same corpus to a live gesmc_serve daemon as one job and
+#      byte-compare the daemon-side and streamed outputs and the daemon-side
+#      summary against the reference;
+#   5. run an adaptive synthetic corpus whose early stop fires, locally and
+#      as a daemon job, and require the same replicate set and rows.
 # Run from the repo root with the build dir as $1 (default: build).  Used
 # by CI in both the Release and ASan jobs.
 set -euo pipefail
@@ -101,7 +103,7 @@ print("corpus_smoke: summaries OK")
 EOF
 
 # ---------------------------------------------------------------- daemon
-echo "corpus_smoke: starting daemon + gesmc_submit --corpus"
+echo "corpus_smoke: starting daemon + submitting the corpus as one job"
 "$SERVE" --socket "$SOCKET" --threads 2 --max-jobs 2 2> "$WORK_DIR/serve.log" &
 SERVE_PID=$!
 for _ in $(seq 1 200); do
@@ -110,31 +112,63 @@ for _ in $(seq 1 200); do
 done
 test -S "$SOCKET"
 
-"$SUBMIT" --socket "$SOCKET" --corpus --quiet \
+"$SUBMIT" --socket "$SOCKET" --quiet --stream-dir "$WORK_DIR/stream" \
     --set "input-glob=$WORK_DIR/inputs/g*_0.gesb" \
     --set algorithm=par-global-es --set replicates=4 --set supersteps=10 \
     --set seed=11 --set metrics=true --set output-format=binary \
-    --set "output-dir=$WORK_DIR/svc" --set "report=$WORK_DIR/svc/corpus.json" \
-    > /dev/null
+    --set "output-dir=$WORK_DIR/svc" --set "report=$WORK_DIR/svc/corpus.json"
 
 count=0
 for f in "$WORK_DIR"/ref/g*/replicate_*.gesb; do
     rel="${f#"$WORK_DIR"/ref/}"
     cmp "$f" "$WORK_DIR/svc/$rel"
+    cmp "$f" "$WORK_DIR/stream/$rel" # streamed as <member>/<basename>
     count=$((count + 1))
 done
 test "$count" -eq 12
+test "$(grep -c '"event": "graph"' "$WORK_DIR/stream/events.log")" -eq 3
 python3 - "$WORK_DIR/ref/corpus.json" "$WORK_DIR/svc/corpus.json" <<'EOF'
 import json, sys
 ref, svc = (json.load(open(p)) for p in sys.argv[1:])
 for a, b in zip(ref["graphs"], svc["graphs"]):
     for key in ("name", "seed", "nodes", "edges", "replicates",
-                "acceptance_rate"):
+                "acceptance_rate", "metrics"):
         assert a[key] == b[key], key
-    assert abs(a["metrics"]["mean_triangles"] - b["metrics"]["mean_triangles"]) < 1e-9
-print("corpus_smoke: service summary matches the local one")
+print("corpus_smoke: daemon-side summary matches the local one")
 EOF
-echo "corpus_smoke: OK ($count daemon-side replicates byte-identical)"
+echo "corpus_smoke: OK ($count daemon-side and streamed replicates byte-identical)"
+
+# ------------------------------------------------------ adaptive early stop
+# Every graph's first wave of 3 replicates agrees, so the local run skips
+# the fourth: the daemon job must pick the same replicate set and rows.
+echo "corpus_smoke: adaptive corpus, locally and as a daemon job"
+ADAPTIVE=(--set "corpus=gnp n=2000 m=8000 count=3" --set supersteps=adaptive
+          --set max-supersteps=60 --set replicates=4 --set seed=5
+          --set threads=4 --set metrics=true)
+"$SAMPLE" --quiet "${ADAPTIVE[@]}" --output-dir "$WORK_DIR/adaptive_ref" \
+    --report "$WORK_DIR/adaptive_ref/corpus.json" > /dev/null
+"$SUBMIT" --socket "$SOCKET" --quiet "${ADAPTIVE[@]}" \
+    --set "output-dir=$WORK_DIR/adaptive_svc" \
+    --set "report=$WORK_DIR/adaptive_svc/corpus.json"
+test -f "$WORK_DIR/adaptive_svc/corpus_rows.ndjson"
+ref_files="$(cd "$WORK_DIR/adaptive_ref" && ls gnp-*/replicate_*)"
+svc_files="$(cd "$WORK_DIR/adaptive_svc" && ls gnp-*/replicate_*)"
+test "$ref_files" = "$svc_files"
+for rel in $ref_files; do
+    cmp "$WORK_DIR/adaptive_ref/$rel" "$WORK_DIR/adaptive_svc/$rel"
+done
+python3 - "$WORK_DIR/adaptive_ref/corpus.json" "$WORK_DIR/adaptive_svc/corpus.json" <<'EOF'
+import json, sys
+ref, svc = (json.load(open(p)) for p in sys.argv[1:])
+assert len(ref["graphs"]) == len(svc["graphs"]) == 3
+for a, b in zip(ref["graphs"], svc["graphs"]):
+    assert a["replicates"] == 3 and a["stopped_early"], a
+    for key in ("name", "replicates", "stopped_early"):
+        assert a[key] == b[key], (key, a[key], b[key])
+    assert a["metrics"]["mean_triangles"] == b["metrics"]["mean_triangles"]
+print("corpus_smoke: the adaptive daemon job picked the local replicate set")
+EOF
+echo "corpus_smoke: OK ($(echo "$ref_files" | wc -l) adaptive replicates byte-identical)"
 
 "$SUBMIT" --socket "$SOCKET" --shutdown > /dev/null
 serve_rc=0

@@ -7,7 +7,6 @@
 #include <cctype>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <variant>
@@ -130,8 +129,8 @@ struct ConfigKey {
     Field field;
 };
 
-/// Every config key, in the order pipeline_config_to_string renders them.
-/// The value type of the field decides how a value parses and renders.
+/// Every config key.  The value type of the field decides how a value
+/// parses.
 const ConfigKey kConfigKeys[] = {
     {"input", &PipelineConfig::input_path},
     {"input-glob", &PipelineConfig::input_glob},
@@ -203,38 +202,6 @@ void parse_value(PipelineConfig& config, const ConfigKey& key, const std::string
         key.field);
 }
 
-/// `key`'s value in `config` as text, or nullopt when it equals the default.
-std::optional<std::string> render_value(const PipelineConfig& config, const ConfigKey& key) {
-    static const PipelineConfig defaults;
-    return std::visit(
-        [&](auto field) -> std::optional<std::string> {
-            if constexpr (std::is_same_v<decltype(field), SuperstepsField>) {
-                if (config.adaptive) return SuperstepsField::kAdaptive;
-                if (config.supersteps == defaults.supersteps) return std::nullopt;
-                return std::to_string(config.supersteps);
-            } else {
-                const auto& v = config.*field;
-                using T = std::remove_cvref_t<decltype(v)>;
-                if (v == defaults.*field) return std::nullopt;
-                if constexpr (std::is_same_v<T, std::string>) {
-                    return v;
-                } else if constexpr (std::is_same_v<T, bool>) {
-                    return v ? "true" : "false";
-                } else if constexpr (std::is_same_v<T, double>) {
-                    std::ostringstream s;
-                    s.precision(17); // round-trippable, matching the JSON writer
-                    s << v;
-                    return s.str();
-                } else if constexpr (std::is_enum_v<T>) {
-                    return enum_name(v);
-                } else {
-                    return std::to_string(v);
-                }
-            }
-        },
-        key.field);
-}
-
 } // namespace
 
 std::string to_string(InputKind kind) { return enum_name(kind); }
@@ -287,20 +254,6 @@ PipelineConfig read_pipeline_config_file(const std::string& path) {
 PipelineConfig read_pipeline_config_string(const std::string& text) {
     std::istringstream is(text);
     return read_pipeline_config(is);
-}
-
-std::string pipeline_config_to_string(const PipelineConfig& config) {
-    std::string out;
-    for (const ConfigKey& row : kConfigKeys) {
-        const std::optional<std::string> value = render_value(config, row);
-        if (!value.has_value()) continue;
-        if (value->find('\n') != std::string::npos) {
-            throw Error(std::string("config key \"") + row.name +
-                        "\" cannot be rendered: value contains a newline");
-        }
-        out += std::string(row.name) + " = " + *value + "\n";
-    }
-    return out;
 }
 
 std::vector<std::string> split_input_list(const std::string& value) {
@@ -382,10 +335,9 @@ void validate(const PipelineConfig& config) {
     validate_input_sources(config);
     if (is_corpus_config(config)) {
         throw Error("this config names a corpus of inputs; expand it with "
-                    "plan_corpus — gesmc_sample does so automatically, and "
-                    "gesmc_submit --corpus fans it out as per-graph jobs "
-                    "(run_pipeline and plain service submission handle single "
-                    "graphs only)");
+                    "plan_corpus and run it with run_corpus — gesmc_sample and "
+                    "the sampling service do so automatically (run_pipeline "
+                    "handles single graphs only)");
     }
     if (config.replicates == 0) throw Error("replicates must be >= 1");
     if (config.supersteps == 0) throw Error("supersteps must be >= 1");

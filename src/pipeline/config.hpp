@@ -217,12 +217,6 @@ PipelineConfig read_pipeline_config_file(const std::string& path);
 /// file on the daemon's disk.
 PipelineConfig read_pipeline_config_string(const std::string& text);
 
-/// Renders `config` back to "key = value" text that read_pipeline_config
-/// parses to an equivalent config — how corpus shards travel to the
-/// sampling service as plain config documents.  Only non-default entries
-/// are emitted.
-[[nodiscard]] std::string pipeline_config_to_string(const PipelineConfig& config);
-
 /// Splits an `input` value into its path entries: whitespace-separated
 /// tokens, where a double-quoted token may contain spaces (the quotes are
 /// stripped).  Throws on an unterminated quote.
@@ -236,8 +230,8 @@ PipelineConfig read_pipeline_config_string(const std::string& text);
 /// True iff the config names a corpus of inputs rather than a single graph:
 /// any of input-glob / corpus-manifest / corpus is set, or `input` lists
 /// more than one entry (see split_input_list).  Corpus configs are expanded
-/// by plan_corpus (pipeline/corpus.hpp); run_pipeline and service
-/// submission reject them.
+/// by plan_corpus and run by run_corpus (pipeline/corpus.hpp);
+/// run_pipeline rejects them.
 [[nodiscard]] bool is_corpus_config(const PipelineConfig& config);
 
 /// Throws unless at most one input source is named: contradictory

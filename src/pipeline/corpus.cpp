@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -89,7 +90,7 @@ void check_graph_name(const std::string& name, const std::string& origin) {
 
 /// A path as it appears in an `input` list entry: double-quoted when it
 /// contains whitespace, so it round-trips through split_input_list as one
-/// entry (the spelling shards use on the wire).
+/// entry (the spelling a shard's `input` uses).
 std::string quoted_input_entry(const std::string& path) {
     const bool spaced = std::any_of(path.begin(), path.end(), [](unsigned char c) {
         return std::isspace(c) != 0;
@@ -238,8 +239,7 @@ std::string padded(std::uint64_t index, std::uint64_t count) {
 }
 
 /// Materializes `corpus = <spec>` members as canonical GESB files under
-/// <output-dir>/corpus-inputs/ so every shard is a plain file-input run (a
-/// corpus submitted to the service travels as per-graph file configs).
+/// <output-dir>/corpus-inputs/ so every shard is a plain file-input run.
 /// Deterministic: the same (spec, seed) always writes the same bytes, so
 /// re-planning on resume is safe.
 std::vector<CorpusInput> expand_synthetic(const PipelineConfig& config) {
@@ -518,28 +518,34 @@ bool phase1_stable(const RunReport& run, std::uint64_t window) {
     return true;
 }
 
-/// Forwards one shard's replicate completions to the corpus hooks with the
+/// Forwards one shard's pipeline events to the corpus observer with the
 /// member's plan index attached.
-class HookObserver final : public RunObserver {
+class MemberObserver final : public RunObserver {
 public:
-    HookObserver(const CorpusHooks& hooks, std::size_t graph)
-        : hooks_(&hooks), graph_(graph) {}
+    MemberObserver(CorpusObserver* observer, std::size_t graph)
+        : observer_(observer), graph_(graph) {}
 
+    void on_superstep(std::uint64_t replicate, const Chain& chain) override {
+        observer_->on_superstep(graph_, replicate, chain);
+    }
+    void on_checkpoint(std::uint64_t replicate, const ChainState& state,
+                       const std::string& path) override {
+        observer_->on_checkpoint(graph_, replicate, state, path);
+    }
     void on_replicate_done(const ReplicateReport& report) override {
-        if (hooks_->on_replicate_done != nullptr) {
-            hooks_->on_replicate_done(graph_, report);
-        }
+        observer_->on_replicate_done(graph_, report);
     }
 
 private:
-    const CorpusHooks* hooks_;
+    CorpusObserver* observer_;
     std::size_t graph_;
 };
 
 } // namespace
 
 CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
-                        const std::atomic<bool>* interrupt, const CorpusHooks& hooks) {
+                        const std::atomic<bool>* interrupt, CorpusObserver* observer,
+                        SharedExecutor* executor) {
     GESMC_CHECK(!plan.graphs.empty(), "empty corpus plan");
     CorpusReport report;
     report.config = plan.base;
@@ -550,16 +556,17 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
     // cells are tasks of this executor, popped round-robin across graphs —
     // replicates of different graphs interleave instead of graphs running
     // serially, and the summed leased width never exceeds the budget.
-    SharedExecutor executor(plan.base.threads);
+    std::optional<SharedExecutor> own_executor;
+    if (executor == nullptr) executor = &own_executor.emplace(plan.base.threads);
 
     if (log != nullptr) {
         const ResolvedSchedule schedule = resolve_schedule(
             ScheduleRequest{plan.base.policy, plan.base.chain_threads,
                             plan.base.max_concurrent},
-            plan.base.replicates, executor.threads());
+            plan.base.replicates, executor->threads());
         *log << "corpus: " << plan.graphs.size() << " graphs x "
              << plan.base.replicates << " replicates of " << plan.base.algorithm
-             << ", budget = " << executor.threads() << " threads, per-graph schedule = "
+             << ", budget = " << executor->threads() << " threads, per-graph schedule = "
              << to_string(schedule.policy) << " (" << schedule.max_concurrent << " x "
              << schedule.chain_threads << ")\n";
     }
@@ -590,10 +597,8 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
     // tests run concurrently); graphs beyond it run in waves as
     // coordinators free up.
     const std::size_t coordinator_cap = std::min<std::size_t>(
-        plan.graphs.size(), std::max<std::size_t>(executor.threads(), 8));
+        plan.graphs.size(), std::max<std::size_t>(executor->threads(), 8));
     struct CorpusGauges {
-        obs::Gauge& cap =
-            obs::MetricsRegistry::instance().gauge("corpus.coordinator_cap");
         obs::Gauge& active =
             obs::MetricsRegistry::instance().gauge("corpus.coordinators_active");
         obs::Counter& graphs_done =
@@ -602,7 +607,6 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
             obs::MetricsRegistry::instance().counter("corpus.graphs.stopped_early");
     };
     static CorpusGauges& gauges = *new CorpusGauges();
-    gauges.cap.set(static_cast<std::int64_t>(coordinator_cap));
 
     std::atomic<std::size_t> next_graph{0};
     std::vector<std::thread> runners;
@@ -616,10 +620,11 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                 const CorpusInput& input = plan.graphs[i];
                 const PipelineConfig shard = corpus_shard(plan, i);
                 CorpusGraphRow& row = report.rows[i];
-                HookObserver observer(hooks, i);
+                MemberObserver member(observer, i);
+                RunObserver* const shard_observer = observer != nullptr ? &member : nullptr;
                 try {
                     PipelineExec exec;
-                    exec.executor = &executor;
+                    exec.executor = executor;
                     exec.interrupt = interrupt;
                     RunReport run;
                     bool stopped_early = false;
@@ -634,7 +639,7 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                         // checkpoint cleanup) after assembling the report.
                         PipelineExec phase1 = exec;
                         phase1.replicate_end = window;
-                        run = run_pipeline(shard, nullptr, &observer, phase1);
+                        run = run_pipeline(shard, nullptr, shard_observer, phase1);
                         if (phase1_stable(run, window) && !was_interrupted(run)) {
                             stopped_early = true;
                             run.replicates.resize(window);
@@ -646,7 +651,7 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                             PipelineExec phase2 = exec;
                             phase2.replicate_begin = window;
                             RunReport rest =
-                                run_pipeline(shard, nullptr, &observer, phase2);
+                                run_pipeline(shard, nullptr, shard_observer, phase2);
                             for (std::uint64_t r = window; r < shard.replicates; ++r) {
                                 run.replicates[r] = std::move(rest.replicates[r]);
                             }
@@ -660,7 +665,7 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                             write_json_report_file(shard.report_path, run);
                         }
                     } else {
-                        run = run_pipeline(shard, nullptr, &observer, exec);
+                        run = run_pipeline(shard, nullptr, shard_observer, exec);
                     }
                     row = corpus_row_from_report(input, run);
                     row.stopped_early = stopped_early;
@@ -669,7 +674,6 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                     // gauges (analysis/gauges.hpp): how far the shard's
                     // most extreme replicate sits from its siblings.
                     publish_corpus_z_gauges(run);
-                    if (hooks.on_graph_done != nullptr) hooks.on_graph_done(i, run);
                 } catch (const std::exception& e) {
                     // A shard-level failure (unreadable input, bad resume
                     // state) fails its row; the other graphs keep running.
@@ -702,6 +706,7 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                     rows_stream << corpus_row_ndjson(row) << '\n';
                     rows_stream.flush();
                 }
+                if (observer != nullptr) observer->on_graph_done(i, row);
                 if (log != nullptr) {
                     const CheckedLockGuard lock(log_mutex);
                     ++finished;
@@ -739,10 +744,6 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
     return report;
 }
 
-namespace {
-
-/// One per-graph row: an element of the summary's `graphs` array and one
-/// line of corpus_rows.ndjson.
 void write_corpus_row(JsonWriter& w, const CorpusGraphRow& row) {
     w.begin_object();
     w.kv("name", row.name);
@@ -773,6 +774,8 @@ void write_corpus_row(JsonWriter& w, const CorpusGraphRow& row) {
     }
     w.end_object();
 }
+
+namespace {
 
 /// min / median / max over the rows of one column.
 void write_aggregate(JsonWriter& w, const std::string& key, std::vector<double> values) {

@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -124,9 +123,9 @@ struct CorpusReport {
     double total_seconds = 0;       ///< whole corpus wall clock
 };
 
-/// Collapses one shard's RunReport into its summary row.  Also the merge
-/// path of the service client: gesmc_submit --corpus rebuilds rows from the
-/// shard reports the daemon wrote (service/corpus_client.hpp).
+/// Collapses one shard's RunReport into its summary row: the row run_corpus
+/// streams to corpus_rows.ndjson, hands to CorpusObserver::on_graph_done and
+/// merges into the summary.
 [[nodiscard]] CorpusGraphRow corpus_row_from_report(const CorpusInput& input,
                                                     const RunReport& report);
 
@@ -135,34 +134,49 @@ struct CorpusReport {
 /// True iff any replicate was stopped by the interrupt flag (drain/signal).
 [[nodiscard]] bool was_interrupted(const CorpusReport& report);
 
-/// Streaming callbacks for corpus progress.  Both may fire concurrently
-/// from executor/runner threads (different graphs complete in parallel);
-/// `graph` is the plan index of the member the event belongs to.
-struct CorpusHooks {
-    std::function<void(std::size_t graph, const ReplicateReport&)> on_replicate_done;
-    std::function<void(std::size_t graph, const RunReport&)> on_graph_done;
+/// Streaming callbacks of a corpus run: every shard's RunObserver events,
+/// tagged with `graph`, the plan index of the member they belong to, plus
+/// one on_graph_done per member once its row settles (after all of the
+/// member's other events).  They fire concurrently from coordinator and
+/// executor threads: different graphs run in parallel.
+class CorpusObserver {
+public:
+    virtual ~CorpusObserver() = default;
+
+    virtual void on_superstep(std::size_t /*graph*/, std::uint64_t /*replicate*/,
+                              const Chain& /*chain*/) {}
+    virtual void on_checkpoint(std::size_t /*graph*/, std::uint64_t /*replicate*/,
+                               const ChainState& /*state*/, const std::string& /*path*/) {}
+    virtual void on_replicate_done(std::size_t /*graph*/, const ReplicateReport& /*report*/) {}
+    virtual void on_graph_done(std::size_t /*graph*/, const CorpusGraphRow& /*row*/) {}
 };
 
-/// Runs the whole corpus over one thread budget (base.threads).  Every
-/// graph's shard runs through run_pipeline with a SharedExecutor injected,
-/// so the (graph x replicate) cells of all members interleave round-robin
-/// within the budget while each shard keeps its own resolved (K, T)
-/// schedule.  `log` (may be null) receives corpus-level progress lines;
-/// `interrupt` stops unstarted cells and checkpoints running ones exactly
-/// as in a single run.  Writes the merged summary to base.report (if set)
-/// and returns it.
+/// Runs the whole corpus over one thread budget: `executor` when given (the
+/// daemon's), else a private one of base.threads.  Every graph's shard runs
+/// through run_pipeline on that executor, so the (graph x replicate) cells
+/// of all members interleave round-robin within the budget while each shard
+/// keeps its own resolved (K, T) schedule.  `log` (may be null) receives
+/// corpus-level progress lines; `interrupt` stops unstarted cells and
+/// checkpoints running ones exactly as in a single run.  Writes the merged
+/// summary to base.report (if set) and returns it.
 CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log = nullptr,
                         const std::atomic<bool>* interrupt = nullptr,
-                        const CorpusHooks& hooks = {});
+                        CorpusObserver* observer = nullptr,
+                        SharedExecutor* executor = nullptr);
 
 /// Serializes the merged corpus summary (schema in docs/corpus.md).
 void write_corpus_json(std::ostream& os, const CorpusReport& report);
 void write_corpus_json_file(const std::string& path, const CorpusReport& report);
 
+/// Emits one per-graph row as a JSON object through `w`: an element of the
+/// summary's `graphs` array, one line of corpus_rows.ndjson, and what the
+/// sampling service streams as a member's `graph` event
+/// (docs/service_protocol.md).
+void write_corpus_row(JsonWriter& w, const CorpusGraphRow& row);
+
 /// One row as a single compact JSON line (no newline) — the NDJSON spelling
 /// run_corpus streams to <output-dir>/corpus_rows.ndjson as each graph
 /// finishes, so a long corpus run is monitorable before the summary exists.
-/// Same fields as the summary's per-graph objects.
 [[nodiscard]] std::string corpus_row_ndjson(const CorpusGraphRow& row);
 
 } // namespace gesmc

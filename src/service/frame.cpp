@@ -115,11 +115,19 @@ GraphFrame decode_graph_payload(std::string_view payload) {
         throw Error("graph frame: inconsistent header length");
     }
     graph.name.assign(payload.substr(12, name_len));
-    if (graph.name.find('/') != std::string::npos ||
-        graph.name.find('\\') != std::string::npos || graph.name == "." ||
-        graph.name == ".." || graph.name.empty()) {
-        throw Error("graph frame: name is not a plain basename");
-    }
+    // "<basename>" or "<member>/<basename>": at most one '/', between two
+    // plain components — nothing a client could resolve outside its
+    // stream directory.
+    const auto plain = [](std::string_view part) {
+        return !part.empty() && part != "." && part != ".." &&
+               part.find_first_of("/\\") == std::string_view::npos;
+    };
+    const std::string_view name = graph.name;
+    const std::size_t slash = name.find('/');
+    const bool safe = slash == std::string_view::npos
+                          ? plain(name)
+                          : plain(name.substr(0, slash)) && plain(name.substr(slash + 1));
+    if (!safe) throw Error("graph frame: name is not a basename or member/basename");
     graph.total_bytes = read_le(payload, 12 + name_len, 8);
     return graph;
 }

@@ -82,18 +82,22 @@ private:
     std::size_t offset_ = 0; ///< consumed prefix, compacted lazily
 };
 
-/// Payload of a kGraph *header* frame: LE64 replicate index, LE32 basename
-/// length, the basename (e.g. "replicate_03.gesb"), then LE64 total byte
-/// count of the file.  The bytes themselves follow in kGraphData chunks.
+/// Payload of a kGraph *header* frame: LE64 replicate index, LE32 name
+/// length, the name, then LE64 total byte count of the file.  The name is
+/// the output file's path relative to the job's output-dir: a basename
+/// ("replicate_03.gesb"), or "<member>/<basename>" for a corpus job.  The
+/// bytes themselves follow in kGraphData chunks.
 struct GraphFrame {
     std::uint64_t replicate = 0;
-    std::string name;               ///< output basename the client saves under
+    std::string name;               ///< relative path the client saves under
     std::uint64_t total_bytes = 0;  ///< exact size of the transfer that follows
 };
 
 [[nodiscard]] std::string encode_graph_payload(const GraphFrame& graph);
 
-/// Throws Error on a truncated or inconsistent payload.
+/// Throws Error on a truncated or inconsistent payload, or on a name other
+/// than "<basename>" or "<member>/<basename>" with plain parts: non-empty,
+/// not "." or "..", no '\' and no further '/'.
 [[nodiscard]] GraphFrame decode_graph_payload(std::string_view payload);
 
 /// Receive-side state machine of one chunked graph transfer: validates the

@@ -4,12 +4,10 @@
 #include "util/check.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace gesmc {
-
-// SharedExecutor moved to pipeline/shared_executor.cpp — the corpus layer
-// schedules over the same round-robin budget machinery as the daemon.
 
 // --------------------------------------------------------------- statuses
 
@@ -35,12 +33,12 @@ std::string to_string(JobStatus status) {
 
 namespace {
 
-/// Forwards a job's pipeline events to its (possibly null) observer while
-/// counting completed replicates and attempted switches for status frames
-/// and the job's throughput row in the metrics frame.
-class CountingObserver final : public RunObserver {
+/// Forwards a job's events to its (possibly null) observer while counting
+/// completed replicates and attempted switches for status frames and the
+/// job's throughput row in the metrics frame.
+class CountingObserver final : public JobObserver {
 public:
-    CountingObserver(RunObserver* inner, std::atomic<std::uint64_t>& done,
+    CountingObserver(JobObserver* inner, std::atomic<std::uint64_t>& done,
                      std::atomic<std::uint64_t>& attempted,
                      std::atomic<std::uint64_t>& realized)
         : inner_(inner), done_(&done), attempted_(&attempted), realized_(&realized) {}
@@ -53,14 +51,33 @@ public:
         if (inner_ != nullptr) inner_->on_checkpoint(replicate, state, path);
     }
     void on_replicate_done(const ReplicateReport& report) override {
-        done_->fetch_add(1, std::memory_order_relaxed);
-        attempted_->fetch_add(report.stats.attempted, std::memory_order_relaxed);
-        realized_->fetch_add(report.stats.supersteps, std::memory_order_relaxed);
+        count(report);
         if (inner_ != nullptr) inner_->on_replicate_done(report);
+    }
+    void on_superstep(std::size_t graph, std::uint64_t replicate,
+                      const Chain& chain) override {
+        if (inner_ != nullptr) inner_->on_superstep(graph, replicate, chain);
+    }
+    void on_checkpoint(std::size_t graph, std::uint64_t replicate, const ChainState& state,
+                       const std::string& path) override {
+        if (inner_ != nullptr) inner_->on_checkpoint(graph, replicate, state, path);
+    }
+    void on_replicate_done(std::size_t graph, const ReplicateReport& report) override {
+        count(report);
+        if (inner_ != nullptr) inner_->on_replicate_done(graph, report);
+    }
+    void on_graph_done(std::size_t graph, const CorpusGraphRow& row) override {
+        if (inner_ != nullptr) inner_->on_graph_done(graph, row);
     }
 
 private:
-    RunObserver* inner_;
+    void count(const ReplicateReport& report) {
+        done_->fetch_add(1, std::memory_order_relaxed);
+        attempted_->fetch_add(report.stats.attempted, std::memory_order_relaxed);
+        realized_->fetch_add(report.stats.supersteps, std::memory_order_relaxed);
+    }
+
+    JobObserver* inner_;
     std::atomic<std::uint64_t>* done_;
     std::atomic<std::uint64_t>* attempted_;
     std::atomic<std::uint64_t>* realized_;
@@ -103,16 +120,28 @@ JobManager::~JobManager() {
 
 unsigned JobManager::threads() const noexcept { return executor_.threads(); }
 
-std::uint64_t JobManager::submit(const PipelineConfig& config, RunObserver* observer) {
-    return submit(config, [observer](std::uint64_t) { return observer; });
+std::uint64_t JobManager::submit(const PipelineConfig& config, JobObserver* observer) {
+    return submit(config, [observer](std::uint64_t, const CorpusPlan*) { return observer; });
 }
 
-std::uint64_t
-JobManager::submit(const PipelineConfig& config,
-                   const std::function<RunObserver*(std::uint64_t)>& make_observer) {
-    validate(config); // reject before queueing: submit errors belong to the caller
+std::uint64_t JobManager::submit(
+    const PipelineConfig& config,
+    const std::function<JobObserver*(std::uint64_t, const CorpusPlan*)>& make_observer) {
+    // Reject before queueing: submit errors belong to the caller.
+    std::optional<CorpusPlan> corpus;
+    if (is_corpus_config(config)) {
+        validate_input_sources(config);
+        if (config.report_path.empty()) {
+            throw Error("a corpus job needs a \"report\" path: its summary is the "
+                        "job's result, written on the daemon's disk");
+        }
+        corpus = plan_corpus(config);
+    } else {
+        validate(config);
+    }
     auto job = std::make_shared<Job>();
     job->config = config;
+    job->corpus = std::move(corpus);
     {
         CheckedLockGuard lock(mutex_);
         if (draining_) throw Error("daemon is draining; not accepting jobs");
@@ -129,10 +158,10 @@ JobManager::submit(const PipelineConfig& config,
     // job is already registered, so such a cancel lands; it is not yet
     // queued, so no runner can start it — the factory's first frame still
     // precedes every pipeline event.
-    RunObserver* observer = nullptr;
+    JobObserver* observer = nullptr;
     if (make_observer != nullptr) {
         try {
-            observer = make_observer(job->id);
+            observer = make_observer(job->id, job->corpus ? &*job->corpus : nullptr);
         } catch (...) {
             {
                 CheckedLockGuard lock(mutex_);
@@ -177,7 +206,7 @@ JobInfo JobManager::info_locked(const Job& job) const {
     info.id = job.id;
     info.status = job.status;
     info.algorithm = job.config.algorithm;
-    info.replicates = job.config.replicates;
+    info.replicates = job.config.replicates * (job.corpus ? job.corpus->graphs.size() : 1);
     info.replicates_done = job.replicates_done.load(std::memory_order_relaxed);
     info.output_dir = job.config.output_dir;
     info.error = job.error;
@@ -324,22 +353,40 @@ void JobManager::runner_loop() {
             job->has_started = true;
         }
 
-        CountingObserver observer(job->observer, job->replicates_done,
-                                  job->attempted_switches,
-                                  job->realized_supersteps);
-        PipelineExec exec;
-        exec.executor = &executor_;
-        exec.interrupt = &job->interrupt;
-        try {
-            const RunReport report = run_pipeline(job->config, nullptr, &observer, exec);
-            // A replicate error is either the interrupt marker (the chain
-            // stopped at a cancel/drain boundary — resumable) or a genuine
-            // failure.  Only genuine failures may fail the job; only marker
-            // errors may classify it interrupted/cancelled — an interrupt
-            // flag alone must not mask real failures behind a resume hint.
-            std::uint64_t failed = 0;
-            std::uint64_t stopped = 0;
-            std::string first_error;
+        run_job(*job);
+    }
+}
+
+void JobManager::run_job(Job& job) {
+    CountingObserver observer(job.observer, job.replicates_done, job.attempted_switches,
+                              job.realized_supersteps);
+    // A replicate error is either the interrupt marker (the chain stopped
+    // at a cancel/drain boundary — resumable) or a genuine failure.  Only
+    // genuine failures may fail the job; only marker errors may classify
+    // it interrupted/cancelled — an interrupt flag alone must not mask real
+    // failures behind a resume hint.
+    std::uint64_t replicates = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t stopped = 0;
+    std::string first_error;
+    try {
+        if (job.corpus) {
+            // The rows count a corpus job's replicates: a graph the early
+            // stop settled after its first wave ran fewer than R.
+            const CorpusReport report =
+                run_corpus(*job.corpus, nullptr, &job.interrupt, &observer, &executor_);
+            for (const CorpusGraphRow& row : report.rows) {
+                replicates += row.replicates;
+                failed += row.failed;
+                stopped += row.interrupted;
+                if (first_error.empty()) first_error = row.error;
+            }
+        } else {
+            PipelineExec exec;
+            exec.executor = &executor_;
+            exec.interrupt = &job.interrupt;
+            const RunReport report = run_pipeline(job.config, nullptr, &observer, exec);
+            replicates = report.replicates.size();
             for (const ReplicateReport& r : report.replicates) {
                 if (r.error.empty()) continue;
                 if (is_interrupt_error(r.error)) {
@@ -349,38 +396,38 @@ void JobManager::runner_loop() {
                 ++failed;
                 if (first_error.empty()) first_error = r.error;
             }
-            // cancel_requested is written under mutex_ (cancel()); read it
-            // the same way — the run is over, so the value is final.
-            bool cancel_requested = false;
-            {
-                CheckedLockGuard lock(mutex_);
-                cancel_requested = job->cancel_requested;
-            }
-            if (failed > 0) {
-                std::string error = std::to_string(failed) + " of " +
-                                    std::to_string(report.replicates.size()) +
-                                    " replicate(s) failed; first: " +
-                                    first_error.substr(0, 512);
-                if (stopped > 0) {
-                    error += " (" + std::to_string(stopped) +
-                             " stopped at an interrupt boundary)";
-                }
-                finish_job(*job, JobStatus::kFailed, std::move(error));
-            } else if (stopped == 0) {
-                finish_job(*job, JobStatus::kSucceeded, "");
-            } else if (cancel_requested) {
-                finish_job(*job, JobStatus::kCancelled,
-                           "cancelled; " + std::to_string(stopped) + " of " +
-                               std::to_string(report.replicates.size()) +
-                               " replicate(s) stopped");
-            } else {
-                finish_job(*job, JobStatus::kInterrupted,
-                           "drained; resubmit with resume-from = \"" +
-                               job->config.output_dir + "\" to continue");
-            }
-        } catch (const std::exception& e) {
-            finish_job(*job, JobStatus::kFailed, e.what());
         }
+    } catch (const std::exception& e) {
+        finish_job(job, JobStatus::kFailed, e.what());
+        return;
+    }
+    // cancel_requested is written under mutex_ (cancel()); read it the same
+    // way — the run is over, so the value is final.
+    bool cancel_requested = false;
+    {
+        CheckedLockGuard lock(mutex_);
+        cancel_requested = job.cancel_requested;
+    }
+    const std::string of_total = " of " + std::to_string(replicates);
+    if (failed > 0) {
+        std::string error = std::to_string(failed) + of_total +
+                            " replicate(s) failed; first: " +
+                            first_error.substr(0, 512);
+        if (stopped > 0) {
+            error += " (" + std::to_string(stopped) +
+                     " stopped at an interrupt boundary)";
+        }
+        finish_job(job, JobStatus::kFailed, std::move(error));
+    } else if (stopped == 0) {
+        finish_job(job, JobStatus::kSucceeded, "");
+    } else if (cancel_requested) {
+        finish_job(job, JobStatus::kCancelled,
+                   "cancelled; " + std::to_string(stopped) + of_total +
+                       " replicate(s) stopped");
+    } else {
+        finish_job(job, JobStatus::kInterrupted,
+                   "drained; resubmit with resume-from = \"" + job.config.output_dir +
+                       "\" to continue");
     }
 }
 

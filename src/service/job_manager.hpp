@@ -11,10 +11,11 @@
 ///     (K, T) schedule; the width-counting budget is the admission gate.
 ///
 ///   * JobManager — admission, queueing and lifecycle.  submit() validates
-///     a PipelineConfig and queues it; max_concurrent runner threads feed
-///     jobs into run_pipeline with the SharedExecutor injected, the job's
-///     RunObserver forwarded (the daemon passes a socket-backed one), and a
-///     per-job interrupt flag wired into PipelineExec.  cancel() trips that
+///     a PipelineConfig (a corpus config: plans it with plan_corpus) and
+///     queues it; max_concurrent runner threads feed single-graph jobs into
+///     run_pipeline and corpus jobs into run_corpus, with the SharedExecutor
+///     injected, the job's JobObserver forwarded (the daemon passes a
+///     socket-backed one), and a per-job interrupt flag.  cancel() trips that
 ///     flag (queued jobs never start); drain() — the SIGTERM path —
 ///     cancels the queue, interrupts running *checkpointed* jobs at their
 ///     next boundary and lets uncheckpointed ones finish, then waits: jobs
@@ -25,6 +26,7 @@
 
 #include "check/checked_mutex.hpp"
 #include "pipeline/config.hpp"
+#include "pipeline/corpus.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
 #include "pipeline/scheduler.hpp"
@@ -47,7 +49,7 @@ namespace gesmc {
 /// Lifecycle of one submitted job.
 enum class JobStatus {
     kQueued,       ///< admitted, waiting for a runner slot
-    kRunning,      ///< run_pipeline in flight
+    kRunning,      ///< run_pipeline / run_corpus in flight
     kSucceeded,    ///< every replicate finished without error
     kFailed,       ///< run threw, or >= 1 replicate recorded a real error
     kCancelled,    ///< stopped by an explicit cancel request
@@ -64,7 +66,7 @@ struct JobInfo {
     std::uint64_t id = 0;
     JobStatus status = JobStatus::kQueued;
     std::string algorithm;
-    std::uint64_t replicates = 0;
+    std::uint64_t replicates = 0;       ///< a corpus job's: graphs x replicates
     std::uint64_t replicates_done = 0;  ///< on_replicate_done count (any outcome)
     std::string output_dir;
     std::string error;  ///< run-level error (admission errors throw at submit)
@@ -98,6 +100,21 @@ struct ServiceStats {
     std::vector<JobInfo> jobs;  ///< per-job rows, id ascending
 };
 
+/// Where one job's events go.  A single-graph job calls the RunObserver
+/// half; a corpus job calls the CorpusObserver half, whose `graph` indexes
+/// the plan the observer factory was handed.  Callbacks fire concurrently
+/// from runner and pool threads.
+class JobObserver : public RunObserver, public CorpusObserver {
+public:
+    // Both halves' overloads, callable by name through a JobObserver*.
+    using CorpusObserver::on_checkpoint;
+    using CorpusObserver::on_replicate_done;
+    using CorpusObserver::on_superstep;
+    using RunObserver::on_checkpoint;
+    using RunObserver::on_replicate_done;
+    using RunObserver::on_superstep;
+};
+
 class JobManager {
 public:
     /// `threads`: shared executor width (0 = hardware); `max_concurrent`:
@@ -108,24 +125,29 @@ public:
     JobManager(const JobManager&) = delete;
     JobManager& operator=(const JobManager&) = delete;
 
-    /// Validates and queues `config`; returns the job id.  `observer` (may
-    /// be null) receives the job's pipeline events from runner/pool threads
-    /// and must outlive the job (wait for a terminal status before
+    /// Validates and queues `config`; returns the job id.  A corpus config
+    /// (is_corpus_config) becomes one corpus job: it must name a `report`
+    /// path (the summary is the job's result, written on the daemon's
+    /// disk), and it is planned here, so plan errors reach the caller.
+    /// `observer` (may be null) receives the job's events from runner/pool
+    /// threads and must outlive the job (wait for a terminal status before
     /// destroying it).  Throws Error on an invalid config or when the
     /// manager is draining.
-    std::uint64_t submit(const PipelineConfig& config, RunObserver* observer);
+    std::uint64_t submit(const PipelineConfig& config, JobObserver* observer);
 
-    /// As above, but the observer is built *knowing its job id*: the
-    /// factory runs after the job is registered but before it is queued, so
-    /// the first event a client sees already carries the right id (the
-    /// server's SocketObserver needs this).  It runs *outside* the manager
-    /// lock — it may block on I/O and may call cancel() on its own job
-    /// (e.g. from a broken-stream callback); such a cancel finalizes the
-    /// job before it ever starts.  The factory may return null; if it
+    /// As above, but the observer is built *knowing its job*: the factory
+    /// gets the job id and, for a corpus job, its plan (null for a single
+    /// graph).  It runs after the job is registered but before it is
+    /// queued, so the first event a client sees already carries the right
+    /// id (the server's SocketObserver needs this).  It runs *outside* the
+    /// manager lock — it may block on I/O and may call cancel() on its own
+    /// job (e.g. from a broken-stream callback); such a cancel finalizes
+    /// the job before it ever starts.  The factory may return null; if it
     /// throws, the job is finalized kFailed and the exception propagates.
-    std::uint64_t
-    submit(const PipelineConfig& config,
-           const std::function<RunObserver*(std::uint64_t id)>& make_observer);
+    std::uint64_t submit(const PipelineConfig& config,
+                         const std::function<JobObserver*(std::uint64_t id,
+                                                          const CorpusPlan* corpus)>&
+                             make_observer);
 
     /// Requests a stop: a queued job is finalized kCancelled immediately; a
     /// running one is interrupted (checkpoint boundary / next replicate).
@@ -157,7 +179,8 @@ private:
     struct Job {
         std::uint64_t id = 0;
         PipelineConfig config;
-        RunObserver* observer = nullptr;
+        std::optional<CorpusPlan> corpus;  ///< set for a corpus job
+        JobObserver* observer = nullptr;
         JobStatus status = JobStatus::kQueued;
         std::string error;
         std::atomic<bool> interrupt{false};
@@ -176,6 +199,8 @@ private:
 
     JobInfo info_locked(const Job& job) const GESMC_REQUIRES(mutex_);
     void runner_loop();
+    /// Runs `job` to its end and settles its status.
+    void run_job(Job& job);
     void finish_job(Job& job, JobStatus status, std::string error);
 
     /// Evicts the oldest terminal jobs beyond kTerminalJobRetention so a

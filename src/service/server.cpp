@@ -118,10 +118,14 @@ std::string metrics_frame(const ServiceStats& stats) {
 
 SocketObserver::SocketObserver(int fd, std::uint64_t job_id,
                                std::function<void()> on_broken,
-                               std::uint64_t chunk_bytes)
+                               std::uint64_t chunk_bytes, const CorpusPlan* corpus)
     : fd_(fd), job_id_(job_id), on_broken_(std::move(on_broken)),
       chunk_bytes_(std::min<std::uint64_t>(std::max<std::uint64_t>(chunk_bytes, 1),
-                                           kGraphChunkBytes)) {}
+                                           kGraphChunkBytes)) {
+    if (corpus != nullptr) {
+        for (const CorpusInput& graph : corpus->graphs) members_.push_back(graph.name);
+    }
+}
 
 bool SocketObserver::send_frame_locked(FrameType type, std::string_view payload) {
     if (broken()) return false;
@@ -163,11 +167,12 @@ void SocketObserver::send_frame(const std::string& encoded) {
     if (just_broke && on_broken_ != nullptr) on_broken_();
 }
 
-void SocketObserver::send_graph(std::uint64_t replicate, const std::string& path) {
+void SocketObserver::send_graph(std::uint64_t replicate, const std::string& path,
+                                const std::string& name) {
     if (broken()) return;
     GraphFrame header;
     header.replicate = replicate;
-    header.name = std::filesystem::path(path).filename().string();
+    header.name = name;
     // Copy-loop streaming: never more than one chunk of the file in memory,
     // whatever the replicate's size.  The file is ours (the replicate wrote
     // and closed it before on_replicate_done fired), so its size is stable;
@@ -222,40 +227,84 @@ void SocketObserver::send_graph(std::uint64_t replicate, const std::string& path
     if (file_error != nullptr) std::rethrow_exception(file_error);
 }
 
-void SocketObserver::on_superstep(std::uint64_t replicate, const Chain& chain) {
+void SocketObserver::superstep(const std::string* graph, std::uint64_t replicate,
+                               const Chain& chain) {
     send_frame(event_frame("superstep", [&](JsonWriter& w) {
         w.kv("job", job_id_);
+        if (graph != nullptr) w.kv("graph", *graph);
         w.kv("replicate", replicate);
         w.kv("superstep", chain.stats().supersteps);
     }));
 }
 
-void SocketObserver::on_checkpoint(std::uint64_t replicate, const ChainState& state,
-                                   const std::string& path) {
+void SocketObserver::checkpoint(const std::string* graph, std::uint64_t replicate,
+                                const ChainState& state, const std::string& path) {
     send_frame(event_frame("checkpoint", [&](JsonWriter& w) {
         w.kv("job", job_id_);
+        if (graph != nullptr) w.kv("graph", *graph);
         w.kv("replicate", replicate);
         w.kv("superstep", state.stats.supersteps);
         w.kv("path", path);
     }));
 }
 
-void SocketObserver::on_replicate_done(const ReplicateReport& report) {
+void SocketObserver::replicate_done(const std::string* graph,
+                                    const ReplicateReport& report) {
     // Report fragment first, then the graph bytes: a client that stops
     // after the fragment still knows the replicate's outcome.
     send_frame(event_frame("replicate", [&](JsonWriter& w) {
         w.kv("job", job_id_);
+        if (graph != nullptr) w.kv("graph", *graph);
         w.key("report");
         write_replicate_json(w, report);
     }));
 
     if (report.error.empty() && !report.output_path.empty()) {
+        // The output's path relative to the job's output-dir: a corpus
+        // member's files live in <output-dir>/<member>/.
+        std::string name = std::filesystem::path(report.output_path).filename().string();
+        if (graph != nullptr) name = *graph + "/" + name;
         try {
-            send_graph(report.index, report.output_path);
+            send_graph(report.index, report.output_path, name);
         } catch (const std::exception& e) {
             send_frame(error_frame(std::string("graph stream failed: ") + e.what()));
         }
     }
+}
+
+void SocketObserver::on_superstep(std::uint64_t replicate, const Chain& chain) {
+    superstep(nullptr, replicate, chain);
+}
+
+void SocketObserver::on_checkpoint(std::uint64_t replicate, const ChainState& state,
+                                   const std::string& path) {
+    checkpoint(nullptr, replicate, state, path);
+}
+
+void SocketObserver::on_replicate_done(const ReplicateReport& report) {
+    replicate_done(nullptr, report);
+}
+
+void SocketObserver::on_superstep(std::size_t graph, std::uint64_t replicate,
+                                  const Chain& chain) {
+    superstep(&members_[graph], replicate, chain);
+}
+
+void SocketObserver::on_checkpoint(std::size_t graph, std::uint64_t replicate,
+                                   const ChainState& state, const std::string& path) {
+    checkpoint(&members_[graph], replicate, state, path);
+}
+
+void SocketObserver::on_replicate_done(std::size_t graph, const ReplicateReport& report) {
+    replicate_done(&members_[graph], report);
+}
+
+void SocketObserver::on_graph_done(std::size_t /*graph*/, const CorpusGraphRow& row) {
+    send_frame(event_frame("graph", [&](JsonWriter& w) {
+        w.kv("job", job_id_);
+        w.key("row");
+        write_corpus_row(w, row);
+    }));
 }
 
 // ---------------------------------------------------------- ServiceServer
@@ -525,9 +574,10 @@ void ServiceServer::handle_connection(int fd, std::ostream* log) {
     std::uint64_t id = 0;
     try {
         const PipelineConfig config = read_pipeline_config_string(request.config_text);
-        id = manager_.submit(config, [&](std::uint64_t job_id) -> RunObserver* {
-            observer.emplace(fd, job_id,
-                             [this, job_id] { manager_.cancel(job_id); });
+        id = manager_.submit(config, [&](std::uint64_t job_id,
+                                         const CorpusPlan* corpus) -> JobObserver* {
+            observer.emplace(fd, job_id, [this, job_id] { manager_.cancel(job_id); },
+                             kGraphChunkBytes, corpus);
             // Inside the factory the job cannot have started yet, so
             // "accepted" is guaranteed to be the stream's first frame.  The
             // factory runs outside the manager lock with the job already

@@ -7,10 +7,11 @@
 /// length-prefixed frames.  A submit connection stays open for the job's
 /// lifetime — a SocketObserver forwards the pipeline's on_superstep /
 /// on_checkpoint / on_replicate_done callbacks over the socket as 'J'
-/// event frames and streams each finished replicate's output file as a
-/// 'G' graph frame, so clients see results exactly as they land on the
-/// daemon's disk.  status / cancel / shutdown connections answer one 'J'
-/// frame and close.
+/// event frames (a corpus job's tagged with the member's name, plus one
+/// `graph` event per settled member) and streams each finished replicate's
+/// output file as a 'G' graph frame, so clients see results exactly as
+/// they land on the daemon's disk.  status / cancel / shutdown connections
+/// answer one 'J' frame and close.
 ///
 /// Shutdown (client "shutdown" frame or SIGTERM via request_stop) stops
 /// accepting, drains the JobManager — running checkpointed jobs stop at
@@ -44,9 +45,9 @@ struct ServerConfig {
     std::string telemetry_out;
 };
 
-/// RunObserver streaming one job's pipeline events over one connection.
-/// Callbacks fire concurrently from pool threads (RunObserver contract), so
-/// every send is serialized by a mutex; a replicate graph's whole chunked
+/// JobObserver streaming one job's events over one connection.  Callbacks
+/// fire concurrently from pool threads (RunObserver contract), so every
+/// send is serialized by a mutex; a replicate graph's whole chunked
 /// transfer ('G' header + 'D' chunks, copied from the output file in
 /// O(chunk) memory) holds the mutex once, keeping its frames contiguous on
 /// the wire.  A failed send (client vanished) flips broken() permanently,
@@ -54,17 +55,27 @@ struct ServerConfig {
 /// server wires that to JobManager::cancel so an orphaned job stops
 /// wasting the machine.  Never throws: observer callbacks unwind through
 /// the pipeline's pool threads.
-class SocketObserver final : public RunObserver {
+class SocketObserver final : public JobObserver {
 public:
     /// `chunk_bytes` bounds each 'D' frame (and the daemon-side buffer);
     /// tests shrink it to exercise multi-chunk transfers on small files.
+    /// `corpus` (a corpus job's plan, else null) names the members that
+    /// the corpus callbacks' `graph` indexes.
     SocketObserver(int fd, std::uint64_t job_id, std::function<void()> on_broken,
-                   std::uint64_t chunk_bytes = kGraphChunkBytes);
+                   std::uint64_t chunk_bytes = kGraphChunkBytes,
+                   const CorpusPlan* corpus = nullptr);
 
     void on_superstep(std::uint64_t replicate, const Chain& chain) override;
     void on_checkpoint(std::uint64_t replicate, const ChainState& state,
                        const std::string& path) override;
     void on_replicate_done(const ReplicateReport& report) override;
+
+    void on_superstep(std::size_t graph, std::uint64_t replicate,
+                      const Chain& chain) override;
+    void on_checkpoint(std::size_t graph, std::uint64_t replicate, const ChainState& state,
+                       const std::string& path) override;
+    void on_replicate_done(std::size_t graph, const ReplicateReport& report) override;
+    void on_graph_done(std::size_t graph, const CorpusGraphRow& row) override;
 
     [[nodiscard]] bool broken() const noexcept {
         return broken_.load(std::memory_order_relaxed);
@@ -74,13 +85,21 @@ public:
     /// events on the same stream); drops it silently once broken.
     void send_frame(const std::string& encoded);
 
-    /// Streams `path` as one chunked graph transfer for `replicate`:
-    /// 'G' header, then ≤ chunk_bytes 'D' frames read-and-sent in a copy
-    /// loop.  Throws Error on file trouble (caller reports it as an event);
-    /// a *socket* failure flips broken() like any other send.
-    void send_graph(std::uint64_t replicate, const std::string& path);
-
 private:
+    /// The frames of one pipeline event; `graph` is the corpus member's
+    /// name, null for a single-graph job.
+    void superstep(const std::string* graph, std::uint64_t replicate, const Chain& chain);
+    void checkpoint(const std::string* graph, std::uint64_t replicate,
+                    const ChainState& state, const std::string& path);
+    void replicate_done(const std::string* graph, const ReplicateReport& report);
+
+    /// Streams `path` as one chunked graph transfer for `replicate`: a 'G'
+    /// header named `name`, then ≤ chunk_bytes 'D' frames read-and-sent in
+    /// a copy loop.  Throws Error on file trouble (caller reports it as an
+    /// event); a *socket* failure flips broken() like any other send.
+    void send_graph(std::uint64_t replicate, const std::string& path,
+                    const std::string& name);
+
     /// Encodes and writes under an already-held mutex_; returns false once
     /// the stream broke (sets broken_, defers on_broken_ to the caller).
     bool send_frame_locked(FrameType type, std::string_view payload)
@@ -91,6 +110,7 @@ private:
     std::uint64_t job_id_;
     std::function<void()> on_broken_;
     std::uint64_t chunk_bytes_;
+    std::vector<std::string> members_; ///< corpus member names, by plan index
     std::atomic<bool> broken_{false};
 };
 

@@ -429,7 +429,7 @@ TEST(AdaptiveResume, MissingSidecarRerunsTheReplicateFreshByteIdentically) {
     }
 }
 
-TEST(AdaptiveConfig, ParsesValidatesAndRoundTrips) {
+TEST(AdaptiveConfig, ParsesAndValidates) {
     PipelineConfig c;
     apply_config_entry(c, "supersteps", "adaptive");
     EXPECT_TRUE(c.adaptive);
@@ -439,17 +439,10 @@ TEST(AdaptiveConfig, ParsesValidatesAndRoundTrips) {
     apply_config_entry(c, "max-supersteps", "50");
     apply_config_entry(c, "check-every", "5");
     EXPECT_EQ(c.ess_target, 16.0);
+    EXPECT_EQ(c.mixing_tau, 0.1);
+    EXPECT_EQ(c.min_supersteps, 2u);
     EXPECT_EQ(c.max_supersteps, 50u);
-
-    // Round trip through the canonical string form.
-    const std::string text = pipeline_config_to_string(c);
-    const PipelineConfig back = read_pipeline_config_string(text);
-    EXPECT_TRUE(back.adaptive);
-    EXPECT_EQ(back.ess_target, 16.0);
-    EXPECT_EQ(back.mixing_tau, 0.1);
-    EXPECT_EQ(back.min_supersteps, 2u);
-    EXPECT_EQ(back.max_supersteps, 50u);
-    EXPECT_EQ(back.check_every, 5u);
+    EXPECT_EQ(c.check_every, 5u);
 
     // A numeric value turns adaptive back off.
     apply_config_entry(c, "supersteps", "25");

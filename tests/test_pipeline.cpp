@@ -535,62 +535,97 @@ TEST(PipelineConfig, ParseErrorsCarryTheLineNumberAndKey) {
     }
 }
 
-TEST(PipelineConfig, RendersToParseableText) {
-    // Every key away from its default, so every key renders.
-    PipelineConfig c;
-    c.input_path = "graphs/a.txt";
-    c.input_glob = "graphs/*.txt";
-    c.corpus_manifest = "graphs/manifest.txt";
-    c.corpus_spec = "gnp n=100 m=300 count=2";
-    c.input_kind = InputKind::kDegreeSequence;
-    c.init = InitMethod::kConfigurationModel;
-    c.generator = "gnp";
-    c.gen_n = 123;
-    c.gen_m = 456;
-    c.gen_gamma = 2.5;
-    c.gen_rows = 7;
-    c.gen_cols = 9;
-    c.gen_degree = 4;
-    c.algorithm = "seq-global-es";
-    c.adaptive = true;
-    c.ess_target = 64.5;
-    c.mixing_tau = 0.1;
-    c.min_supersteps = 3;
-    c.max_supersteps = 50;
-    c.check_every = 4;
-    c.pl = 0.25;
-    c.prefetch = false;
-    c.small_graph_cutoff = 1000;
-    c.replicates = 3;
-    c.seed = 99;
-    c.threads = 2;
-    c.policy = SchedulePolicy::kHybrid;
-    c.chain_threads = 2;
-    c.max_concurrent = 1;
-    c.checkpoint_every = 5;
-    c.resume_from = "prev";
-    c.keep_checkpoints = true;
-    c.output_dir = "out";
-    c.output_prefix = "sample";
-    c.output_format = OutputFormat::kBinary;
-    c.report_path = "out/r.json";
-    c.metrics = false;
-    c.verify = false;
-
-    const std::string text = pipeline_config_to_string(c);
+TEST(PipelineConfig, ParsesEveryKeyAwayFromItsDefault) {
+    // One hand-written document sets all 38 keys away from their defaults;
+    // the parse must land every value in its field.
+    const std::string text = R"(input            = graphs/a.txt
+input-glob       = graphs/*.txt
+corpus-manifest  = graphs/manifest.txt
+corpus           = gnp n=100 m=300 count=2
+input-kind       = degrees
+init             = configuration-model
+generator        = gnp
+gen-n            = 123
+gen-m            = 456
+gen-gamma        = 2.5
+gen-rows         = 7
+gen-cols         = 9
+gen-degree       = 4
+algorithm        = seq-global-es
+supersteps       = adaptive
+ess-target       = 64.5
+mixing-tau       = 0.1
+min-supersteps   = 3
+max-supersteps   = 50
+check-every      = 4
+pl               = 0.25
+prefetch         = false
+small-cutoff     = 1000
+replicates       = 3
+seed             = 99
+threads          = 2
+policy           = hybrid
+chain-threads    = 2
+max-concurrent   = 1
+checkpoint-every = 5
+resume-from      = prev
+keep-checkpoints = true
+output-dir       = out
+output-prefix    = sample
+output-format    = binary
+report           = out/r.json
+metrics          = false
+verify           = false
+)";
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 38) << text; // one line per key
-    const PipelineConfig back = read_pipeline_config_string(text);
-    // Rendering is a fixed point through a parse round-trip...
-    EXPECT_EQ(pipeline_config_to_string(back), text);
-    // ... and the round-tripped config is field-equal.
-    EXPECT_TRUE(back == c) << text;
 
-    // A fixed budget renders as its count.
-    c.adaptive = false;
-    c.supersteps = 7;
-    EXPECT_TRUE(read_pipeline_config_string(pipeline_config_to_string(c)) == c);
-    // A default config renders to nothing at all.
-    EXPECT_EQ(pipeline_config_to_string(PipelineConfig{}), "");
+    PipelineConfig expected;
+    expected.input_path = "graphs/a.txt";
+    expected.input_glob = "graphs/*.txt";
+    expected.corpus_manifest = "graphs/manifest.txt";
+    expected.corpus_spec = "gnp n=100 m=300 count=2";
+    expected.input_kind = InputKind::kDegreeSequence;
+    expected.init = InitMethod::kConfigurationModel;
+    expected.generator = "gnp";
+    expected.gen_n = 123;
+    expected.gen_m = 456;
+    expected.gen_gamma = 2.5;
+    expected.gen_rows = 7;
+    expected.gen_cols = 9;
+    expected.gen_degree = 4;
+    expected.algorithm = "seq-global-es";
+    expected.adaptive = true;
+    expected.ess_target = 64.5;
+    expected.mixing_tau = 0.1;
+    expected.min_supersteps = 3;
+    expected.max_supersteps = 50;
+    expected.check_every = 4;
+    expected.pl = 0.25;
+    expected.prefetch = false;
+    expected.small_graph_cutoff = 1000;
+    expected.replicates = 3;
+    expected.seed = 99;
+    expected.threads = 2;
+    expected.policy = SchedulePolicy::kHybrid;
+    expected.chain_threads = 2;
+    expected.max_concurrent = 1;
+    expected.checkpoint_every = 5;
+    expected.resume_from = "prev";
+    expected.keep_checkpoints = true;
+    expected.output_dir = "out";
+    expected.output_prefix = "sample";
+    expected.output_format = OutputFormat::kBinary;
+    expected.report_path = "out/r.json";
+    expected.metrics = false;
+    expected.verify = false;
+    EXPECT_TRUE(read_pipeline_config_string(text) == expected);
+
+    // A fixed budget parses as its count.
+    expected.adaptive = false;
+    expected.supersteps = 7;
+    EXPECT_TRUE(read_pipeline_config_string(text + "supersteps = 7\n") == expected);
+    // An empty document is the defaults.
+    EXPECT_TRUE(read_pipeline_config_string("") == PipelineConfig{});
 }
 
 // ------------------------------------------------------------------ seeds
@@ -1374,20 +1409,41 @@ TEST(Corpus, ReplicatesOfDifferentGraphsShareOneBudget) {
     base.threads = 2;
     base.policy = SchedulePolicy::kReplicates;
 
-    std::mutex mutex;
-    std::vector<std::size_t> completion_graphs;
-    CorpusHooks hooks;
-    hooks.on_replicate_done = [&](std::size_t graph, const ReplicateReport&) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        completion_graphs.push_back(graph);
-    };
-    const CorpusReport report = run_corpus(plan_corpus(base), nullptr, nullptr, hooks);
+    // Every shard event reaches the observer tagged with its member, and
+    // each member settles once, after its replicates.
+    class Completions final : public CorpusObserver {
+    public:
+        void on_superstep(std::size_t graph, std::uint64_t, const Chain&) override {
+            const std::lock_guard<std::mutex> lock(mutex);
+            ++supersteps[graph];
+        }
+        void on_replicate_done(std::size_t graph, const ReplicateReport&) override {
+            const std::lock_guard<std::mutex> lock(mutex);
+            replicates.push_back(graph);
+        }
+        void on_graph_done(std::size_t graph, const CorpusGraphRow& row) override {
+            const std::lock_guard<std::mutex> lock(mutex);
+            EXPECT_EQ(std::count(replicates.begin(), replicates.end(), graph), 8)
+                << row.name;
+            settled.push_back(graph);
+        }
+        std::mutex mutex;
+        std::map<std::size_t, std::uint64_t> supersteps;
+        std::vector<std::size_t> replicates;
+        std::vector<std::size_t> settled;
+    } completions;
+    const CorpusReport report = run_corpus(plan_corpus(base), nullptr, nullptr, &completions);
     ASSERT_TRUE(all_succeeded(report));
-    ASSERT_EQ(completion_graphs.size(), 24u);
+    ASSERT_EQ(completions.replicates.size(), 24u);
     for (std::size_t graph = 0; graph < 3; ++graph) {
-        EXPECT_EQ(std::count(completion_graphs.begin(), completion_graphs.end(), graph), 8)
+        EXPECT_EQ(std::count(completions.replicates.begin(), completions.replicates.end(),
+                             graph),
+                  8)
             << "graph " << graph;
+        EXPECT_EQ(completions.supersteps[graph], 8u * 2u) << "graph " << graph;
     }
+    std::sort(completions.settled.begin(), completions.settled.end());
+    EXPECT_EQ(completions.settled, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Corpus, ResumesOnlyUnfinishedCellsByteIdentically) {
@@ -1417,14 +1473,17 @@ TEST(Corpus, ResumesOnlyUnfinishedCellsByteIdentically) {
     // Interrupted run: trip the flag once a few cells have completed — the
     // remaining cells stop at checkpoint boundaries or never start.
     const fs::path int_dir = scratch_dir("corpus_resume_int");
-    std::atomic<bool> stop{false};
-    std::atomic<int> cells{0};
-    CorpusHooks hooks;
-    hooks.on_replicate_done = [&](std::size_t, const ReplicateReport&) {
-        if (cells.fetch_add(1) + 1 >= 2) stop.store(true);
-    };
+    class StopAfterTwoCells final : public CorpusObserver {
+    public:
+        void on_replicate_done(std::size_t, const ReplicateReport&) override {
+            if (cells.fetch_add(1) + 1 >= 2) stop.store(true);
+        }
+        std::atomic<bool> stop{false};
+        std::atomic<int> cells{0};
+    } stopper;
     const CorpusPlan interrupted_plan = plan_corpus(corpus_config(int_dir));
-    const CorpusReport interrupted = run_corpus(interrupted_plan, nullptr, &stop, hooks);
+    const CorpusReport interrupted =
+        run_corpus(interrupted_plan, nullptr, &stopper.stop, &stopper);
     // Tiny graphs can win the race and finish; the resume below then
     // degenerates to a skip-everything pass — the comparison must hold
     // either way.

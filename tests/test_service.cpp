@@ -2,7 +2,8 @@
 // encode/decode round-trips and malformed-frame rejection, multi-job
 // admission of the JobManager over one shared executor (byte-identical to
 // direct pipeline runs), cancel semantics for queued and running jobs,
-// drain/resume, and an end-to-end Unix-socket session against a live
+// drain/resume, corpus jobs (the same replicates and rows as a local
+// corpus run), and end-to-end Unix-socket sessions against a live
 // ServiceServer.
 #include "gen/corpus.hpp"
 #include "graph/io.hpp"
@@ -10,7 +11,6 @@
 #include "pipeline/corpus.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/report.hpp"
-#include "service/corpus_client.hpp"
 #include "service/frame.hpp"
 #include "service/job_manager.hpp"
 #include "service/json.hpp"
@@ -24,7 +24,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -216,6 +218,21 @@ TEST(ServiceFrames, GraphHeaderRoundTripsAndRejectsGarbage) {
     EXPECT_THROW((void)decode_graph_payload(evil_payload), Error);
 }
 
+TEST(ServiceFrames, GraphNamesAreABasenameOrOneMemberAndABasename) {
+    const auto decoded_name = [](const std::string& name) {
+        GraphFrame graph;
+        graph.name = name;
+        graph.total_bytes = 1;
+        return decode_graph_payload(encode_graph_payload(graph)).name;
+    };
+    EXPECT_EQ(decoded_name("replicate_0.gesb"), "replicate_0.gesb");
+    EXPECT_EQ(decoded_name("gnp-0/replicate_0.gesb"), "gnp-0/replicate_0.gesb");
+    for (const char* name :
+         {"../x", "/x", "a/b/c", "a/", "/b", "a\\b", "./x", "a/..", "", ".", "..", "/"}) {
+        EXPECT_THROW((void)decoded_name(name), Error) << name;
+    }
+}
+
 TEST(ServiceFrames, GraphTransferEnforcesSequencingAndCaps) {
     GraphTransferState transfer;
     // A chunk before any header is a protocol violation.
@@ -349,8 +366,8 @@ TEST(ServiceRequests, RejectsUnknownAndIncompleteRequests) {
 }
 
 TEST(ServiceErrors, OutsideInputErrorsCarryTheMessageAlone) {
-    // Client frames, sockets and shard reports are outside input: their
-    // errors are the message alone, with no check expression or source path.
+    // Client frames and sockets are outside input: their errors are the
+    // message alone, with no check expression or source path.
     const auto error_of = [](auto&& fn) -> std::string {
         try {
             fn();
@@ -492,10 +509,11 @@ TEST(JobManager, CancelFromTheObserverFactoryLandsBeforeTheJobStarts) {
     const fs::path dir = scratch_dir("jm_factory_cancel");
     JobManager manager(1, 1);
     const std::uint64_t id =
-        manager.submit(job_config(dir, 7), [&](std::uint64_t job_id) -> RunObserver* {
-            EXPECT_TRUE(manager.cancel(job_id));
-            return nullptr;
-        });
+        manager.submit(job_config(dir, 7),
+                       [&](std::uint64_t job_id, const CorpusPlan*) -> JobObserver* {
+                           EXPECT_TRUE(manager.cancel(job_id));
+                           return nullptr;
+                       });
     const JobInfo info = manager.wait(id);
     EXPECT_EQ(info.status, JobStatus::kCancelled);
     EXPECT_EQ(info.replicates_done, 0u);
@@ -510,7 +528,7 @@ TEST(JobManager, CancelInterruptsARunningCheckpointedJob) {
     config.replicates = 2;
     config.checkpoint_every = 1;
 
-    class FirstCheckpoint final : public RunObserver {
+    class FirstCheckpoint final : public JobObserver {
     public:
         void on_checkpoint(std::uint64_t, const ChainState&,
                            const std::string&) override {
@@ -547,7 +565,7 @@ TEST(JobManager, DrainInterruptsCheckpointedJobsAndResumeFinishesThem) {
     config.supersteps = 30;
     config.checkpoint_every = 1;
 
-    class FirstCheckpoint final : public RunObserver {
+    class FirstCheckpoint final : public JobObserver {
     public:
         void on_checkpoint(std::uint64_t, const ChainState&,
                            const std::string&) override {
@@ -748,7 +766,7 @@ TEST(JobManager, MixedWidthJobsSettleUnderCancelAndDrainMidLease) {
     victim.supersteps = 200; // long enough to still be running when cancelled
     victim.checkpoint_every = 1;
 
-    class FirstCheckpoint final : public RunObserver {
+    class FirstCheckpoint final : public JobObserver {
     public:
         void on_checkpoint(std::uint64_t, const ChainState&,
                            const std::string&) override {
@@ -820,137 +838,247 @@ TEST(JobManager, HybridJobsAreByteIdenticalToDirectRuns) {
 
 // ------------------------------------------------------------ corpus runs
 
-TEST(JobManager, RejectsCorpusConfigsAtSubmit) {
-    // A corpus config must be fanned out client-side (gesmc_submit
-    // --corpus); submitting it as one job is refused with a pointer at the
-    // expansion path, not silently run on the first input.
-    JobManager manager(1, 1);
-    PipelineConfig corpus;
-    corpus.input_glob = "data/*.gesb";
-    EXPECT_THROW((void)manager.submit(corpus, nullptr), Error);
-    EXPECT_TRUE(manager.jobs().empty());
-}
-
-TEST(CorpusClient, RowFromReportJsonMatchesTheInMemoryRow) {
-    // The client-side merge parses the shard report the daemon wrote; the
-    // row it rebuilds must be field-equal to the one run_corpus computes
-    // from the in-memory RunReport, under a fixed and an adaptive budget.
-    const CorpusInput input{"row-test", "in/row-test.gesb"};
-    for (const bool adaptive : {false, true}) {
-        const std::string label = adaptive ? "adaptive" : "fixed";
-        const fs::path dir = scratch_dir("corpus_row_" + label);
-        PipelineConfig config = job_config(dir, 41);
-        config.metrics = true;
-        if (adaptive) {
-            config.adaptive = true;
-            config.min_supersteps = 2;
-            config.max_supersteps = 10;
-        }
-        const RunReport report = run_pipeline(config);
-        ASSERT_TRUE(all_succeeded(report)) << label;
-
-        const CorpusGraphRow direct = corpus_row_from_report(input, report);
-        std::ostringstream os;
-        write_json_report(os, report);
-        const CorpusGraphRow parsed = corpus_row_from_report_json(input, os.str());
-
-        EXPECT_EQ(parsed.name, direct.name) << label;
-        EXPECT_EQ(parsed.input_path, direct.input_path) << label;
-        EXPECT_EQ(parsed.seed, direct.seed) << label;
-        EXPECT_EQ(parsed.input_nodes, direct.input_nodes) << label;
-        EXPECT_EQ(parsed.input_edges, direct.input_edges) << label;
-        EXPECT_EQ(parsed.replicates, direct.replicates) << label;
-        EXPECT_EQ(parsed.failed, direct.failed) << label;
-        EXPECT_EQ(parsed.interrupted, direct.interrupted) << label;
-        EXPECT_NEAR(parsed.seconds, direct.seconds, 1e-12) << label;
-        EXPECT_NEAR(parsed.switches_per_second, direct.switches_per_second, 1e-6) << label;
-        EXPECT_NEAR(parsed.acceptance_rate, direct.acceptance_rate, 1e-12) << label;
-        ASSERT_TRUE(parsed.has_metrics) << label;
-        EXPECT_NEAR(parsed.mean_triangles, direct.mean_triangles, 1e-9) << label;
-        EXPECT_NEAR(parsed.mean_clustering, direct.mean_clustering, 1e-12) << label;
-        EXPECT_NEAR(parsed.mean_assortativity, direct.mean_assortativity, 1e-12) << label;
-        EXPECT_NEAR(parsed.mean_components, direct.mean_components, 1e-12) << label;
-        EXPECT_EQ(parsed.error, direct.error) << label;
-
-        ASSERT_EQ(direct.has_adaptive, adaptive) << label;
-        EXPECT_EQ(parsed.has_adaptive, direct.has_adaptive) << label;
-        EXPECT_EQ(parsed.stopped_early, direct.stopped_early) << label;
-        EXPECT_EQ(parsed.configured_supersteps, direct.configured_supersteps) << label;
-        EXPECT_EQ(parsed.mean_realized_supersteps, direct.mean_realized_supersteps) << label;
-    }
-
-    EXPECT_THROW((void)corpus_row_from_report_json(input, "{}"), Error);
-    EXPECT_THROW((void)corpus_row_from_report_json(input, "not json"), Error);
-}
-
-TEST(JobManager, CorpusShardsSubmittedAsJobsMatchALocalCorpusRun) {
-    // The gesmc_submit --corpus contract at the JobManager seam: every
-    // shard rendered to config text, parsed back (as the daemon does), and
-    // submitted as an ordinary job produces outputs byte-identical to the
-    // local run_corpus over the same corpus config.
-    const fs::path inputs = scratch_dir("corpus_jm_inputs");
+/// Three small power-law graphs on disk, for file-list corpora.
+std::vector<std::string> corpus_inputs(const fs::path& dir) {
     std::vector<std::string> paths;
     for (std::uint64_t i = 0; i < 3; ++i) {
         const EdgeList g = generate_powerlaw_graph(300 + 30 * i, 2.2, 700 + i);
-        const std::string path =
-            (inputs / ("g" + std::to_string(i) + ".gesb")).string();
+        const std::string path = (dir / ("g" + std::to_string(i) + ".gesb")).string();
         write_edge_list_binary_file(path, g);
         paths.push_back(path);
     }
-    const auto corpus_config = [&](const fs::path& out) {
-        PipelineConfig base;
-        base.input_path = paths[0] + " " + paths[1] + " " + paths[2];
-        base.algorithm = "par-global-es";
-        base.supersteps = 3;
-        base.replicates = 3;
-        base.seed = 66;
-        base.metrics = false;
-        base.threads = 2;
-        base.output_format = OutputFormat::kBinary;
-        base.output_dir = out.string();
-        return base;
-    };
+    return paths;
+}
 
-    const fs::path local_dir = scratch_dir("corpus_jm_local");
-    const CorpusPlan local_plan = plan_corpus(corpus_config(local_dir));
-    const CorpusReport local = run_corpus(local_plan);
-    ASSERT_TRUE(all_succeeded(local));
+/// A fixed-budget corpus over three input files, writing into `out`.
+PipelineConfig file_corpus_config(const std::vector<std::string>& inputs,
+                                  const fs::path& out) {
+    PipelineConfig c;
+    c.input_path = inputs[0] + " " + inputs[1] + " " + inputs[2];
+    c.algorithm = "par-global-es";
+    c.supersteps = 20;
+    c.replicates = 2;
+    c.seed = 66;
+    c.threads = 2;
+    c.output_format = OutputFormat::kBinary;
+    c.output_dir = out.string();
+    c.report_path = (out / "corpus.json").string();
+    return c;
+}
 
-    const fs::path svc_dir = scratch_dir("corpus_jm_svc");
-    const CorpusPlan svc_plan = plan_corpus(corpus_config(svc_dir));
-    JobManager manager(2, 2);
-    std::vector<std::uint64_t> jobs;
-    for (std::size_t i = 0; i < svc_plan.graphs.size(); ++i) {
-        // Render + re-parse: exactly what travels over the submit frame.
-        const std::string text =
-            pipeline_config_to_string(corpus_shard(svc_plan, i));
-        jobs.push_back(manager.submit(read_pipeline_config_string(text), nullptr));
-    }
-    for (const std::uint64_t id : jobs) {
-        const JobInfo done = manager.wait(id);
-        EXPECT_EQ(done.status, JobStatus::kSucceeded) << done.error;
-    }
-
-    std::uint64_t compared = 0;
-    for (const CorpusInput& graph : local_plan.graphs) {
-        for (const fs::directory_entry& entry :
-             fs::directory_iterator(local_dir / graph.name)) {
-            if (!entry.is_regular_file() || entry.path().extension() != ".gesb") {
-                continue;
-            }
-            const fs::path svc_file = svc_dir / graph.name / entry.path().filename();
-            EXPECT_EQ(slurp(entry.path().string()), slurp(svc_file.string()))
-                << svc_file;
-            ++compared;
+/// Every replicate graph under `dir` (checkpoints excluded), by its path
+/// relative to `dir`.
+std::map<std::string, std::string> replicate_files(const fs::path& dir) {
+    std::map<std::string, std::string> files;
+    for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
+        const fs::path& path = entry.path();
+        if (!entry.is_regular_file() || path.parent_path().filename() == "checkpoints" ||
+            path.filename().string().rfind("replicate_", 0) != 0) {
+            continue;
         }
-        // The daemon-side shard wrote the report the client merge reads.
-        const std::string report_json =
-            slurp((svc_dir / graph.name / "report.json").string());
-        const CorpusGraphRow row = corpus_row_from_report_json(graph, report_json);
-        EXPECT_EQ(row.replicates, 3u);
-        EXPECT_EQ(row.failed, 0u);
+        files.emplace(fs::relative(path, dir).string(), slurp(path.string()));
     }
-    EXPECT_EQ(compared, 9u);
+    return files;
+}
+
+/// The lines of `dir`/corpus_rows.ndjson by member name, with the two
+/// timing members (`seconds`, `switches_per_second`) blanked and `dir`
+/// itself (the prefix of a synthetic member's input) spelled "<dir>".
+std::map<std::string, std::string> untimed_rows(const fs::path& dir) {
+    const std::regex timing("\"(seconds|switches_per_second)\": [^,}]*");
+    std::istringstream is(slurp((dir / "corpus_rows.ndjson").string()));
+    std::map<std::string, std::string> rows;
+    for (std::string line; std::getline(is, line);) {
+        const std::string name = parse_json(line).string_member("name");
+        line = std::regex_replace(line, timing, "\"$1\": _");
+        for (std::size_t at; (at = line.find(dir.string())) != std::string::npos;) {
+            line.replace(at, dir.string().size(), "<dir>");
+        }
+        rows.emplace(name, line);
+    }
+    return rows;
+}
+
+TEST(JobManager, RefusesCorpusJobsWithoutAReportOrAPlan) {
+    JobManager manager(1, 1);
+    PipelineConfig corpus;
+    corpus.corpus_spec = "gnp n=100 m=300 count=2";
+    corpus.output_dir = scratch_dir("jm_corpus_refused").string();
+    // The summary is the job's result: without a report path it could not
+    // land anywhere the submitter can read.
+    try {
+        (void)manager.submit(corpus, nullptr);
+        FAIL() << "a corpus without a report was accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("\"report\""), std::string::npos) << e.what();
+    }
+    // Planning happens at submit: its errors reach the submitter.
+    PipelineConfig unplannable;
+    unplannable.input_glob = (scratch_dir("jm_corpus_empty_glob") / "*.gesb").string();
+    unplannable.report_path = "corpus.json";
+    try {
+        (void)manager.submit(unplannable, nullptr);
+        FAIL() << "a glob matching nothing was accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("matched no files"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(manager.jobs().empty());
+}
+
+TEST(JobManager, CorpusJobMatchesALocalCorpusRun) {
+    // A corpus submitted as one job runs through the same run_corpus as a
+    // local run: the same replicate files, byte for byte, and the same
+    // rows — under a fixed budget, and under an adaptive one where the
+    // two-phase early stop settles every graph after its first wave.
+    const std::vector<std::string> inputs = corpus_inputs(scratch_dir("corpus_jm_inputs"));
+    const auto corpus_config = [&](bool early_stop, const fs::path& out) {
+        PipelineConfig c = file_corpus_config(inputs, out);
+        c.supersteps = 3;
+        c.replicates = 3;
+        if (early_stop) {
+            // Every graph's first wave of 3 agrees: the fourth replicate is
+            // skipped (scripts/corpus_smoke.sh runs the same check on
+            // n = 2000, m = 8000 with the default ess-target).
+            c.input_path.clear();
+            c.corpus_spec = "gnp n=300 m=1200 count=3";
+            c.adaptive = true;
+            c.ess_target = 8;
+            c.max_supersteps = 60;
+            c.replicates = 4;
+            c.seed = 5;
+            c.threads = 4;
+        }
+        return c;
+    };
+    for (const bool early_stop : {false, true}) {
+        const std::string label = early_stop ? "adaptive" : "fixed";
+        const fs::path local_dir = scratch_dir("corpus_jm_local_" + label);
+        const CorpusReport local = run_corpus(plan_corpus(corpus_config(early_stop, local_dir)));
+        ASSERT_TRUE(all_succeeded(local)) << label;
+
+        const fs::path svc_dir = scratch_dir("corpus_jm_svc_" + label);
+        JobManager manager(4, 1);
+        const JobInfo done =
+            manager.wait(manager.submit(corpus_config(early_stop, svc_dir), nullptr));
+        EXPECT_EQ(done.status, JobStatus::kSucceeded) << label << ": " << done.error;
+        EXPECT_EQ(done.replicates, early_stop ? 12u : 9u) << label; // graphs x R
+
+        const std::map<std::string, std::string> local_files = replicate_files(local_dir);
+        EXPECT_EQ(local_files.size(), 9u) << label; // 3 graphs x 3 replicates
+        EXPECT_TRUE(replicate_files(svc_dir) == local_files) << label;
+
+        for (const CorpusGraphRow& row : local.rows) {
+            EXPECT_EQ(row.replicates, 3u) << label << " " << row.name;
+            EXPECT_EQ(row.stopped_early, early_stop) << label << " " << row.name;
+        }
+        EXPECT_EQ(untimed_rows(svc_dir), untimed_rows(local_dir)) << label;
+        const JsonValue local_summary = parse_json(slurp((local_dir / "corpus.json").string()));
+        const JsonValue svc_summary = parse_json(slurp((svc_dir / "corpus.json").string()));
+        const auto& local_rows = local_summary.find("graphs")->array_items;
+        const auto& svc_rows = svc_summary.find("graphs")->array_items;
+        ASSERT_EQ(svc_rows.size(), local_rows.size()) << label;
+        for (std::size_t g = 0; g < local_rows.size(); ++g) {
+            EXPECT_EQ(svc_rows[g].uint_member("replicates"),
+                      local_rows[g].uint_member("replicates"));
+            const JsonValue* local_means = local_rows[g].find("metrics");
+            const JsonValue* svc_means = svc_rows[g].find("metrics");
+            ASSERT_TRUE(local_means != nullptr && svc_means != nullptr) << label;
+            for (const auto& [key, mean] : local_means->object_members) {
+                EXPECT_EQ(svc_means->find(key)->number_value, mean.number_value)
+                    << label << " " << key;
+            }
+        }
+    }
+}
+
+/// Records the (graph, replicate) cells of a corpus job that ran a
+/// superstep, and calls on_first from the job's first checkpoint.
+class CorpusCheckpointProbe final : public JobObserver {
+public:
+    void on_superstep(std::size_t graph, std::uint64_t replicate, const Chain&) override {
+        const std::lock_guard<std::mutex> lock(mutex);
+        cells.emplace(graph, replicate);
+    }
+    void on_checkpoint(std::size_t, std::uint64_t, const ChainState&,
+                       const std::string&) override {
+        if (!seen.exchange(true) && on_first != nullptr) on_first();
+    }
+
+    std::function<void()> on_first;
+    std::atomic<bool> seen{false};
+    std::mutex mutex;
+    std::set<std::pair<std::size_t, std::uint64_t>> cells;
+};
+
+TEST(JobManager, CancelledCorpusJobStartsNoFurtherCells) {
+    // A budget of one thread runs one cell at a time, and the cancel lands
+    // from inside the first checkpoint: that cell stops there and no other
+    // cell ever starts.
+    const std::vector<std::string> inputs =
+        corpus_inputs(scratch_dir("corpus_cancel_inputs"));
+    PipelineConfig config = file_corpus_config(inputs, scratch_dir("corpus_cancel"));
+    config.checkpoint_every = 1;
+
+    JobManager manager(1, 1);
+    CorpusCheckpointProbe probe;
+    const std::uint64_t id =
+        manager.submit(config, [&](std::uint64_t job_id, const CorpusPlan* corpus) {
+            EXPECT_NE(corpus, nullptr);
+            probe.on_first = [&manager, job_id] { EXPECT_TRUE(manager.cancel(job_id)); };
+            return &probe;
+        });
+    const JobInfo info = manager.wait(id);
+    EXPECT_EQ(info.status, JobStatus::kCancelled) << info.error;
+    EXPECT_EQ(info.replicates, 6u);
+    EXPECT_EQ(info.replicates_done, 6u); // every cell reports, none ran on
+    EXPECT_EQ(info.error, "cancelled; 6 of 6 replicate(s) stopped");
+    EXPECT_EQ(probe.cells.size(), 1u);
+}
+
+TEST(JobManager, DrainedCorpusJobResumesByteIdenticallyToALocalRun) {
+    const std::vector<std::string> inputs = corpus_inputs(scratch_dir("corpus_drain_inputs"));
+    const fs::path ref_dir = scratch_dir("corpus_drain_ref");
+    ASSERT_TRUE(all_succeeded(run_corpus(plan_corpus(file_corpus_config(inputs, ref_dir)))));
+
+    const fs::path dir = scratch_dir("corpus_drain");
+    PipelineConfig config = file_corpus_config(inputs, dir);
+    config.checkpoint_every = 1;
+    {
+        // One runner: the single job queued behind the corpus is cancelled
+        // by drain() in the same locked pass that interrupts the corpus, so
+        // once it reads cancelled the corpus's interrupt flag is set.  The
+        // first checkpoint holds its cell until then, which makes the stop
+        // deterministic.
+        JobManager manager(1, 1);
+        CorpusCheckpointProbe probe;
+        std::atomic<std::uint64_t> queued{0}; // set once the second job is admitted
+        probe.on_first = [&manager, &queued] {
+            for (;;) {
+                const std::uint64_t id = queued.load();
+                const std::optional<JobInfo> info =
+                    id == 0 ? std::nullopt : manager.job(id);
+                if (info.has_value() && info->status == JobStatus::kCancelled) return;
+                std::this_thread::yield();
+            }
+        };
+        const std::uint64_t id = manager.submit(config, &probe);
+        queued = manager.submit(job_config(scratch_dir("corpus_drain_queued"), 1), nullptr);
+        while (!probe.seen.load()) std::this_thread::yield();
+        manager.drain();
+        const JobInfo info = manager.wait(id);
+        EXPECT_EQ(info.status, JobStatus::kInterrupted) << info.error;
+        EXPECT_NE(info.error.find("resume-from"), std::string::npos) << info.error;
+    }
+
+    // A restarted daemon resumes the corpus from its output-dir.
+    config.resume_from = dir.string();
+    JobManager manager(2, 1);
+    const JobInfo resumed = manager.wait(manager.submit(config, nullptr));
+    EXPECT_EQ(resumed.status, JobStatus::kSucceeded) << resumed.error;
+    const std::map<std::string, std::string> ref_files = replicate_files(ref_dir);
+    EXPECT_EQ(ref_files.size(), 6u);
+    EXPECT_TRUE(replicate_files(dir) == ref_files);
 }
 
 // ------------------------------------------------- end-to-end over socket
@@ -1244,6 +1372,100 @@ TEST(ServiceServer, SubmitStreamsFramesByteIdenticalToADirectRun) {
     }
     server_thread.join(); // the shutdown frame alone must stop serve()
     EXPECT_FALSE(fs::exists(socket_path)); // socket file cleaned up
+}
+
+TEST(ServiceServer, CorpusJobStreamsMemberGraphsAndOneGraphEventPerMember) {
+    const fs::path dir = scratch_dir("e2e_corpus");
+    ServerConfig server_config;
+    server_config.socket_path = (dir / "sock").string();
+    server_config.threads = 2;
+    server_config.max_jobs = 1;
+    ServiceServer server(server_config);
+    std::thread server_thread([&server] { server.serve(nullptr); });
+    struct StopGuard {
+        ServiceServer* server;
+        std::thread* thread;
+        ~StopGuard() {
+            server->request_stop();
+            if (thread->joinable()) thread->join();
+        }
+    } guard{&server, &server_thread};
+
+    const fs::path job_dir = dir / "job";
+    Request request;
+    request.kind = RequestKind::kSubmit;
+    request.config_text = "corpus = gnp n=200 m=600 count=2\nalgorithm = par-global-es\n"
+                          "supersteps = 3\nreplicates = 2\nseed = 9\n"
+                          "output-format = binary\ncheckpoint-every = 1\n"
+                          "output-dir = " + job_dir.string() + "\n"
+                          "report = " + (job_dir / "corpus.json").string() + "\n";
+    std::vector<Frame> frames;
+    const FdHandle fd = connect_unix(server_config.socket_path);
+    write_all(fd.get(), make_request_line(request));
+    FrameReader reader;
+    for (std::optional<Frame> frame; (frame = read_frame(fd.get(), reader));) {
+        frames.push_back(std::move(*frame));
+    }
+    // The connection closes right after `done`: it is the last frame.
+    ASSERT_GE(frames.size(), 2u);
+    EXPECT_EQ(parse_json(frames.front().payload).string_member("event"), "accepted");
+    const JsonValue done = parse_json(frames.back().payload);
+    ASSERT_EQ(done.string_member("event"), "done");
+    EXPECT_EQ(done.string_member("status"), "succeeded");
+    EXPECT_EQ(done.uint_member("replicates"), 4u);
+    EXPECT_EQ(done.uint_member("replicates_done"), 4u);
+
+    const std::set<std::string> members{"gnp-0", "gnp-1"};
+    std::map<std::string, std::string> row_events; // member -> `graph` frame
+    std::set<std::string> kinds;
+    GraphTransferState transfer;
+    std::string bytes;
+    std::uint64_t graphs = 0;
+    for (const Frame& frame : frames) {
+        if (frame.type == FrameType::kGraph) {
+            bytes.clear();
+            EXPECT_FALSE(transfer.begin(decode_graph_payload(frame.payload)));
+            continue;
+        }
+        if (frame.type == FrameType::kGraphData) {
+            bytes += frame.payload;
+            if (transfer.consume(frame.payload.size())) {
+                // "<member>/<basename>", the daemon-side file's path
+                // relative to the job's output-dir.
+                const std::string& name = transfer.header().name;
+                const std::string member = name.substr(0, name.find('/'));
+                EXPECT_EQ(members.count(member), 1u) << name;
+                EXPECT_EQ(row_events.count(member), 0u) << name << " after its graph event";
+                EXPECT_EQ(bytes, slurp((job_dir / name).string())) << name;
+                ++graphs;
+            }
+            continue;
+        }
+        const JsonValue event = parse_json(frame.payload);
+        const std::string& kind = event.string_member("event");
+        kinds.insert(kind);
+        if (kind == "superstep" || kind == "checkpoint" || kind == "replicate") {
+            EXPECT_EQ(members.count(event.string_member("graph")), 1u) << frame.payload;
+        } else if (kind == "graph") {
+            const std::string& name = event.find("row")->string_member("name");
+            EXPECT_TRUE(row_events.emplace(name, frame.payload).second)
+                << "second graph event for " << name;
+        }
+    }
+    EXPECT_EQ(graphs, 4u);
+    EXPECT_EQ(kinds, (std::set<std::string>{"accepted", "superstep", "checkpoint",
+                                             "replicate", "graph", "done"}));
+    // Each `graph` event carries the member's corpus_rows.ndjson row.
+    std::istringstream rows(slurp((job_dir / "corpus_rows.ndjson").string()));
+    std::uint64_t rows_seen = 0;
+    for (std::string line; std::getline(rows, line); ++rows_seen) {
+        const std::string name = parse_json(line).string_member("name");
+        ASSERT_EQ(row_events.count(name), 1u) << name;
+        EXPECT_NE(row_events[name].find("\"row\": " + line), std::string::npos) << name;
+    }
+    EXPECT_EQ(rows_seen, 2u);
+    EXPECT_EQ(row_events.size(), 2u);
+    EXPECT_TRUE(fs::exists(job_dir / "corpus.json"));
 }
 
 TEST(ServiceServer, RefusesASecondDaemonOnALiveSocket) {

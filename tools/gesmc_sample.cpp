@@ -111,28 +111,38 @@ Observability (docs/observability.md):
   --help              this text
 )";
 
-/// --progress: stream replicate completions as they happen (RunObserver)
-/// instead of waiting for the final report.  Callbacks may fire from pool
-/// threads concurrently -> one mutex around the shared line.
-class ProgressPrinter final : public RunObserver {
+/// --progress: stream replicate completions as they happen instead of
+/// waiting for the final report — a single run's through RunObserver, a
+/// corpus run's (graph x replicate) cells through CorpusObserver.
+/// Callbacks may fire from pool threads concurrently -> one mutex around
+/// the shared line.
+class ProgressPrinter final : public RunObserver, public CorpusObserver {
 public:
-    explicit ProgressPrinter(std::uint64_t replicates) : replicates_(replicates) {}
+    /// `plan` names a corpus run's members; null for a single run.
+    explicit ProgressPrinter(std::uint64_t cells, const CorpusPlan* plan = nullptr)
+        : cells_(cells), plan_(plan) {}
 
-    void on_replicate_done(const ReplicateReport& r) override {
+    void on_replicate_done(const ReplicateReport& r) override { print("pipeline:", r); }
+    void on_replicate_done(std::size_t graph, const ReplicateReport& r) override {
+        print("corpus: " + plan_->graphs[graph].name, r);
+    }
+
+private:
+    void print(const std::string& prefix, const ReplicateReport& r) {
         const CheckedLockGuard lock(mutex_);
         ++finished_;
-        std::cerr << "pipeline: replicate " << r.index << " "
+        std::cerr << prefix << " replicate " << r.index << " "
                   << (r.error.empty() ? "done" : "FAILED") << " in "
                   << fmt_seconds(r.seconds);
         if (r.resumed_supersteps > 0) {
             std::cerr << " (resumed at superstep " << r.resumed_supersteps << ")";
         }
-        std::cerr << " [" << finished_ << "/" << replicates_ << "]\n";
+        std::cerr << " [" << finished_ << "/" << cells_ << "]\n";
     }
 
-private:
     CheckedMutex mutex_{LockRank::kToolProgress, "gesmc_sample.observer"};
-    std::uint64_t replicates_;
+    std::uint64_t cells_;
+    const CorpusPlan* plan_;
     std::uint64_t finished_ = 0;
 };
 
@@ -147,27 +157,15 @@ struct CliEntry {
 /// 130 interrupted with a resume hint).
 int run_corpus_cli(const PipelineConfig& config, bool quiet, bool progress) {
     const CorpusPlan plan = plan_corpus(config);
-    CheckedMutex progress_mutex{LockRank::kToolProgress, "gesmc_sample.progress"};
-    std::uint64_t cells_done = 0;
-    const std::uint64_t total_cells = plan.graphs.size() * config.replicates;
-    CorpusHooks hooks;
-    if (progress) {
-        hooks.on_replicate_done = [&](std::size_t graph, const ReplicateReport& r) {
-            const CheckedLockGuard lock(progress_mutex);
-            ++cells_done;
-            std::cerr << "corpus: " << plan.graphs[graph].name << " replicate "
-                      << r.index << (r.error.empty() ? " done" : " FAILED") << " in "
-                      << fmt_seconds(r.seconds) << " [" << cells_done << "/"
-                      << total_cells << "]\n";
-        };
-    }
+    std::optional<ProgressPrinter> printer;
+    if (progress) printer.emplace(plan.graphs.size() * config.replicates, &plan);
     const std::atomic<bool>* interrupt = nullptr;
     if (config.checkpoint_every > 0) {
         install_interrupt_handlers();
         interrupt = &interrupt_flag();
     }
-    const CorpusReport report =
-        run_corpus(plan, quiet ? nullptr : &std::cerr, interrupt, hooks);
+    const CorpusReport report = run_corpus(plan, quiet ? nullptr : &std::cerr, interrupt,
+                                           progress ? &*printer : nullptr);
     // The merged summary must reach the caller even on partial failure or
     // interruption — completed rows carry real results.
     if (config.report_path.empty()) write_corpus_json(std::cout, report);

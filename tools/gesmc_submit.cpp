@@ -15,36 +15,29 @@
 /// transfer — a 'G' header followed by bounded 'D' data chunks — carrying
 /// the output graph byte-identical to the daemon-side file; with
 /// --stream-dir the chunks are appended straight to disk (O(chunk) client
-/// memory, no size ceiling) under their original basenames, plus an
-/// events.log of every JSON payload.  Exit code mirrors the job: 0
-/// succeeded, 1 otherwise (failed / cancelled / interrupted / connection
-/// lost).
+/// memory, no size ceiling) under their names relative to the job's
+/// output-dir, plus an events.log of every JSON payload.  Exit code
+/// mirrors the job: 0 succeeded, 1 otherwise (failed / cancelled /
+/// interrupted / connection lost).
 ///
-/// --corpus fans a corpus config out as per-graph jobs: the client expands
-/// the corpus locally (derived seeds, namespaced output dirs), submits one
-/// job per graph over its own connection — the daemon schedules them with
-/// the same round-robin fairness as any other traffic — and reassembles
-/// the merged corpus summary from the shard reports the daemon wrote:
-///
-///   gesmc_submit --socket /tmp/gesmc.sock --corpus --config corpus.cfg
-#include "check/checked_mutex.hpp"
+/// A corpus config (several inputs, input-glob, corpus-manifest or corpus)
+/// is submitted the same way and runs as one daemon job: the daemon plans
+/// and runs it like gesmc_sample does, writes corpus_rows.ndjson and the
+/// summary at the config's `report` path (required), and streams each
+/// member's graphs as <member>/<basename> plus one `graph` event per
+/// settled member (docs/corpus.md).
 #include "pipeline/config.hpp"
-#include "pipeline/corpus.hpp"
-#include "service/corpus_client.hpp"
 #include "service/frame.hpp"
 #include "service/json.hpp"
 #include "service/socket.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <poll.h>
@@ -62,13 +55,12 @@ Submit (default action):
   --config FILE     pipeline config to submit ("key = value" lines)
   --set KEY=VALUE   append a config override (repeatable, later wins)
   --stream-dir DIR  save streamed replicate graphs + events.log into DIR
-                    (--corpus: per-graph subdirectories DIR/<name>/)
-  --corpus          treat the config as a corpus: submit one job per input
-                    graph (derived seeds, output-dir/<name>/ namespacing)
-                    and merge the shard reports into the corpus summary
-                    (written to the config's `report` path, else stdout);
-                    requires output-dir — client and daemon share it
-  --quiet           suppress per-replicate progress lines
+                    (a corpus job's graphs under DIR/<member>/)
+  --quiet           suppress per-replicate and per-graph progress lines
+
+A corpus config (several inputs, input-glob, corpus-manifest or corpus)
+runs as one job; it needs a `report` path, where the daemon writes the
+corpus summary.
 
 Control actions:
   --status          print all jobs' status JSON to stdout
@@ -172,7 +164,6 @@ struct SubmitOptions {
     std::string config_path;
     std::vector<std::string> overrides; ///< "key=value" entries, in order
     std::string stream_dir;
-    bool corpus = false;
     bool quiet = false;
 };
 
@@ -199,31 +190,25 @@ int assemble_config_text(const SubmitOptions& options, std::string& out) {
     return 0;
 }
 
-/// What one submitted job's stream ended in.
-struct StreamOutcome {
-    int exit_code = 1;
-    std::string final_status; ///< daemon's terminal status ("" = stream broke)
-};
-
-/// Submits `config_text` over its own connection and consumes the frame
-/// stream until the job settles; with a non-empty `stream_dir`, replicate
-/// graphs and events.log land there.  Shared by the single-job and corpus
-/// paths (the latter runs one of these per graph, concurrently).
-StreamOutcome stream_job(const std::string& socket_path, const std::string& config_text,
-                         const std::string& stream_dir, bool quiet) {
-    StreamOutcome outcome;
+/// Submits the config and consumes the frame stream until the job
+/// settles; with --stream-dir, replicate graphs and events.log land there.
+int submit_action(const SubmitOptions& options) {
+    std::string config_text;
+    if (const int rc = assemble_config_text(options, config_text); rc != 0) return rc;
+    const bool quiet = options.quiet;
+    const std::filesystem::path stream_dir = options.stream_dir;
     std::optional<std::ofstream> events_log;
     if (!stream_dir.empty()) {
         std::filesystem::create_directories(stream_dir);
-        events_log.emplace((std::filesystem::path(stream_dir) / "events.log").string(),
-                           std::ios::binary);
+        events_log.emplace(stream_dir / "events.log", std::ios::binary);
         if (!events_log->good()) {
-            std::cerr << "error: cannot write events.log under " << stream_dir << "\n";
-            return outcome;
+            std::cerr << "error: cannot write events.log under " << stream_dir.string()
+                      << "\n";
+            return 1;
         }
     }
 
-    const FdHandle fd = connect_unix(socket_path);
+    const FdHandle fd = connect_unix(options.socket_path);
     Request request;
     request.kind = RequestKind::kSubmit;
     request.config_text = config_text;
@@ -250,18 +235,22 @@ StreamOutcome stream_job(const std::string& socket_path, const std::string& conf
                       << " (" << transfer.header().total_bytes << " bytes)\n";
         }
     };
+    std::string final_status;
     for (;;) {
         const std::optional<Frame> frame = read_frame(fd.get(), reader);
         if (!frame.has_value()) {
             std::cerr << "error: connection closed before the job finished\n";
-            return outcome;
+            return 1;
         }
         if (frame->type == FrameType::kGraph) {
             const GraphFrame header = decode_graph_payload(frame->payload);
             const bool complete = transfer.begin(header);
             if (!stream_dir.empty()) {
-                graph_path =
-                    (std::filesystem::path(stream_dir) / header.name).string();
+                // The name is "<basename>" or "<member>/<basename>" (the
+                // decoder admits nothing else).
+                const std::filesystem::path path = stream_dir / header.name;
+                std::filesystem::create_directories(path.parent_path());
+                graph_path = path.string();
                 graph_out.open(graph_path, std::ios::binary | std::ios::trunc);
                 if (!graph_out.good()) throw Error("cannot write " + graph_path);
             } else {
@@ -291,6 +280,9 @@ StreamOutcome stream_job(const std::string& socket_path, const std::string& conf
             if (!quiet) {
                 const JsonValue* report = doc.find("report");
                 std::cerr << "replicate";
+                if (const JsonValue* graph = doc.find("graph"); graph != nullptr) {
+                    std::cerr << " " << graph->string_value;
+                }
                 if (report != nullptr && report->find("index") != nullptr) {
                     std::cerr << " " << report->uint_member("index");
                 }
@@ -301,14 +293,29 @@ StreamOutcome stream_job(const std::string& socket_path, const std::string& conf
                 }
                 std::cerr << "\n";
             }
+        } else if (event == "graph") {
+            // One per settled corpus member: its corpus_rows.ndjson row.
+            if (const JsonValue* row = doc.find("row"); row != nullptr && !quiet) {
+                std::cerr << "graph " << row->string_member("name") << ": "
+                          << row->uint_member("replicates") << " replicate(s)";
+                if (const JsonValue* early = row->find("stopped_early");
+                    early != nullptr && early->bool_value) {
+                    std::cerr << ", stopped early";
+                }
+                if (row->find("error") != nullptr) {
+                    std::cerr << ", FAILED: " << row->string_member("error");
+                } else if (row->uint_member("interrupted") > 0) {
+                    std::cerr << ", " << row->uint_member("interrupted") << " interrupted";
+                }
+                std::cerr << "\n";
+            }
         } else if (event == "error") {
             std::cerr << "error: " << doc.string_member("message") << "\n";
-            return outcome;
+            return 1;
         } else if (event == "done") {
-            outcome.final_status = doc.string_member("status");
+            final_status = doc.string_member("status");
             if (!quiet) {
-                std::cerr << "job " << doc.uint_member("job") << " "
-                          << outcome.final_status;
+                std::cerr << "job " << doc.uint_member("job") << " " << final_status;
                 if (doc.find("error") != nullptr) {
                     std::cerr << " (" << doc.string_member("error") << ")";
                 }
@@ -319,160 +326,10 @@ StreamOutcome stream_job(const std::string& socket_path, const std::string& conf
         // superstep / checkpoint events: logged to events.log only.
     }
     if (!stream_dir.empty() && !quiet) {
-        std::cerr << graphs_saved << " replicate graph(s) saved under " << stream_dir
-                  << "\n";
+        std::cerr << graphs_saved << " replicate graph(s) saved under "
+                  << stream_dir.string() << "\n";
     }
-    outcome.exit_code = outcome.final_status == "succeeded" ? 0 : 1;
-    return outcome;
-}
-
-int submit_action(const SubmitOptions& options) {
-    std::string config_text;
-    if (const int rc = assemble_config_text(options, config_text); rc != 0) return rc;
-    return stream_job(options.socket_path, config_text, options.stream_dir,
-                      options.quiet)
-        .exit_code;
-}
-
-/// --corpus: expand locally, submit one job per graph concurrently, merge
-/// the daemon-written shard reports into the corpus summary.  Client and
-/// daemon share a filesystem (Unix-socket service), so the shard output
-/// directories and reports are readable here.
-int corpus_submit_action(const SubmitOptions& options) {
-    std::string config_text;
-    if (const int rc = assemble_config_text(options, config_text); rc != 0) return rc;
-    const PipelineConfig config = read_pipeline_config_string(config_text);
-    if (!is_corpus_config(config)) {
-        std::cerr << "--corpus: the config names a single input; give several "
-                     "inputs, an input-glob, a corpus-manifest, or a corpus spec\n";
-        return 2;
-    }
-    if (config.output_dir.empty()) {
-        std::cerr << "--corpus requires output-dir: the daemon writes per-graph "
-                     "outputs and reports there and the client merges the summary "
-                     "from them\n";
-        return 2;
-    }
-    const CorpusPlan plan = plan_corpus(config);
-    // Derive every shard before anything runs: corpus_shard consults the
-    // resume-from directories on disk, and the daemon is about to write
-    // into this run's own.
-    std::vector<PipelineConfig> shards;
-    shards.reserve(plan.graphs.size());
-    for (std::size_t i = 0; i < plan.graphs.size(); ++i) {
-        shards.push_back(corpus_shard(plan, i));
-    }
-
-    const auto started = std::chrono::steady_clock::now();
-    struct GraphOutcome {
-        StreamOutcome stream;
-        std::string error; ///< client-side failure (connect, write, ...)
-    };
-    std::vector<GraphOutcome> outcomes(plan.graphs.size());
-    CheckedMutex progress_mutex{LockRank::kToolProgress, "gesmc_submit.progress"};
-    std::size_t finished = 0;
-    // A bounded window of in-flight submissions, each on its own
-    // connection + consumer thread (every stream needs a live reader so
-    // observer sends never stall).  The window, not one stream per graph:
-    // a thousand-member corpus must not open a thousand sockets against
-    // the thread-per-connection daemon — the daemon queues beyond
-    // --max-jobs anyway, so a handful of open streams keeps it saturated
-    // while the rest of the corpus waits client-side.
-    constexpr std::size_t kMaxStreams = 8;
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= plan.graphs.size()) return;
-            try {
-                const std::string stream_dir =
-                    options.stream_dir.empty()
-                        ? std::string()
-                        : (std::filesystem::path(options.stream_dir) /
-                           plan.graphs[i].name)
-                              .string();
-                outcomes[i].stream =
-                    stream_job(options.socket_path,
-                               pipeline_config_to_string(shards[i]), stream_dir,
-                               /*quiet=*/true);
-            } catch (const std::exception& e) {
-                outcomes[i].error = e.what();
-            }
-            if (!options.quiet) {
-                const CheckedLockGuard lock(progress_mutex);
-                ++finished;
-                std::cerr << "corpus: graph " << plan.graphs[i].name << " ";
-                if (!outcomes[i].error.empty()) {
-                    std::cerr << "error: " << outcomes[i].error;
-                } else if (outcomes[i].stream.final_status.empty()) {
-                    std::cerr << "connection lost";
-                } else {
-                    std::cerr << outcomes[i].stream.final_status;
-                }
-                std::cerr << " [" << finished << "/" << plan.graphs.size() << "]\n";
-            }
-        }
-    };
-    std::vector<std::thread> streams;
-    const std::size_t width = std::min(kMaxStreams, plan.graphs.size());
-    streams.reserve(width);
-    for (std::size_t w = 0; w < width; ++w) streams.emplace_back(worker);
-    for (std::thread& stream : streams) stream.join();
-
-    // Reassemble the merged summary from the shard reports the daemon wrote
-    // — the same rows a local run_corpus computes in memory.
-    CorpusReport report;
-    report.config = plan.base;
-    bool ok = true;
-    for (std::size_t i = 0; i < plan.graphs.size(); ++i) {
-        CorpusGraphRow row;
-        try {
-            row = corpus_row_from_report_json(plan.graphs[i],
-                                              read_file_bytes(shards[i].report_path));
-        } catch (const std::exception& e) {
-            row.name = plan.graphs[i].name;
-            row.input_path = plan.graphs[i].path;
-            row.seed = shards[i].seed;
-            row.replicates = shards[i].replicates;
-            row.failed = shards[i].replicates;
-            row.error = "cannot read shard report: " + std::string(e.what());
-        }
-        // The daemon's terminal status overrides a clean-looking parse: a
-        // job that failed before run_pipeline rewrote report.json (e.g. a
-        // vanished input) leaves a *stale* report from an earlier run
-        // behind, and the summary must name the failed graph rather than
-        // echo old numbers as success.
-        const bool job_ok =
-            outcomes[i].error.empty() && outcomes[i].stream.exit_code == 0;
-        if (!job_ok && row.error.empty() && row.failed == 0 &&
-            row.interrupted == 0) {
-            row.error = !outcomes[i].error.empty()
-                            ? outcomes[i].error
-                        : outcomes[i].stream.final_status.empty()
-                            ? "connection lost before the job finished"
-                            : "daemon job " + outcomes[i].stream.final_status +
-                                  " (per-graph report may be stale)";
-        }
-        ok = ok && job_ok && row.failed == 0 && row.interrupted == 0 &&
-             row.error.empty();
-        report.rows.push_back(std::move(row));
-    }
-    report.total_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-            .count();
-    if (!config.report_path.empty()) {
-        const std::filesystem::path parent =
-            std::filesystem::path(config.report_path).parent_path();
-        if (!parent.empty()) std::filesystem::create_directories(parent);
-        write_corpus_json_file(config.report_path, report);
-        if (!options.quiet) {
-            std::cerr << "corpus: merged summary written to " << config.report_path
-                      << "\n";
-        }
-    } else {
-        write_corpus_json(std::cout, report);
-    }
-    return ok ? 0 : 1;
+    return final_status == "succeeded" ? 0 : 1;
 }
 
 } // namespace
@@ -514,8 +371,6 @@ int main(int argc, char** argv) {
             } else if (arg == "--stream-dir") {
                 if (!(v = need_value(i))) return 2;
                 submit.stream_dir = v;
-            } else if (arg == "--corpus") {
-                submit.corpus = true;
             } else if (arg == "--status") {
                 action = Action::kStatus;
             } else if (arg == "--job") {
@@ -559,7 +414,7 @@ int main(int argc, char** argv) {
         switch (action) {
         case Action::kSubmit:
             submit.socket_path = socket_path;
-            return submit.corpus ? corpus_submit_action(submit) : submit_action(submit);
+            return submit_action(submit);
         case Action::kStatus: {
             Request request;
             request.kind = RequestKind::kStatus;
