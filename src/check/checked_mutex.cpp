@@ -18,8 +18,8 @@ namespace gesmc {
 namespace check_detail {
 namespace {
 
-/// Deepest legitimate nesting today is 2 (e.g. budget -> metrics); 16
-/// leaves generous headroom and keeps the thread-local trivially cheap.
+/// Far above any legitimate nesting, and small enough to keep the
+/// thread-local trivially cheap.
 constexpr int kMaxHeldLocks = 16;
 
 struct HeldLock {

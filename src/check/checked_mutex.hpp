@@ -30,18 +30,16 @@ namespace gesmc {
 /// Global lock ranks, outermost (largest) to innermost (smallest).
 ///
 /// Gaps are deliberate so future locks slot in without renumbering.  The
-/// order encodes every nesting that exists today, e.g. `ThreadBudget`
-/// registers metrics counters while holding its own mutex, so
-/// `kMetricsRegistry < kThreadBudget`.
+/// order encodes every nesting that exists today; docs/static_analysis.md
+/// gives the evidence for each rank.
 enum class LockRank : int {
     kMetricsRegistry = 0,    ///< obs/metrics.cpp registry maps (innermost leaf)
     kEventLogSink = 5,       ///< obs/log.cpp event-log sink (emits from any layer)
     kTelemetryRing = 8,      ///< obs/timeseries.cpp sampler ring buffer
     kTraceSession = 10,      ///< obs/trace.cpp event buffer
     kThreadPool = 20,        ///< parallel/thread_pool.cpp fork-join state
-    kThreadBudget = 30,      ///< parallel/pool_lease.cpp admission gate
     kSocketObserver = 40,    ///< service/server.cpp per-job frame stream
-    kSharedExecutor = 50,    ///< pipeline/shared_executor.cpp run queues
+    kSharedExecutor = 50,    ///< pipeline/shared_executor.cpp run queues and leases
     kCorpusRowStream = 60,   ///< pipeline/corpus.cpp ndjson row stream
     kCorpusLog = 62,         ///< pipeline/corpus.cpp progress log
     kJobManager = 70,        ///< service/job_manager.cpp job table

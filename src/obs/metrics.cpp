@@ -61,9 +61,9 @@ void Histogram::reset() noexcept {
 // ---------------------------------------------------------------- registry
 
 struct MetricsRegistry::Impl {
-    /// Innermost lock of the whole process (rank 0): registrations happen
-    /// under subsystem locks (e.g. ThreadBudget registers its counters
-    /// while holding its own mutex), never the other way around.
+    /// Innermost lock of the whole process (rank 0): a subsystem may
+    /// register or record metrics while holding its own lock, never the
+    /// other way around.
     mutable CheckedMutex mutex{LockRank::kMetricsRegistry, "MetricsRegistry"};
     // unique_ptr values: map growth must never move a metric another thread
     // holds a reference to.

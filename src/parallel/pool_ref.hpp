@@ -8,9 +8,9 @@
 /// borrows an externally owned one (ChainConfig::shared_pool).  A borrowed
 /// pool must outlive the handle, and — since ThreadPool::run is a single
 /// fork-join job — at most one chain may execute on it at any moment; the
-/// schedulers guarantee this by handing each chain an exclusively *leased*
-/// pool carved out of the budget (parallel/pool_lease.hpp), released only
-/// when the replicate is done.
+/// executor guarantees this by handing each chain an exclusively *leased*
+/// team of its budget (pipeline/shared_executor.hpp), returned only when
+/// the replicate is done.
 #pragma once
 
 #include "parallel/thread_pool.hpp"

@@ -85,31 +85,4 @@ private:
     bool stop_ GESMC_GUARDED_BY(mutex_) = false;
 };
 
-/// Reusable spinning barrier for phase synchronization *inside* a pool job
-/// (e.g. between the rounds of ParallelSuperstep). Spin-then-yield keeps
-/// latency low for the short phases typical of a superstep.
-class SpinBarrier {
-public:
-    explicit SpinBarrier(unsigned parties) noexcept : parties_(parties) {}
-
-    /// Blocks until all `parties` threads arrived; reusable across phases.
-    void arrive_and_wait() noexcept {
-        const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-            arrived_.store(0, std::memory_order_relaxed);
-            generation_.fetch_add(1, std::memory_order_release);
-            return;
-        }
-        unsigned spins = 0;
-        while (generation_.load(std::memory_order_acquire) == gen) {
-            if (++spins > 1024) std::this_thread::yield();
-        }
-    }
-
-private:
-    const unsigned parties_;
-    std::atomic<unsigned> arrived_{0};
-    std::atomic<std::uint64_t> generation_{0};
-};
-
 } // namespace gesmc

@@ -2,6 +2,7 @@
 
 #include "core/chain.hpp"
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -15,15 +16,6 @@
 namespace gesmc {
 
 namespace {
-
-std::string trim(const std::string& s) {
-    const auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
-    auto begin = s.begin();
-    while (begin != s.end() && is_space(*begin)) ++begin;
-    auto end = s.end();
-    while (end != begin && is_space(*(end - 1))) --end;
-    return std::string(begin, end);
-}
 
 bool parse_bool(const std::string& key, const std::string& value) {
     if (value == "true" || value == "1" || value == "yes" || value == "on") return true;

@@ -31,15 +31,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string trim(const std::string& s) {
-    const auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
-    auto begin = s.begin();
-    while (begin != s.end() && is_space(*begin)) ++begin;
-    auto end = s.end();
-    while (end != begin && is_space(*(end - 1))) --end;
-    return std::string(begin, end);
-}
-
 std::vector<std::string> split_tokens(const std::string& text) {
     std::istringstream is(text);
     std::vector<std::string> tokens;
@@ -230,14 +221,6 @@ double spec_double(const std::string& spec, const std::string& key,
     return v;
 }
 
-/// "07" — zero-padded to the count's digit width.
-std::string padded(std::uint64_t index, std::uint64_t count) {
-    std::string digits = std::to_string(index);
-    const std::string width = std::to_string(count > 0 ? count - 1 : 0);
-    while (digits.size() < width.size()) digits.insert(digits.begin(), '0');
-    return digits;
-}
-
 /// Materializes `corpus = <spec>` members as canonical GESB files under
 /// <output-dir>/corpus-inputs/ so every shard is a plain file-input run.
 /// Deterministic: the same (spec, seed) always writes the same bytes, so
@@ -294,7 +277,7 @@ std::vector<CorpusInput> expand_synthetic(const PipelineConfig& config) {
                     : generate_gnp(static_cast<node_t>(n),
                                    gnp_probability_for_edges(static_cast<node_t>(n), m),
                                    gen_seed);
-            members.emplace_back(kind + "-" + padded(g, count), std::move(graph));
+            members.emplace_back(kind + "-" + padded_index(g, count), std::move(graph));
         }
     } else {
         throw Error("corpus spec \"" + spec +
@@ -629,7 +612,18 @@ CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log,
                     RunReport run;
                     bool stopped_early = false;
                     const std::uint64_t window = two_phase_window(shard);
-                    if (window > 0) {
+                    if (interrupt != nullptr && interrupt->load(std::memory_order_relaxed)) {
+                        // Cancelled or drained before this member started:
+                        // its replicates report "not started" without its
+                        // input being read or its directory created (a
+                        // resume starts it fresh).
+                        run = not_started_report(shard);
+                        if (shard_observer != nullptr) {
+                            for (const ReplicateReport& r : run.replicates) {
+                                shard_observer->on_replicate_done(r);
+                            }
+                        }
+                    } else if (window > 0) {
                         // Two-phase early-stop (adaptive runs only): run the
                         // first wave of replicates, and skip the rest when
                         // their z-scores already agree — the per-graph

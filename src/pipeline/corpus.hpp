@@ -14,8 +14,8 @@
 ///      (<output-dir>/<graph-name>/) and per-graph master seeds derived by
 ///      corpus_graph_seed(master, graph_index), so each shard is exactly
 ///      the single-graph run a user could have written by hand;
-///   2. schedules all (graph x replicate) cells over ONE ThreadBudget via
-///      SharedExecutor: replicates of different graphs interleave
+///   2. schedules all (graph x replicate) cells over ONE thread budget,
+///      the SharedExecutor's: replicates of different graphs interleave
 ///      round-robin under the lease model instead of graphs running
 ///      serially, so a small graph is never starved behind a huge one and
 ///      the budget never idles at a graph boundary;
@@ -157,7 +157,9 @@ public:
 /// of all members interleave round-robin within the budget while each shard
 /// keeps its own resolved (K, T) schedule.  `log` (may be null) receives
 /// corpus-level progress lines; `interrupt` stops unstarted cells and
-/// checkpoints running ones exactly as in a single run.  Writes the merged
+/// checkpoints running ones exactly as in a single run, and a member not
+/// yet started when it is set reports its replicates as not started
+/// without its input being read (not_started_report).  Writes the merged
 /// summary to base.report (if set) and returns it.
 CorpusReport run_corpus(const CorpusPlan& plan, std::ostream* log = nullptr,
                         const std::atomic<bool>* interrupt = nullptr,

@@ -41,6 +41,11 @@ namespace {
 /// distinguishable from genuine failures.
 constexpr const char* kInterruptPrefix = "interrupted: ";
 
+/// The error of a replicate stopped before its first superstep.
+std::string not_started_error() {
+    return std::string(kInterruptPrefix) + "not started (a resume-from run starts it fresh)";
+}
+
 /// Thrown out of the checkpoint-boundary callback to unwind a replicate
 /// that must stop: the checkpoint just written is its resumable state.
 struct InterruptReplicate {
@@ -60,36 +65,10 @@ EdgeList realize_degree_sequence(const DegreeSequence& seq, const PipelineConfig
     return {};
 }
 
-EdgeList generate_input(const PipelineConfig& config) {
-    const auto n = static_cast<node_t>(config.gen_n);
-    if (config.generator == "powerlaw") {
-        return generate_powerlaw_graph(n, config.gen_gamma, config.seed);
-    }
-    if (config.generator == "gnp") {
-        return generate_gnp(n, gnp_probability_for_edges(n, config.gen_m), config.seed);
-    }
-    if (config.generator == "grid") {
-        return generate_grid(static_cast<node_t>(config.gen_rows),
-                             static_cast<node_t>(config.gen_cols));
-    }
-    if (config.generator == "regular") {
-        return generate_regular(n, config.gen_degree);
-    }
-    throw Error("unknown generator: " + config.generator);
-}
-
-/// "0007" — zero-padded so lexicographic = numeric order.
-std::string padded_index(const PipelineConfig& config, std::uint64_t index) {
-    std::string digits = std::to_string(index);
-    const std::string width = std::to_string(config.replicates - 1);
-    while (digits.size() < width.size()) digits.insert(digits.begin(), '0');
-    return digits;
-}
-
 std::string replicate_output_path(const PipelineConfig& config, std::uint64_t index) {
     const char* ext = config.output_format == OutputFormat::kBinary ? ".gesb" : ".txt";
     return (std::filesystem::path(config.output_dir) /
-            (config.output_prefix + "_" + padded_index(config, index) + ext))
+            (config.output_prefix + "_" + padded_index(index, config.replicates) + ext))
         .string();
 }
 
@@ -98,7 +77,7 @@ std::string replicate_output_path(const PipelineConfig& config, std::uint64_t in
 std::string checkpoint_path(const std::string& run_dir, const PipelineConfig& config,
                             std::uint64_t index) {
     return (std::filesystem::path(run_dir) / "checkpoints" /
-            (config.output_prefix + "_" + padded_index(config, index) + ".gesc"))
+            (config.output_prefix + "_" + padded_index(index, config.replicates) + ".gesc"))
         .string();
 }
 
@@ -107,7 +86,7 @@ std::string checkpoint_path(const std::string& run_dir, const PipelineConfig& co
 std::string estimator_path(const std::string& run_dir, const PipelineConfig& config,
                            std::uint64_t index) {
     return (std::filesystem::path(run_dir) / "checkpoints" /
-            (config.output_prefix + "_" + padded_index(config, index) + ".gesa"))
+            (config.output_prefix + "_" + padded_index(index, config.replicates) + ".gesa"))
         .string();
 }
 
@@ -174,6 +153,24 @@ obs::Counter& supersteps_saved_counter() {
 
 } // namespace
 
+EdgeList generate_input(const PipelineConfig& config) {
+    const auto n = static_cast<node_t>(config.gen_n);
+    if (config.generator == "powerlaw") {
+        return generate_powerlaw_graph(n, config.gen_gamma, config.seed);
+    }
+    if (config.generator == "gnp") {
+        return generate_gnp(n, gnp_probability_for_edges(n, config.gen_m), config.seed);
+    }
+    if (config.generator == "grid") {
+        return generate_grid(static_cast<node_t>(config.gen_rows),
+                             static_cast<node_t>(config.gen_cols));
+    }
+    if (config.generator == "regular") {
+        return generate_regular(n, config.gen_degree);
+    }
+    throw Error("unknown generator: " + config.generator);
+}
+
 EdgeList materialize_input(const PipelineConfig& config) {
     validate(config);
     switch (config.input_kind) {
@@ -231,6 +228,19 @@ bool was_interrupted(const RunReport& report) {
         if (is_interrupt_error(r.error)) return true;
     }
     return false;
+}
+
+RunReport not_started_report(const PipelineConfig& config) {
+    RunReport report;
+    report.config = config;
+    report.replicates.resize(config.replicates);
+    for (std::uint64_t r = 0; r < config.replicates; ++r) {
+        ReplicateReport& out = report.replicates[r];
+        out.index = r;
+        out.seed = replicate_seed(config.seed, r);
+        out.error = not_started_error();
+    }
+    return report;
 }
 
 RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
@@ -584,8 +594,7 @@ RunReport run_pipeline(const PipelineConfig& config, std::ostream* log,
             }
         } catch (const InterruptReplicate& stop) {
             out.error = stop.superstep == 0
-                            ? std::string(kInterruptPrefix) +
-                                  "not started (a resume-from run starts it fresh)"
+                            ? not_started_error()
                             : std::string(kInterruptPrefix) + "stopped at superstep " +
                                   std::to_string(stop.superstep) +
                                   " (checkpointed; a resume-from run continues it)";

@@ -61,6 +61,12 @@ class SharedExecutor; // pipeline/shared_executor.hpp
 /// chains.
 [[nodiscard]] EdgeList materialize_input(const PipelineConfig& config);
 
+/// The built-in generator's graph: `config.generator` (powerlaw, gnp, grid
+/// or regular) from its gen-* keys and `config.seed`, without validating
+/// the rest of the config — materialize_input's generator case, and
+/// gesmc_randomize's --gen.
+[[nodiscard]] EdgeList generate_input(const PipelineConfig& config);
+
 /// True iff every replicate finished without error.
 [[nodiscard]] bool all_succeeded(const RunReport& report);
 
@@ -131,5 +137,11 @@ std::uint64_t remove_run_checkpoints(const PipelineConfig& config);
 /// interrupt (error mentions the interruption marker).  Distinguishes "the
 /// run was drained/cancelled" from "a replicate genuinely failed".
 [[nodiscard]] bool was_interrupted(const RunReport& report);
+
+/// The report of a run of `config` interrupted before it started, built
+/// without reading its input: every replicate carries its seed and the
+/// "not started" interruption marker, as run_pipeline records a replicate
+/// that an interrupt kept from starting.
+[[nodiscard]] RunReport not_started_report(const PipelineConfig& config);
 
 } // namespace gesmc

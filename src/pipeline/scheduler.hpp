@@ -4,9 +4,9 @@
 /// The pipeline's central scheduling decision (cf. Bhuiyan et al.: replicate-
 /// and intra-chain parallelism must be traded off together) is *where* the
 /// machine's budget of P threads goes.  Every run resolves to a (K, T) point
-/// — K replicates computing concurrently, each chain on a leased sub-pool of
-/// width T, with K·T ≤ P (parallel/pool_lease.hpp).  SharedExecutor
-/// (shared_executor.hpp) runs every point:
+/// — K replicates computing concurrently, each chain on a leased team of
+/// width T, with K·T ≤ P.  SharedExecutor (shared_executor.hpp) leases the
+/// teams and runs every point:
 ///
 ///   * kReplicates — T = 1, K = min(P, R).  The R replicates are the
 ///     parallel work items; each chain runs single-threaded.  Best when
@@ -60,8 +60,8 @@ struct ResolvedSchedule {
                                                 unsigned budget) noexcept;
 
 /// Execution context handed to each replicate body.  `shared_pool` is the
-/// replicate's *leased* pool: a disjoint worker team of `chain_threads`
-/// threads carved out of the run's budget (null when chain_threads == 1 —
+/// replicate's *leased* team: `chain_threads` threads of the executor's
+/// budget, leased to this replicate alone (null when chain_threads == 1 —
 /// a single-threaded chain needs no pool).
 struct ReplicateSlot {
     std::uint64_t index;      ///< replicate index in [0, R)

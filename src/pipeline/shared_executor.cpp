@@ -1,13 +1,29 @@
 #include "pipeline/shared_executor.hpp"
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
+
+#include <algorithm>
+#include <chrono>
+#include <string>
 
 namespace gesmc {
 
-SharedExecutor::SharedExecutor(unsigned threads) : budget_(threads) {
-    const unsigned n = budget_.total();
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
+namespace {
+
+obs::Histogram& lease_wait_us() {
+    static obs::Histogram& h =
+        obs::MetricsRegistry::instance().histogram("budget.lease_wait_us");
+    return h;
+}
+
+} // namespace
+
+SharedExecutor::SharedExecutor(unsigned threads)
+    : threads_(threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads) {
+    workers_.reserve(threads_);
+    for (unsigned i = 0; i < threads_; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
     }
 }
@@ -21,15 +37,13 @@ SharedExecutor::~SharedExecutor() {
     for (std::thread& w : workers_) w.join();
 }
 
-unsigned SharedExecutor::threads() const noexcept { return budget_.total(); }
-
 ExecutorStats SharedExecutor::stats() const {
     ExecutorStats s;
-    s.threads = budget_.total();
-    s.leased = budget_.leased();
-    s.lease_waiters = budget_.waiting();
+    s.threads = threads_;
     s.inflight_replicates = inflight_replicates_.load(std::memory_order_relaxed);
     CheckedLockGuard lock(mutex_);
+    s.leased = leased_;
+    s.lease_waiters = next_ticket_ - now_serving_;
     s.active_runs = active_runs_;
     for (const auto& queue : active_) s.pending_replicates += queue->pending.size();
     return s;
@@ -56,20 +70,76 @@ SharedExecutor::pick_task_locked(std::uint64_t& replicate) {
     return nullptr;
 }
 
+std::unique_ptr<ThreadPool> SharedExecutor::lease(unsigned width) {
+    // FIFO: a wide lease drains the budget and narrow ones queue behind it,
+    // so no width starves.
+    const obs::TraceSpan span("lease.wait", "parallel", {{"width", width}});
+    const bool measure = obs::metrics_enabled();
+    const auto wait_start =
+        measure ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point();
+    std::unique_ptr<ThreadPool> team;
+    {
+        CheckedUniqueLock lock(mutex_);
+        const std::uint64_t ticket = next_ticket_++;
+        admit_cv_.wait(lock, [&] {
+            mutex_.assert_held();
+            return ticket == now_serving_ && leased_ + width <= threads_;
+        });
+        ++now_serving_;
+        leased_ += width;
+        const auto idle = std::find_if(idle_teams_.begin(), idle_teams_.end(),
+                                       [width](const std::unique_ptr<ThreadPool>& t) {
+                                           return t->num_threads() == width;
+                                       });
+        if (idle != idle_teams_.end()) {
+            team = std::move(*idle);
+            idle_teams_.erase(idle);
+        }
+    }
+    // The next ticket may already fit alongside this one.
+    admit_cv_.notify_all();
+    if (measure) {
+        lease_wait_us().record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - wait_start)
+                .count()));
+    }
+    return team;
+}
+
 void SharedExecutor::worker_loop() {
-    // The run of the replicate this worker just computed.  It is retired in
-    // the critical section that picks the next task, so a worker takes on
-    // the next replicate itself: a run's replicates stay on the threads,
-    // and in the malloc arenas, they started in instead of spreading over
-    // every worker.
+    // The run of the replicate this worker just computed, and the team it
+    // computed on.  Both are handed back in the critical section that picks
+    // the next task, so a worker takes on the next replicate itself: a
+    // run's replicates stay on the threads, and in the malloc arenas, they
+    // started in instead of spreading over every worker.
     std::shared_ptr<RunQueue> finished;
+    std::unique_ptr<ThreadPool> team;
     for (;;) {
         std::shared_ptr<RunQueue> queue;
         std::uint64_t replicate = 0;
+        std::vector<std::unique_ptr<ThreadPool>> evicted;
         const bool retired = finished != nullptr;
         {
             CheckedUniqueLock lock(mutex_);
             if (finished != nullptr) {
+                leased_ -= finished->width;
+                if (team != nullptr) idle_teams_.push_back(std::move(team));
+                // Bound the cache: idle teams hold at most P threads in sum,
+                // so an executor serving many widths over time parks one
+                // budget's worth of threads, not one team per width ever
+                // leased.  Oldest first: recent widths are the likeliest to
+                // be leased again.
+                unsigned cached = 0;
+                for (const auto& idle : idle_teams_) cached += idle->num_threads();
+                while (cached > threads_) {
+                    cached -= idle_teams_.front()->num_threads();
+                    evicted.push_back(std::move(idle_teams_.front()));
+                    idle_teams_.erase(idle_teams_.begin());
+                }
+                // Under the lock: this worker may go on to wait for work,
+                // and the width it returned may admit the next ticket.
+                admit_cv_.notify_all();
                 --finished->inflight;
                 if (--finished->remaining == 0) finished->done_cv.notify_all();
                 finished.reset();
@@ -80,23 +150,23 @@ void SharedExecutor::worker_loop() {
                 queue = pick_task_locked(replicate);
                 return queue != nullptr;
             });
-            // Drain before exiting: a run() may still be counting down on
-            // queued replicates when the destructor fires.
-            if (queue == nullptr) return;
         }
+        // Joined outside the lock, so a slow join never stalls the gate.
+        evicted.clear();
+        // Drain before exiting: a run() may still be counting down on
+        // queued replicates when the destructor fires.
+        if (queue == nullptr) return;
         // A freed K slot may unblock peers too.
         if (retired) work_cv_.notify_all();
-        {
-            // The admission gate: every replicate computes under a leased
-            // sub-pool of its run's width, so the total computing width
-            // across all jobs never exceeds the budget.  Blocking here is
-            // fine — the lease queue is FIFO, so a wide lease drains the
-            // budget and narrow tasks queue behind it without starvation.
-            PoolLease lease = budget_.acquire(queue->width);
-            inflight_replicates_.fetch_add(1, std::memory_order_relaxed);
-            (*queue->fn)(ReplicateSlot{replicate, lease.width(), lease.pool()});
-            inflight_replicates_.fetch_sub(1, std::memory_order_relaxed);
-        }
+
+        const unsigned width = queue->width;
+        team = lease(width);
+        // Cache miss: spawn the team outside the lock — thread creation must
+        // not stall the gate, and the width is already reserved.
+        if (width > 1 && team == nullptr) team = std::make_unique<ThreadPool>(width);
+        inflight_replicates_.fetch_add(1, std::memory_order_relaxed);
+        (*queue->fn)(ReplicateSlot{replicate, width, team.get()});
+        inflight_replicates_.fetch_sub(1, std::memory_order_relaxed);
         finished = std::move(queue);
     }
 }
@@ -105,7 +175,10 @@ void SharedExecutor::run(std::uint64_t replicates, const ScheduleRequest& reques
                          const std::function<void(const ReplicateSlot&)>& fn) {
     GESMC_CHECK(fn != nullptr, "null replicate body");
     if (replicates == 0) return;
-    const ResolvedSchedule schedule = resolve_schedule(request, replicates, threads());
+    const ResolvedSchedule schedule = resolve_schedule(request, replicates, threads_);
+    GESMC_CHECK(schedule.chain_threads >= 1 && schedule.chain_threads <= threads_,
+                "chain width " + std::to_string(schedule.chain_threads) + " outside [1, " +
+                    std::to_string(threads_) + "]");
 
     // Hand the replicates to the shared worker team; K = 1 is the same
     // ring entry capped at one in flight, so its replicates run in index

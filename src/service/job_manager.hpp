@@ -5,10 +5,10 @@
 /// directly).  Two pieces:
 ///
 ///   * SharedExecutor (pipeline/shared_executor.hpp, the one replicate
-///     executor of standalone, corpus and daemon runs) — one
-///     ThreadBudget of P threads that multiplexes the replicates of many
-///     concurrent jobs round-robin while preserving each job's resolved
-///     (K, T) schedule; the width-counting budget is the admission gate.
+///     executor of standalone, corpus and daemon runs) — one budget of P
+///     threads that multiplexes the replicates of many concurrent jobs
+///     round-robin while preserving each job's resolved (K, T) schedule;
+///     its width-counting leases are the admission gate.
 ///
 ///   * JobManager — admission, queueing and lifecycle.  submit() validates
 ///     a PipelineConfig (a corpus config: plans it with plan_corpus) and

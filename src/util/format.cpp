@@ -97,4 +97,20 @@ std::string fmt_seconds(double s) {
     return fmt_double(s, 3) + " s";
 }
 
+std::string padded_index(std::uint64_t index, std::uint64_t count) {
+    std::string digits = std::to_string(index);
+    const std::string width = std::to_string(count > 0 ? count - 1 : 0);
+    while (digits.size() < width.size()) digits.insert(digits.begin(), '0');
+    return digits;
+}
+
+std::string trim(const std::string& s) {
+    const auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
+    auto begin = s.begin();
+    while (begin != s.end() && is_space(*begin)) ++begin;
+    auto end = s.end();
+    while (end != begin && is_space(*(end - 1))) --end;
+    return std::string(begin, end);
+}
+
 } // namespace gesmc

@@ -1,5 +1,5 @@
 /// \file format.hpp
-/// \brief Aligned text tables and CSV emission shared by the bench harness.
+/// \brief Aligned text tables, CSV emission and small string formatters.
 ///
 /// Every figure/table bench prints (a) a human-readable aligned table
 /// mirroring the paper's presentation and (b) machine-readable CSV lines
@@ -42,5 +42,12 @@ std::string fmt_si(double v);
 
 /// Seconds with sub-second precision ("12.3 ms", "4.56 s").
 std::string fmt_seconds(double s);
+
+/// `index` zero-padded to the digit width of `count - 1` ("07" of 12), so
+/// that lexicographic order is numeric order.
+std::string padded_index(std::uint64_t index, std::uint64_t count);
+
+/// `s` without leading and trailing whitespace.
+std::string trim(const std::string& s);
 
 } // namespace gesmc

@@ -22,7 +22,7 @@ using gesmc::CheckedUniqueLock;
 using gesmc::LockRank;
 
 TEST(CheckedMutex, GuardsLikeAPlainMutex) {
-    CheckedMutex mutex(LockRank::kThreadBudget, "test.counter");
+    CheckedMutex mutex(LockRank::kSharedExecutor, "test.counter");
     int counter = 0;
     std::vector<std::thread> threads;
     threads.reserve(4);
@@ -39,7 +39,7 @@ TEST(CheckedMutex, GuardsLikeAPlainMutex) {
 }
 
 TEST(CheckedMutex, TryLockReportsContention) {
-    CheckedMutex mutex(LockRank::kThreadBudget, "test.trylock");
+    CheckedMutex mutex(LockRank::kSharedExecutor, "test.trylock");
     ASSERT_TRUE(mutex.try_lock());
     std::thread other([&] { EXPECT_FALSE(mutex.try_lock()); });
     other.join();
@@ -49,7 +49,7 @@ TEST(CheckedMutex, TryLockReportsContention) {
 }
 
 TEST(CheckedMutex, CondVarWaitRoundTrips) {
-    CheckedMutex mutex(LockRank::kThreadBudget, "test.cv");
+    CheckedMutex mutex(LockRank::kSharedExecutor, "test.cv");
     CheckedCondVar cv;
     bool ready = false;
     std::thread producer([&] {
@@ -99,12 +99,12 @@ private:
 
 TEST(LockRankDetector, SeededInversionIsCaught) {
     ViolationCapture capture;
-    CheckedMutex inner(LockRank::kThreadBudget, "test.budget");
+    CheckedMutex inner(LockRank::kSharedExecutor, "test.executor");
     CheckedMutex outer(LockRank::kServerConnections, "test.server");
     {
         CheckedLockGuard inner_lock(inner);
-        // Inversion: the server lock ranks *above* the budget lock, so
-        // taking it while the budget lock is held is the deadlock pattern
+        // Inversion: the server lock ranks *above* the executor lock, so
+        // taking it while the executor lock is held is the deadlock pattern
         // the rank order forbids.
         CheckedLockGuard outer_lock(outer);
     }
@@ -112,7 +112,7 @@ TEST(LockRankDetector, SeededInversionIsCaught) {
     ASSERT_FALSE(report.empty()) << "inversion not reported";
     EXPECT_NE(report.find("lock-rank violation"), std::string::npos) << report;
     EXPECT_NE(report.find("test.server"), std::string::npos) << report;
-    EXPECT_NE(report.find("test.budget"), std::string::npos) << report;
+    EXPECT_NE(report.find("test.executor"), std::string::npos) << report;
 }
 
 TEST(LockRankDetector, EqualRankAcquisitionIsCaught) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <set>
@@ -386,7 +387,7 @@ TEST(ConcurrentEdgeSet, CountCellsMatchSerialReplay) {
         ASSERT_TRUE(replay.insert_unique(k));
     }
     for (int wave = 0; wave < waves; ++wave) {
-        SpinBarrier between(p);
+        std::barrier between(p);
         std::vector<std::thread> threads;
         for (unsigned tid = 0; tid < p; ++tid) {
             threads.emplace_back([&, tid] {

@@ -742,6 +742,74 @@ TEST(SharedExecutor, MixedWidthStressNeverOversubscribesTheBudget) {
     EXPECT_EQ(active_width.load(), 0u);
 }
 
+TEST(SharedExecutor, AdmitsAWholeBudgetReplicateBeforeLaterNarrowOnes) {
+    // A whole-budget replicate queued behind a running narrow one must be
+    // admitted once that one ends, although narrow replicates keep
+    // arriving: leases are granted in arrival order, so a late narrow
+    // replicate waits *behind* the wide one even though the budget has
+    // room for it, instead of overtaking it forever.
+    SharedExecutor executor(4);
+    const ScheduleRequest narrow{SchedulePolicy::kReplicates, 0, 0};
+    const ScheduleRequest whole{SchedulePolicy::kIntraChain, 0, 0};
+    std::atomic<bool> narrow_running{false};
+    std::atomic<bool> release{false};
+    std::atomic<int> grants{0};
+    int wide_rank = -1;
+    int late_rank = -1;
+
+    std::thread first([&] {
+        executor.run(1, narrow, [&](const ReplicateSlot&) {
+            narrow_running.store(true);
+            while (!release.load()) std::this_thread::yield();
+        });
+    });
+    while (!narrow_running.load()) std::this_thread::yield();
+    std::thread wide([&] {
+        executor.run(1, whole, [&](const ReplicateSlot& slot) {
+            EXPECT_EQ(slot.chain_threads, 4u);
+            wide_rank = grants.fetch_add(1);
+        });
+    });
+    // The wide replicate cannot be admitted while the narrow one computes
+    // (1 + 4 > 4).
+    while (executor.stats().lease_waiters != 1u) std::this_thread::yield();
+    std::thread late([&] {
+        executor.run(1, narrow, [&](const ReplicateSlot&) { late_rank = grants.fetch_add(1); });
+    });
+    // The late replicate fits (1 + 1 <= 4) but arrived after the wide one:
+    // it must queue.  (An overtaking grant ends the wait too, so a broken
+    // gate fails here instead of hanging.)
+    while (executor.stats().lease_waiters < 2u && grants.load() == 0) {
+        std::this_thread::yield();
+    }
+    const ExecutorStats queued = executor.stats();
+    EXPECT_EQ(grants.load(), 0);
+    EXPECT_EQ(queued.lease_waiters, 2u);
+    EXPECT_EQ(queued.leased, 1u);
+
+    release.store(true);
+    first.join();
+    wide.join();
+    late.join();
+    EXPECT_EQ(wide_rank, 0);
+    EXPECT_EQ(late_rank, 1);
+    EXPECT_EQ(executor.stats().leased, 0u);
+}
+
+TEST(SharedExecutor, ReusesTheTeamOfAFinishedReplicate) {
+    // K = 1, T = 2: the replicates run one after another, and each takes
+    // the team its predecessor handed back instead of spawning one.
+    SharedExecutor executor(4);
+    std::vector<ThreadPool*> teams;
+    executor.run(3, ScheduleRequest{SchedulePolicy::kHybrid, 2, 1},
+                 [&](const ReplicateSlot& slot) { teams.push_back(slot.shared_pool); });
+    ASSERT_EQ(teams.size(), 3u);
+    ASSERT_NE(teams[0], nullptr);
+    EXPECT_EQ(teams[0]->num_threads(), 2u);
+    EXPECT_EQ(teams[1], teams[0]);
+    EXPECT_EQ(teams[2], teams[0]);
+}
+
 TEST(JobManager, MixedWidthJobsSettleUnderCancelAndDrainMidLease) {
     // Cancel one mixed-width job mid-run and drain the rest: every job must
     // reach a terminal status (no deadlock with leases in flight), and the
@@ -1034,6 +1102,39 @@ TEST(JobManager, CancelledCorpusJobStartsNoFurtherCells) {
     EXPECT_EQ(info.replicates_done, 6u); // every cell reports, none ran on
     EXPECT_EQ(info.error, "cancelled; 6 of 6 replicate(s) stopped");
     EXPECT_EQ(probe.cells.size(), 1u);
+}
+
+TEST(JobManager, CancelledCorpusJobLoadsNoMemberItNeverStarted) {
+    // One budget thread and a cancel from inside the first checkpoint, as
+    // above, over nine members.  The coordinators number max(P, 8) = 8, so
+    // the ninth member comes up only after the cancel: its replicates still
+    // report, but its input is not read and its directory never created.
+    const fs::path dir = scratch_dir("corpus_cancel_nine");
+    PipelineConfig config;
+    config.corpus_spec = "gnp n=300 m=1200 count=9";
+    config.algorithm = "par-global-es";
+    config.supersteps = 20;
+    config.replicates = 2;
+    config.checkpoint_every = 1;
+    config.seed = 66;
+    config.output_format = OutputFormat::kBinary;
+    config.output_dir = dir.string();
+    config.report_path = (dir / "corpus.json").string();
+
+    JobManager manager(1, 1);
+    CorpusCheckpointProbe probe;
+    const std::uint64_t id =
+        manager.submit(config, [&](std::uint64_t job_id, const CorpusPlan* corpus) {
+            EXPECT_TRUE(corpus != nullptr && corpus->graphs.size() == 9u);
+            probe.on_first = [&manager, job_id] { EXPECT_TRUE(manager.cancel(job_id)); };
+            return &probe;
+        });
+    const JobInfo info = manager.wait(id);
+    EXPECT_EQ(info.status, JobStatus::kCancelled) << info.error;
+    EXPECT_EQ(info.replicates, 18u);
+    EXPECT_EQ(info.replicates_done, 18u);
+    EXPECT_TRUE(fs::exists(dir / "corpus-inputs" / "gnp-8.gesb"));
+    EXPECT_FALSE(fs::exists(dir / "gnp-8"));
 }
 
 TEST(JobManager, DrainedCorpusJobResumesByteIdenticallyToALocalRun) {

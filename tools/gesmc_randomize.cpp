@@ -11,10 +11,8 @@
 ///   gesmc_randomize --input g.txt --checkpoint run.gesc --checkpoint-every 5
 ///   gesmc_randomize --resume run.gesc --supersteps 40   # continue to 40 total
 #include "core/chain.hpp"
-#include "gen/corpus.hpp"
-#include "gen/gnp.hpp"
 #include "graph/io.hpp"
-#include "pipeline/config.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/format.hpp"
 #include "util/signal_interrupt.hpp"
 #include "util/timer.hpp"
@@ -74,7 +72,9 @@ private:
 
 struct Options {
     std::string input;
-    std::string gen;
+    /// --gen KIND as `generator`, and its --n/--m/--gamma/--rows/--cols/
+    /// --degree parameters as the matching gen-* fields.
+    PipelineConfig gen;
     std::string output;
     std::string checkpoint;
     std::uint64_t checkpoint_every = 0;
@@ -86,11 +86,6 @@ struct Options {
     bool pl_set = false;   ///< --pl given explicitly
     std::uint64_t supersteps = 20;
     ChainConfig chain;
-    std::uint64_t n = 10000;
-    std::uint64_t m = 50000;
-    double gamma = 2.2;
-    std::uint64_t rows = 100, cols = 100;
-    std::uint32_t degree = 8;
 };
 
 std::optional<Options> parse(int argc, char** argv) {
@@ -116,7 +111,7 @@ std::optional<Options> parse(int argc, char** argv) {
             opt.input = v;
         } else if (arg == "--gen") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.gen = v;
+            opt.gen.generator = v;
         } else if (arg == "--output") {
             if (!(v = need_value(i))) return std::nullopt;
             opt.output = v;
@@ -154,33 +149,33 @@ std::optional<Options> parse(int argc, char** argv) {
             opt.chain.small_graph_cutoff = parse_u64(arg, v);
         } else if (arg == "--n") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.n = parse_u64(arg, v);
+            opt.gen.gen_n = parse_u64(arg, v);
         } else if (arg == "--m") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.m = parse_u64(arg, v);
+            opt.gen.gen_m = parse_u64(arg, v);
         } else if (arg == "--gamma") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.gamma = parse_double(arg, v);
+            opt.gen.gen_gamma = parse_double(arg, v);
         } else if (arg == "--rows") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.rows = parse_u64(arg, v);
+            opt.gen.gen_rows = parse_u64(arg, v);
         } else if (arg == "--cols") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.cols = parse_u64(arg, v);
+            opt.gen.gen_cols = parse_u64(arg, v);
         } else if (arg == "--degree") {
             if (!(v = need_value(i))) return std::nullopt;
-            opt.degree = parse_unsigned(arg, v);
+            opt.gen.gen_degree = parse_unsigned(arg, v);
         } else {
             std::cerr << "unknown option: " << arg << "\n" << kUsage;
             return std::nullopt;
         }
     }
     if (opt.resume.empty()) {
-        if (opt.input.empty() == opt.gen.empty()) {
+        if (opt.input.empty() == opt.gen.generator.empty()) {
             std::cerr << "exactly one of --input / --gen is required\n" << kUsage;
             return std::nullopt;
         }
-    } else if (!opt.input.empty() || !opt.gen.empty()) {
+    } else if (!opt.input.empty() || !opt.gen.generator.empty()) {
         std::cerr << "--resume replaces --input / --gen (the snapshot holds the graph)\n";
         return std::nullopt;
     }
@@ -200,21 +195,9 @@ struct Interrupted {
 
 EdgeList build_graph(const Options& opt) {
     if (!opt.input.empty()) return read_any_edge_list_file(opt.input);
-    if (opt.gen == "powerlaw") {
-        return generate_powerlaw_graph(static_cast<node_t>(opt.n), opt.gamma, opt.chain.seed);
-    }
-    if (opt.gen == "gnp") {
-        return generate_gnp(static_cast<node_t>(opt.n),
-                            gnp_probability_for_edges(static_cast<node_t>(opt.n), opt.m),
-                            opt.chain.seed);
-    }
-    if (opt.gen == "grid") {
-        return generate_grid(static_cast<node_t>(opt.rows), static_cast<node_t>(opt.cols));
-    }
-    if (opt.gen == "regular") {
-        return generate_regular(static_cast<node_t>(opt.n), opt.degree);
-    }
-    throw Error("unknown --gen kind: " + opt.gen);
+    PipelineConfig gen = opt.gen;
+    gen.seed = opt.chain.seed;
+    return generate_input(gen);
 }
 
 } // namespace
